@@ -1,10 +1,10 @@
 /**
  * @file
  * Static-analysis cross-validation bench: run the IR dataflow analyzer
- * (interprocedural summaries + constraint solver + concrete refutation)
- * over the 68-bug corpus, compare every finding against the dynamic
- * detector, and report the soundness contract (zero false `definite`
- * findings) plus static recall and wall time.
+ * (interprocedural summaries + constraint solver + engine-replay
+ * refutation) over the 68-bug corpus, compare every finding against
+ * the dynamic detector, and report the soundness contract (zero false
+ * `definite` findings) plus static recall and wall time.
  *
  * Two interprocedural sections ride along:
  *  - a demo suite of cross-function programs showing summaries turning

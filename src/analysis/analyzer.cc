@@ -7,7 +7,8 @@
  * worklist fixpoint over the CFG propagating AbsState (frame slots +
  * per-object memory maps), then one final collect pass over the
  * converged states that emits candidate findings. analyzeModule() glues
- * the per-function results together and runs the refutation replay.
+ * the per-function results together and replays the program on the
+ * managed engine to confirm or demote them.
  */
 
 #include "analysis/analyzer.h"
@@ -23,8 +24,8 @@
 #include "analysis/callgraph.h"
 #include "analysis/constraints.h"
 #include "analysis/lattice.h"
-#include "analysis/refuter.h"
 #include "analysis/summary.h"
+#include "interp/managed_engine.h"
 #include "ir/cfg.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -3011,6 +3012,52 @@ detectAffineReturn(const Function &fn, FunctionSummary &s)
     s.prefixes = std::move(prefixes);
 }
 
+/// Call-depth and guest-heap budgets of the refutation replay.
+constexpr unsigned kReplayDepth = 512;
+constexpr uint64_t kReplayHeapBytes = 64ull << 20;
+
+/**
+ * Run @p module once under the managed engine, configured as the corpus
+ * cross-validation's oracle (default options plus uninitialized-read
+ * detection), within the replay budgets and on the replay inputs.
+ */
+ExecutionResult
+replayOnEngine(const Module &module, const AnalysisOptions &options)
+{
+    ManagedOptions managed;
+    managed.detectUninitReads = true;
+    ManagedEngine engine(managed);
+    ResourceLimits &limits = engine.limits();
+    limits.maxSteps = options.replaySteps;
+    limits.maxCallDepth = kReplayDepth;
+    limits.maxHeapBytes = kReplayHeapBytes;
+    return engine.run(module, options.replayArgs, options.replayStdin);
+}
+
+/** The replay's fault @p bug as a definite finding at its site. */
+StaticFinding
+findingOfFault(const Module &module, const BugReport &bug)
+{
+    StaticFinding f;
+    f.kind = bug.kind;
+    f.access = bug.access;
+    f.storage = bug.storage;
+    f.direction = bug.direction;
+    f.confidence = Confidence::definite;
+    f.function = bug.function;
+    f.blockIndex = *bug.blockIndex;
+    f.instIndex = *bug.instIndex;
+    f.loc = module.findFunction(bug.function)
+                ->blocks()[f.blockIndex]
+                ->insts()[f.instIndex]
+                ->loc();
+    f.detail = bug.detail;
+    f.replayConfirmed = true;
+    f.offset = bug.offset;
+    f.objectSize = bug.objectSize;
+    return f;
+}
+
 } // namespace
 
 AnalysisReport
@@ -3172,7 +3219,7 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
 
     // Constraint-based refutation: try to prove each bounds/null finding
     // infeasible along every witness path. A proof drops the finding
-    // with a certificate; everything else continues to the replayer.
+    // with a certificate; everything else continues to the engine replay.
     if (options.solver && !report.findings.empty()) {
         MS_TRACE_SPAN("analysis.solver");
         std::map<std::string, std::unique_ptr<PathRefuter>> refuters;
@@ -3246,40 +3293,35 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
     }
 
     MS_TRACE_SPAN("analysis.refute");
-    ReplayResult replay = replayModule(module, options);
+    ExecutionResult replay = replayOnEngine(module, options);
+    const BugReport &bug = replay.bug;
+    bool faulted =
+        bug.kind != ErrorKind::none && bug.kind != ErrorKind::engineError;
     report.replayRan = true;
-    switch (replay.end) {
-      case ReplayEnd::fault:
+    if (faulted)
         report.replayOutcome = "fault";
-        break;
-      case ReplayEnd::exit:
+    else if (bug.kind == ErrorKind::engineError)
+        report.replayOutcome = "inconclusive: " + bug.detail;
+    else if (replay.termination != TerminationKind::normal)
+        report.replayOutcome = "inconclusive: " + replay.terminationDetail;
+    else
         report.replayOutcome = "exit";
-        break;
-      case ReplayEnd::inconclusive:
-        report.replayOutcome = replay.reason.empty()
-            ? "inconclusive"
-            : "inconclusive: " + replay.reason;
-        break;
-    }
 
     bool matched = false;
     uint64_t confirmed = 0;
     uint64_t demoted = 0;
     for (StaticFinding &f : report.findings) {
-        bool confirms = replay.end == ReplayEnd::fault &&
-            replay.fault.has_value() &&
-            replay.fault->function == f.function &&
-            replay.fault->blockIndex == f.blockIndex &&
-            replay.fault->instIndex == f.instIndex &&
-            replay.fault->kind == f.kind;
+        bool confirms = faulted && bug.kind == f.kind &&
+            bug.function == f.function && bug.blockIndex == f.blockIndex &&
+            bug.instIndex == f.instIndex;
         if (confirms) {
             f.confidence = Confidence::definite;
             f.replayConfirmed = true;
             // Prefer the concrete details the replay established.
-            if (replay.fault->offset.has_value())
-                f.offset = replay.fault->offset;
-            if (replay.fault->objectSize.has_value())
-                f.objectSize = replay.fault->objectSize;
+            if (bug.offset.has_value())
+                f.offset = bug.offset;
+            if (bug.objectSize.has_value())
+                f.objectSize = bug.objectSize;
             matched = true;
             confirmed++;
         } else {
@@ -3288,9 +3330,8 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
             f.confidence = Confidence::maybe;
         }
     }
-    if (replay.end == ReplayEnd::fault && replay.fault.has_value() &&
-        !matched) {
-        report.findings.push_back(*replay.fault);
+    if (faulted && !matched && bug.blockIndex.has_value()) {
+        report.findings.push_back(findingOfFault(module, bug));
         reg.counter("analysis.refute.promoted").inc();
     }
     if (confirmed != 0)

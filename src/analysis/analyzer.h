@@ -12,8 +12,12 @@
  * codegen emits, writing refinements back through load provenance so
  * loop counters that live in allocas actually get bounded.
  *
- * The optional refutation stage (refuter.h) then replays the program
- * concretely and demotes every candidate it cannot confirm to `maybe`.
+ * The optional refutation stage then runs the program once on the
+ * managed engine (the dynamic detector itself, bounded by the replay
+ * budgets) and demotes every candidate that run does not confirm to
+ * `maybe`; a fault no candidate predicted is added as definite. The run
+ * shows up as a `managed.run` span under `analysis.refute` and in the
+ * engine's `managed.*` counters.
  */
 
 #ifndef MS_ANALYSIS_ANALYZER_H
@@ -28,7 +32,7 @@ namespace sulong
 /**
  * Analyze every function definition of @p module (subject to
  * AnalysisOptions::userCodeOnly) and, when enabled, refute/confirm the
- * candidates by bounded concrete replay.
+ * candidates by one bounded run of the managed engine.
  */
 AnalysisReport analyzeModule(const Module &module,
                              const AnalysisOptions &options = {});

@@ -21,8 +21,8 @@
  *    model of the fault.
  *  - Anything the symbolic domain cannot express (loops, too many
  *    paths, smashed memory, unsigned comparisons as the only hope)
- *    degrades to `unknown`, which the pipeline routes to the concrete
- *    replayer — never to dropping the finding.
+ *    degrades to `unknown`, which the pipeline routes to the engine
+ *    replay — never to dropping the finding.
  */
 
 #ifndef MS_ANALYSIS_CONSTRAINTS_H
@@ -44,7 +44,7 @@ enum class RefuteVerdict : uint8_t
     provenInfeasible,
     /// A concrete model reaches the fault; keep the finding.
     feasible,
-    /// Out of scope for the symbolic domain; fall back to the replayer.
+    /// Out of scope for the symbolic domain; fall back to the replay.
     unknown,
 };
 

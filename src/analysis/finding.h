@@ -26,11 +26,11 @@ namespace sulong
  *
  * `definite` is contractual: over the bug corpus, every definite finding
  * must agree with the dynamic detector (zero false definites, CI-gated).
- * After the refutation stage, a finding is definite only when the bounded
- * concrete replay of the program reproduced the fault at the same
- * instruction with the same error kind; everything the replay could not
- * confirm — paths depending on unknown inputs, joins that merged a safe
- * path in, widened loop bounds — is demoted to `maybe`.
+ * After the refutation stage, a finding is definite only when a bounded
+ * run of the managed engine itself — the dynamic detector — faulted at
+ * the same instruction with the same error kind; everything that run
+ * did not confirm — paths depending on unknown inputs, joins that merged
+ * a safe path in, widened loop bounds — is demoted to `maybe`.
  */
 enum class Confidence : uint8_t
 {
@@ -62,8 +62,8 @@ struct StaticFinding
     /// condition the fixpoint derived), e.g. "offset in [40,40] of
     /// 40-byte stack object 'buf'".
     std::string pathCondition;
-    /// Set by the refutation stage when the concrete replay reproduced
-    /// the fault (the only way a finding stays definite after it).
+    /// Set by the refutation stage when the managed engine's replay run
+    /// faulted here (the only way a finding stays definite after it).
     bool replayConfirmed = false;
 
     /// Byte offset of the access relative to the object, when constant.
@@ -95,9 +95,10 @@ struct Refutation
 /** Tuning knobs of one analysis run. */
 struct AnalysisOptions
 {
-    /// Run the refutation stage (concrete replay from main). Without it,
-    /// `definite` means "abstractly must-fault", which is NOT covered by
-    /// the zero-false-definite contract.
+    /// Run the refutation stage (one bounded run of the managed engine
+    /// from main). Without it, `definite` means "abstractly
+    /// must-fault", which is NOT covered by the zero-false-definite
+    /// contract.
     bool refute = true;
     /// Analyze only functions compiled from user code ("<input>" /
     /// corpus sources); libc definitions are skipped. The libc smoke
@@ -107,9 +108,8 @@ struct AnalysisOptions
     /// and apply them at call sites. Off = PR-4 behaviour (calls to
     /// user functions havoc everything reachable).
     bool summaries = true;
-    /// Run the SMT-lite constraint refutation stage before the concrete
-    /// replay; proven-infeasible findings are dropped with a
-    /// certificate.
+    /// Run the SMT-lite constraint refutation stage before the replay;
+    /// proven-infeasible findings are dropped with a certificate.
     bool solver = true;
     /// Fixpoint rounds for a recursive SCC's summaries before the whole
     /// SCC degrades to pessimistic.
@@ -123,14 +123,10 @@ struct AnalysisOptions
     /// Fixpoint visits of one block before the function is abandoned
     /// (reported as incomplete; its findings stay maybe).
     unsigned maxBlockVisits = 80;
-    /// Instruction budget of the concrete replay.
+    /// Instruction budget of the replay (the engine's step limit).
     uint64_t replaySteps = 4 * 1000 * 1000;
-    /// Guest heap budget of the concrete replay, in bytes.
-    uint64_t replayHeapBytes = 64ull << 20;
-    /// Call-depth budget of the concrete replay.
-    unsigned replayDepth = 512;
-    /// Program arguments / stdin consumed by the concrete replay (the
-    /// corpus harness passes the entry's trigger input).
+    /// Program arguments / stdin the replay runs with (the corpus
+    /// harness passes the entry's trigger input).
     std::vector<std::string> replayArgs;
     std::string replayStdin;
 };
@@ -154,7 +150,8 @@ struct AnalysisReport
     bool incomplete = false;
     /// True when the refutation replay ran (a main() was present).
     bool replayRan = false;
-    /// How the replay ended: "fault", "exit", "inconclusive", "" (not run).
+    /// How the replay ended: "fault", "exit", "inconclusive: <why>"
+    /// (resource limit or engine error), "" (not run).
     std::string replayOutcome;
 
     unsigned definiteCount() const;

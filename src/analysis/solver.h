@@ -16,7 +16,7 @@
  *  - SAT is claimed only for a concrete all-singleton assignment that
  *    passes exact (128-bit) re-verification of every constraint.
  *  - Everything else is `unknown`, which the analysis pipeline routes
- *    to the concrete replayer instead of dropping the finding.
+ *    to the engine replay instead of dropping the finding.
  */
 
 #ifndef MS_ANALYSIS_SOLVER_H

@@ -264,7 +264,7 @@ crossValidateCorpus(const std::vector<CorpusEntry> &entries,
     CrossValidationReport report;
     auto start = std::chrono::steady_clock::now();
 
-    // The oracle is the engine the refutation stage models: Safe Sulong
+    // The oracle is the engine the refutation stage runs: Safe Sulong
     // with uninitialized-read detection on, under the corpus budget.
     ToolConfig config = ToolConfig::make(ToolKind::safeSulong);
     config.managed.detectUninitReads = true;

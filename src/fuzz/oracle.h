@@ -16,11 +16,12 @@
  *    `falsePositive`, differing stdout is an `outputDivergence`, and a
  *    resource/exit mismatch is a `terminationDivergence`.
  *  - Static findings: a `definite` finding on a clean program violates
- *    the analyzer's soundness contract (the refuter is the adjudicator:
- *    definite means concretely replayed) and reports as `falsePositive`;
- *    on injected programs the analyzer's hit/miss is recorded as
- *    statistics, never as an unexplained disagreement (static analysis
- *    is allowed to be incomplete, not unsound).
+ *    the analyzer's soundness contract (the refutation replay is the
+ *    adjudicator: definite means the managed engine faulted there) and
+ *    reports as `falsePositive`; on injected programs the analyzer's
+ *    hit/miss is recorded as statistics, never as an unexplained
+ *    disagreement (static analysis is allowed to be incomplete, not
+ *    unsound).
  *
  * Every verdict is deterministic: wall-clock never influences the
  * classification (limits are step/heap/depth based by default).
@@ -122,8 +123,8 @@ struct OracleOptions
     /// Per-program budget: structural (steps/heap/depth), no wall clock,
     /// so verdicts are host-independent.
     ResourceLimits limits;
-    /// Run the static analyzer (with concrete refutation) as the fifth
-    /// perspective.
+    /// Run the static analyzer (with engine-replay refutation) as the
+    /// fifth perspective.
     bool runAnalysis = true;
     AnalysisOptions analysis;
     /// Managed-engine tuning; detectUninitReads is forced on (the

@@ -214,6 +214,21 @@ ManagedEngine::raiseNullDeref(bool is_write, const SourceLoc &loc)
     throw MemoryErrorException(std::move(report));
 }
 
+void
+ManagedEngine::noteBugSite(BugReport &report, const Instruction &inst)
+{
+    if (report.blockIndex.has_value())
+        return;
+    const BasicBlock *bb = inst.parent();
+    const auto &insts = bb->insts();
+    size_t idx = 0;
+    while (idx < insts.size() && insts[idx].get() != &inst)
+        idx++;
+    report.function = bb->parent()->name();
+    report.blockIndex = bb->index();
+    report.instIndex = static_cast<unsigned>(idx);
+}
+
 ExecutionResult
 ManagedEngine::run(const Module &module, const std::vector<std::string> &args,
                    const std::string &stdin_data)
@@ -369,11 +384,6 @@ ManagedEngine::callFunction(const Function *fn, std::vector<MValue> args,
             result = interpret(fn, frame);
         guard_.leaveCall();
         return result;
-    } catch (MemoryErrorException &error) {
-        guard_.leaveCall();
-        if (error.report().function.empty())
-            error.report().function = fn->name();
-        throw;
     } catch (...) {
         guard_.leaveCall();
         throw;
@@ -519,11 +529,6 @@ ManagedEngine::callCompiled(const Function *fn, CompiledFunction *code,
                                       : code->execute(*this, frame);
         guard_.leaveCall();
         return result;
-    } catch (MemoryErrorException &error) {
-        guard_.leaveCall();
-        if (error.report().function.empty())
-            error.report().function = fn->name();
-        throw;
     } catch (...) {
         guard_.leaveCall();
         throw;
@@ -564,11 +569,6 @@ ManagedEngine::callCompiledFrame(const Function *fn, CompiledFunction *code,
                                       : code->execute(*this, frame);
         guard_.leaveCall();
         return result;
-    } catch (MemoryErrorException &error) {
-        guard_.leaveCall();
-        if (error.report().function.empty())
-            error.report().function = fn->name();
-        throw;
     } catch (...) {
         guard_.leaveCall();
         throw;
@@ -583,49 +583,55 @@ ManagedEngine::interpret(const Function *fn, Frame &frame)
     uint64_t backedges = 0;
     bool osr = options_.enableTier2 && options_.enableOsr;
     FnProfile *prof = profiling_ ? profileFor(fn) : nullptr;
-    while (true) {
-        const Instruction &inst = *bb->insts()[idx];
-        step();
-        if (prof != nullptr)
-            prof->tier1Steps++;
-        switch (inst.op()) {
-          case Opcode::br:
-          case Opcode::condbr: {
-            const BasicBlock *target;
-            if (inst.op() == Opcode::br) {
-                target = inst.target(0);
-            } else {
-                MValue cond = evalOperand(inst.operand(0), frame);
-                target = cond.i != 0 ? inst.target(0) : inst.target(1);
+    try {
+        while (true) {
+            const Instruction &inst = *bb->insts()[idx];
+            step();
+            if (prof != nullptr)
+                prof->tier1Steps++;
+            switch (inst.op()) {
+              case Opcode::br:
+              case Opcode::condbr: {
+                const BasicBlock *target;
+                if (inst.op() == Opcode::br) {
+                    target = inst.target(0);
+                } else {
+                    MValue cond = evalOperand(inst.operand(0), frame);
+                    target = cond.i != 0 ? inst.target(0) : inst.target(1);
+                }
+                // On-stack replacement: once this invocation's loops are hot,
+                // continue in tier-2 code at the branch target, reusing the
+                // live frame (paper Section 5 future work).
+                if (osr && target->index() <= bb->index() &&
+                    ++backedges >= options_.osrThreshold) {
+                    CompiledFunction *code = tier2CodeFor(fn, " (OSR)");
+                    if (code != nullptr)
+                        return code->execute(*this, frame,
+                                             code->entryFor(target));
+                }
+                bb = target;
+                idx = 0;
+                continue;
+              }
+              case Opcode::ret:
+                if (inst.numOperands() == 1)
+                    return evalOperand(inst.operand(0), frame);
+                return MValue{};
+              case Opcode::unreachable_:
+                throw EngineError("reached 'unreachable' in " + fn->name());
+              default: {
+                MValue v = execInstruction(inst, frame);
+                if (inst.slot() >= 0)
+                    frame.slots[static_cast<size_t>(inst.slot())] =
+                        std::move(v);
+                idx++;
+                continue;
+              }
             }
-            // On-stack replacement: once this invocation's loops are hot,
-            // continue in tier-2 code at the branch target, reusing the
-            // live frame (paper Section 5 future work).
-            if (osr && target->index() <= bb->index() &&
-                ++backedges >= options_.osrThreshold) {
-                CompiledFunction *code = tier2CodeFor(fn, " (OSR)");
-                if (code != nullptr)
-                    return code->execute(*this, frame,
-                                         code->entryFor(target));
-            }
-            bb = target;
-            idx = 0;
-            continue;
-          }
-          case Opcode::ret:
-            if (inst.numOperands() == 1)
-                return evalOperand(inst.operand(0), frame);
-            return MValue{};
-          case Opcode::unreachable_:
-            throw EngineError("reached 'unreachable' in " + fn->name());
-          default: {
-            MValue v = execInstruction(inst, frame);
-            if (inst.slot() >= 0)
-                frame.slots[static_cast<size_t>(inst.slot())] = std::move(v);
-            idx++;
-            continue;
-          }
         }
+    } catch (MemoryErrorException &error) {
+        noteBugSite(error.report(), *bb->insts()[idx]);
+        throw;
     }
 }
 

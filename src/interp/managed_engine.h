@@ -476,13 +476,13 @@ class ManagedEngine : public Engine
      *  OSR transitions and inline-cache compile-on-first-dispatch. */
     CompiledFunction *tier2CodeFor(const Function *fn, const char *why);
     /** Invoke tier-2 code directly (call inline caches), with the same
-     *  depth accounting and bug attribution as callFunction. */
+     *  depth accounting as callFunction. */
     MValue callCompiled(const Function *fn, CompiledFunction *code,
                         std::vector<MValue> args);
     /** Tier-3's call fast path: invoke @p code on a frame the caller
      *  already sized and filled (via acquireFrame), skipping the
      *  intermediate argument vector callCompiled needs. Same depth
-     *  accounting, tier-up check, and bug attribution. */
+     *  accounting and tier-up check. */
     MValue callCompiledFrame(const Function *fn, CompiledFunction *code,
                              Frame &frame);
     /** Pop a cleared frame off the pool (fresh value-initialized slots
@@ -511,6 +511,10 @@ class ManagedEngine : public Engine
     uint8_t intrinsicIdFor(const Function *fn);
 
     [[noreturn]] void raiseNullDeref(bool is_write, const SourceLoc &loc);
+    /** Stamp @p report with its faulting instruction, and `function`
+     *  with that instruction's function. Every tier calls this in its
+     *  handler; only the innermost frame's call takes effect. */
+    static void noteBugSite(BugReport &report, const Instruction &inst);
     void step();
     void reportLeaks(ExecutionResult &result);
 

@@ -229,7 +229,7 @@ class Tier2Compiler
         auto &code = out_->code_;
         size_t code_snap = code.size();
         size_t call_snap = out_->callSites_.size();
-        size_t range_snap = out_->inlineRanges_.size();
+        unsigned sites_snap = out_->inlinedSites_;
         int32_t slot_snap = nextSlot_;
 
         int32_t base = nextSlot_;
@@ -260,16 +260,13 @@ class Tier2Compiler
         if (!ok) {
             code.resize(code_snap);
             out_->callSites_.resize(call_snap);
-            out_->inlineRanges_.resize(range_snap);
+            out_->inlinedSites_ = sites_snap;
             nextSlot_ = slot_snap;
             return false;
         }
         for (size_t idx : ret_fixups)
             code[idx].t0 = static_cast<int32_t>(code.size());
-        // Inner splices were recorded first, so a pc lookup that takes
-        // the first matching range finds the innermost callee.
-        out_->inlineRanges_.push_back(
-            InlineRange{code_snap, code.size(), &callee});
+        out_->inlinedSites_++;
         return true;
     }
 
@@ -1128,18 +1125,10 @@ CompiledFunction::execute(ManagedEngine &engine,
             }
         }
     } catch (MemoryErrorException &error) {
-        // A bug raised in spliced code belongs to the callee it was
-        // inlined from — reports must name where the bug lives, not
-        // where the compiler put the code. Nested real calls were
-        // already attributed by their own frames.
-        if (error.report().function.empty()) {
-            for (const InlineRange &range : inlineRanges_) {
-                if (pc >= range.begin && pc < range.end) {
-                    error.report().function = range.callee->name();
-                    break;
-                }
-            }
-        }
+        // Spliced code keeps its callee's instructions, so the site
+        // names where the bug lives, not where the compiler put it.
+        ManagedEngine::noteBugSite(
+            error.report(), faultSite(code_[pc], error.report().access));
         throw;
     }
 }

@@ -122,14 +122,19 @@ struct SlotResolution
     int64_t leafOffset = 0;
 };
 
-/** One spliced callee's pc range, innermost first, for attributing a
- *  bug raised in inlined code to the callee it lives in. */
-struct InlineRange
+/** The instruction a bug raised by @p pi belongs to: on a fused op, a
+ *  read fault is the fused load's and a write fault the fused store's.
+ *  Inlined code keeps its callee's instructions, so this also names
+ *  the callee a spliced body came from. */
+inline const Instruction &
+faultSite(const PInst &pi, AccessKind access)
 {
-    size_t begin = 0;
-    size_t end = 0;
-    const Function *callee = nullptr;
-};
+    if (access == AccessKind::read && pi.srcLoad != nullptr)
+        return *pi.srcLoad;
+    if (access == AccessKind::write && pi.srcStore != nullptr)
+        return *pi.srcStore;
+    return *pi.src;
+}
 
 class Tier3Code;
 
@@ -161,10 +166,7 @@ class CompiledFunction
     uint32_t frameSize() const { return frameSize_; }
 
     /** Call sites spliced into this body by inlining. */
-    unsigned inlinedSites() const
-    {
-        return static_cast<unsigned>(inlineRanges_.size());
-    }
+    unsigned inlinedSites() const { return inlinedSites_; }
 
     /** Pre-decoded entry index of a basic block (for OSR). */
     size_t
@@ -208,7 +210,7 @@ class CompiledFunction
     std::vector<CallSite> callSites_;
     std::vector<AccessCache> accessCaches_;
     std::vector<SlotResolution> slotRes_;
-    std::vector<InlineRange> inlineRanges_;
+    unsigned inlinedSites_ = 0;
 
     // --- tier-3 state (owned here so the hot lookup is one load) ---
     /// Tier-2 activations since the last (re)translation; crossing

@@ -778,22 +778,15 @@ Tier3Code::execute(ManagedEngine &engine, ManagedEngine::Frame &frame,
         // A detected bug deopts implicitly: return the not-yet-executed
         // remainder of the charged superblock (the faulting op counts
         // as attempted, exactly like a throwing step() in tier-1/2),
-        // attribute inlined code to its callee, and rethrow so the
-        // report is byte-identical to the other tiers'.
+        // stamp the faulting op's site, and rethrow so the report is
+        // byte-identical to the other tiers'.
         const uint64_t unret = static_cast<uint64_t>(sbEnd - ip) - 1;
         guard.uncharge(unret);
         if (prof != nullptr)
             prof->tier3Steps -= unret;
         engine.telem_.t3DeoptBug++;
-        if (error.report().function.empty()) {
-            const size_t pc = static_cast<size_t>(ip - base);
-            for (const InlineRange &range : t2.inlineRanges_) {
-                if (pc >= range.begin && pc < range.end) {
-                    error.report().function = range.callee->name();
-                    break;
-                }
-            }
-        }
+        ManagedEngine::noteBugSite(
+            error.report(), faultSite(ip->pi, error.report().access));
         throw;
     } catch (...) {
         // GuestExit / ResourceExhausted / EngineError: reconcile the

@@ -129,6 +129,11 @@ struct BugReport
     BoundsDirection direction = BoundsDirection::unknown;
     /// Function in which the access was executed (best effort).
     std::string function;
+    /// The faulting instruction within `function`: its block index and
+    /// its index within that block (StaticFinding's numbering). Set by
+    /// the managed engine, once, at the innermost frame.
+    std::optional<unsigned> blockIndex;
+    std::optional<unsigned> instIndex;
     /// Free-form detail, e.g. "index 12 out of bounds for I32Array[10]".
     std::string detail;
     /// Byte offset of the access relative to the object start, if known.

@@ -162,7 +162,7 @@ ManagedOptions parseManagedFlags(int argc, char **argv,
 
 /**
  * Apply the static-analysis flags to @p base and return the result:
- * `--no-refute` (skip the concrete replay; nothing is demoted),
+ * `--no-refute` (skip the engine replay; nothing is demoted),
  * `--no-solver` (skip the constraint-based refutation stage),
  * `--no-summaries` (havoc at every call instead of applying
  * interprocedural function summaries),

@@ -249,7 +249,7 @@ TEST(AnalysisRefutation, UnreachedFaultIsDemoted)
 {
     // The faulting store is syntactically a guaranteed null write, but
     // the guard is false for the replayed input (argc == 1), so the
-    // concrete replay exits cleanly and the report must demote to maybe.
+    // engine replay exits cleanly and the report must demote to maybe.
     const char *src = R"(
 int main(int argc, char **argv) {
     if (argc > 5) {
@@ -293,7 +293,7 @@ int main(void) {
 TEST(AnalysisRefutation, ReplayAddsFaultMissedByAbstraction)
 {
     // The index comes through a helper call, so the intraprocedural
-    // abstraction cannot prove the overflow — but the concrete replay
+    // abstraction cannot prove the overflow — but the engine replay
     // reaches it and promotes it into the report.
     AnalysisReport report = analyze(R"(
 static int pick(int n) { return n + 3; }
@@ -305,6 +305,34 @@ int main(void) {
 })");
     EXPECT_TRUE(hasDefinite(report, ErrorKind::outOfBounds))
         << report.toString();
+}
+
+TEST(AnalysisRefutation, RelaxedTypeReadDoesNotStopTheReplay)
+{
+    // One 8-byte read across two int fields is legal under the relaxed
+    // type rules (paper Section 3.2), so the replay must run on to the
+    // out-of-bounds store, exactly as Safe Sulong does.
+    std::shared_ptr<const Module> module = moduleOf(R"(
+struct P { int a; int b; };
+int main(void) { struct P p; p.a = 1; p.b = 2;
+  long long v = *(long long *)&p; int buf[4];
+  buf[(int)(v & 7) + 3] = 1; return 0; })");
+    ASSERT_NE(module, nullptr);
+    AnalysisReport report = analyzeModule(*module);
+    EXPECT_EQ(report.replayOutcome, "fault") << report.toString();
+    std::vector<StaticFinding> definite =
+        report.byConfidence(Confidence::definite);
+    ASSERT_EQ(definite.size(), 1u) << report.toString();
+    const StaticFinding &f = definite.front();
+    EXPECT_EQ(f.kind, ErrorKind::outOfBounds);
+    EXPECT_EQ(f.access, AccessKind::write);
+    EXPECT_TRUE(f.replayConfirmed);
+    // Anchored at the store into buf.
+    const Instruction &site = *module->findFunction(f.function)
+                                   ->blocks()[f.blockIndex]
+                                   ->insts()[f.instIndex];
+    EXPECT_EQ(site.op(), Opcode::store);
+    EXPECT_EQ(f.objectSize, 16);
 }
 
 // ---------------------------------------------------------------------
@@ -348,8 +376,8 @@ int main(void) {
 
 TEST(AnalysisOptions, AnalyzeOnlyNeedsNoExecution)
 {
-    // analyzeModule never runs the engine; a report for a program whose
-    // bug sits behind unbounded input still comes back (as maybe).
+    // A report for a program whose bug sits behind unbounded input
+    // still comes back (as maybe).
     AnalysisReport report = analyze(R"(
 int main(int argc, char **argv) {
     int a[4];
@@ -694,7 +722,7 @@ int main(int argc, char **argv) {
 TEST(AnalysisSolver, UnprovenFindingFallsBackToReplay)
 {
     // The store is feasible (argc can be 5), so the solver must NOT
-    // refute it; the concrete replay (argc == 1) then demotes it to
+    // refute it; the engine replay (argc == 1) then demotes it to
     // maybe. Pipeline order: solver proof > replay confirm > demote.
     AnalysisReport report = analyze(R"(
 int main(int argc, char **argv) {

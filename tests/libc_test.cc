@@ -110,6 +110,13 @@ struct PrintfCase
     const char *expected;
 };
 
+/** Prints the call, so listed test names carry no pointer values. */
+void
+PrintTo(const PrintfCase &c, std::ostream *os)
+{
+    *os << "printf(" << c.source << ")";
+}
+
 class PrintfSweep : public ::testing::TestWithParam<PrintfCase>
 {
 };

@@ -228,6 +228,20 @@ TEST(InlineTest, BugInInlinedCalleeIsAttributedToCallee)
     EXPECT_EQ(result.bug.kind, reference.bug.kind);
     EXPECT_EQ(result.bug.function, reference.bug.function);
     EXPECT_EQ(result.bug.detail, reference.bug.detail);
+    EXPECT_EQ(result.bug.blockIndex, reference.bug.blockIndex);
+    EXPECT_EQ(result.bug.instIndex, reference.bug.instIndex);
+
+    // The site is an instruction of the callee: poke's load of buf[i].
+    PreparedProgram prepared = prepareProgram(src, eagerInlineConfig());
+    ASSERT_TRUE(prepared.ok()) << prepared.compileErrors;
+    const Function *poke = prepared.module->findFunction("poke");
+    ASSERT_NE(poke, nullptr);
+    ASSERT_TRUE(result.bug.blockIndex.has_value());
+    ASSERT_TRUE(result.bug.instIndex.has_value());
+    ASSERT_LT(*result.bug.blockIndex, poke->blocks().size());
+    const BasicBlock &bb = *poke->blocks()[*result.bug.blockIndex];
+    ASSERT_LT(*result.bug.instIndex, bb.insts().size());
+    EXPECT_EQ(bb.insts()[*result.bug.instIndex]->op(), Opcode::load);
 }
 
 TEST(InlineTest, NestedInlineAttributesInnermostCallee)

@@ -4,10 +4,10 @@
  * caches, superinstruction fusion, redundant-check elision) must be
  * observationally identical to the plain interpreter — same stdout,
  * same stderr, same exit code, and for buggy programs the same bug
- * kind, attributed function, and detail text. This is the paper's core
- * guarantee ("the compiler cannot optimize a bug away") stated as a
- * differential test over the whole bug corpus, the benchmark programs,
- * and targeted struct/pointer-heavy snippets.
+ * kind, attributed function, faulting site, and detail text. This is
+ * the paper's core guarantee ("the compiler cannot optimize a bug
+ * away") stated as a differential test over the whole bug corpus, the
+ * benchmark programs, and targeted struct/pointer-heavy snippets.
  */
 
 #include "test_util.h"
@@ -51,6 +51,11 @@ expectParity(const std::string &label, const std::string &source,
     tier1.managed.enableTier2 = false;
     ExecutionResult reference =
         runUnderTool(source, tier1, args, stdin_data);
+    const BugReport &bug = reference.bug;
+    if (bug.kind != ErrorKind::none && bug.kind != ErrorKind::engineError) {
+        EXPECT_TRUE(bug.blockIndex.has_value() && bug.instIndex.has_value())
+            << label << ": memory-error report without a site";
+    }
 
     for (const auto &[name, config] : tier2Variants()) {
         ExecutionResult result =
@@ -63,6 +68,8 @@ expectParity(const std::string &label, const std::string &source,
         EXPECT_EQ(result.bug.kind, reference.bug.kind);
         EXPECT_EQ(result.bug.function, reference.bug.function);
         EXPECT_EQ(result.bug.detail, reference.bug.detail);
+        EXPECT_EQ(result.bug.blockIndex, bug.blockIndex);
+        EXPECT_EQ(result.bug.instIndex, bug.instIndex);
     }
 }
 
@@ -72,8 +79,20 @@ TEST(Tier2ParityTest, WholeBugCorpus)
         expectParity(entry.id, entry.source, entry.args, entry.stdinData);
 }
 
-class BenchmarkParityTest
-    : public ::testing::TestWithParam<std::pair<const char *, const char *>>
+struct BenchmarkCase
+{
+    const char *name;
+    const char *arg;
+};
+
+/** Prints name and argument, so listed test names carry no pointers. */
+void
+PrintTo(const BenchmarkCase &c, std::ostream *os)
+{
+    *os << c.name << " " << c.arg;
+}
+
+class BenchmarkParityTest : public ::testing::TestWithParam<BenchmarkCase>
 {
 };
 
@@ -88,21 +107,16 @@ TEST_P(BenchmarkParityTest, MatchesInterpreter)
 
 INSTANTIATE_TEST_SUITE_P(
     Fig16Programs, BenchmarkParityTest,
-    ::testing::Values(std::pair<const char *, const char *>{"fannkuchredux",
-                                                            "6"},
-                      std::pair<const char *, const char *>{"fasta", "150"},
-                      std::pair<const char *, const char *>{"fastaredux",
-                                                            "400"},
-                      std::pair<const char *, const char *>{"mandelbrot",
-                                                            "32"},
-                      std::pair<const char *, const char *>{"meteor", "2"},
-                      std::pair<const char *, const char *>{"nbody", "2000"},
-                      std::pair<const char *, const char *>{"spectralnorm",
-                                                            "24"},
-                      std::pair<const char *, const char *>{"whetstone", "8"},
-                      std::pair<const char *, const char *>{"binarytrees",
-                                                            "7"}),
-    [](const auto &info) { return info.param.first; });
+    ::testing::Values(BenchmarkCase{"fannkuchredux", "6"},
+                      BenchmarkCase{"fasta", "150"},
+                      BenchmarkCase{"fastaredux", "400"},
+                      BenchmarkCase{"mandelbrot", "32"},
+                      BenchmarkCase{"meteor", "2"},
+                      BenchmarkCase{"nbody", "2000"},
+                      BenchmarkCase{"spectralnorm", "24"},
+                      BenchmarkCase{"whetstone", "8"},
+                      BenchmarkCase{"binarytrees", "7"}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 TEST(Tier2ParityTest, StructFieldTrafficAndAliasing)
 {
@@ -221,6 +235,8 @@ TEST(Tier2ParityTest, UninitReadDetectionUnaffectedByElision)
         EXPECT_EQ(result.bug.kind, reference.bug.kind);
         EXPECT_EQ(result.bug.function, reference.bug.function);
         EXPECT_EQ(result.bug.detail, reference.bug.detail);
+        EXPECT_EQ(result.bug.blockIndex, reference.bug.blockIndex);
+        EXPECT_EQ(result.bug.instIndex, reference.bug.instIndex);
     }
 }
 

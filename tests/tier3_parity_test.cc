@@ -2,12 +2,13 @@
  * @file
  * Tier-3 parity: threaded dispatch, superblock fusion, and OSR must be
  * observationally identical to the lower tiers — same stdout, stderr,
- * exit code, bug kind / attributed function / detail text, AND the same
- * count of retired IR steps. The step-count equality is the strong form
- * of "no check was skipped": superblock fusion batches the accounting
- * but must charge exactly the per-op total, including on every deopt
- * and bug path. Covers the whole bug corpus, the perf-gate benchmarks,
- * and targeted deopt-mid-superblock / OSR-at-backedge scenarios.
+ * exit code, bug kind / attributed function / site / detail text, AND
+ * the same count of retired IR steps. The step-count equality is the
+ * strong form of "no check was skipped": superblock fusion batches the
+ * accounting but must charge exactly the per-op total, including on
+ * every deopt and bug path. Covers the whole bug corpus, the perf-gate
+ * benchmarks, and targeted deopt-mid-superblock / OSR-at-backedge
+ * scenarios.
  */
 
 #include "test_util.h"
@@ -95,6 +96,11 @@ expectParity(const std::string &label, const std::string &source,
     ToolConfig tier1 = ToolConfig::make(ToolKind::safeSulong);
     tier1.managed.enableTier2 = false;
     TieredRun reference = runTiered(tier1, source, args, stdin_data);
+    const BugReport &bug = reference.result.bug;
+    if (bug.kind != ErrorKind::none && bug.kind != ErrorKind::engineError) {
+        EXPECT_TRUE(bug.blockIndex.has_value() && bug.instIndex.has_value())
+            << label << ": memory-error report without a site";
+    }
 
     for (const auto &[name, config] : tier3Variants()) {
         TieredRun run = runTiered(config, source, args, stdin_data);
@@ -106,6 +112,8 @@ expectParity(const std::string &label, const std::string &source,
         EXPECT_EQ(run.result.bug.kind, reference.result.bug.kind);
         EXPECT_EQ(run.result.bug.function, reference.result.bug.function);
         EXPECT_EQ(run.result.bug.detail, reference.result.bug.detail);
+        EXPECT_EQ(run.result.bug.blockIndex, bug.blockIndex);
+        EXPECT_EQ(run.result.bug.instIndex, bug.instIndex);
 
         // Retired-effect parity against the --no-tier3 twin of the
         // SAME configuration: inlining decisions legitimately change
@@ -250,6 +258,9 @@ TEST(Tier3ParityTest, BugInHotLoopDeoptsWithIdenticalReport)
     EXPECT_EQ(run.result.bug.kind, reference.result.bug.kind);
     EXPECT_EQ(run.result.bug.function, reference.result.bug.function);
     EXPECT_EQ(run.result.bug.detail, reference.result.bug.detail);
+    // The site survives superinstruction fusion and the bug deopt.
+    EXPECT_EQ(run.result.bug.blockIndex, reference.result.bug.blockIndex);
+    EXPECT_EQ(run.result.bug.instIndex, reference.result.bug.instIndex);
     EXPECT_GT(run.telemetry.t3Compiles, 0u);
     EXPECT_GT(run.telemetry.t3DeoptBug, 0u);
 }
