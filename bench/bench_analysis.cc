@@ -1,15 +1,15 @@
 /**
  * @file
  * Static-analysis cross-validation bench: run the IR dataflow analyzer
- * (interprocedural summaries + constraint solver + engine-replay
- * refutation) over the 68-bug corpus, compare every finding against
- * the dynamic detector, and report the soundness contract (zero false
- * `definite` findings) plus static recall and wall time.
+ * (threshold-widening fixpoint + interprocedural summaries +
+ * engine-replay refutation) over the 68-bug corpus, compare every
+ * finding against the dynamic detector, and report the soundness
+ * contract (zero false `definite` findings) plus static recall and
+ * wall time.
  *
  * Two interprocedural sections ride along:
  *  - a demo suite of cross-function programs showing summaries turning
- *    maybes into definites and the solver dropping infeasible findings
- *    with certificates, and
+ *    maybes into definites, and
  *  - a program-size scaling curve (chains of N helper functions) that
  *    the CI gate checks for superlinear blowups.
  *
@@ -19,8 +19,10 @@
  * Flags: `--json PATH` (machine-readable BENCH_analysis.json/v1 output
  * for the CI gate), `--no-refute` (raw abstract findings — the contract
  * no longer holds and the bench only reports, never gates),
- * `--no-solver` / `--no-summaries` (ablations; the JSON records which
- * arms were on so the gate can compare configurations).
+ * `--no-summaries` (ablation; the JSON records which arms were on so
+ * the gate can compare configurations). Any other flag is a usage
+ * error (exit 2), so a stale ablation flag cannot silently run the
+ * default configuration.
  */
 
 #include <chrono>
@@ -43,8 +45,8 @@ struct InterprocDemo
     const char *source;
 };
 
-/// Cross-function demos: every bug (or refutable non-bug) needs
-/// knowledge that crosses a call boundary.
+/// Cross-function demos: every bug (or proven non-bug) needs knowledge
+/// that crosses a call boundary.
 const InterprocDemo kDemos[] = {
     // Summary narrows the helper's return to [3,3]: in-bounds store,
     // no finding at all (PR-4 havocked the call and reported a maybe).
@@ -67,14 +69,6 @@ const InterprocDemo kDemos[] = {
      "static void drop(int *p) { free(p); }\n"
      "int main(void) { int *p = malloc(8); if (!p) return 0;\n"
      "  drop(p); return p[0]; }\n"},
-    // The branch conditions are mutually exclusive: the solver proves
-    // the OOB path infeasible and drops the finding with a certificate.
-    {"solver-refuted",
-     "int main(int argc, char **argv) { int a[4]; int i;\n"
-     "  (void)argv;\n"
-     "  if (argc > 3) i = 10; else i = 2;\n"
-     "  if (argc <= 3) a[i] = 1;\n"
-     "  return 0; }\n"},
 };
 
 /** Chain of N helpers, each adding 1; main indexes in-bounds through
@@ -113,6 +107,8 @@ main(int argc, char **argv)
 {
     using namespace sulong;
 
+    const FlagSpec own{{}, {"--json"}};
+    rejectUnknownFlags(argc, argv, {&own, &analysisFlagSpec()});
     AnalysisOptions options = parseAnalysisFlags(argc, argv);
     std::string json_path = parseStringFlag(argc, argv, "json");
 
@@ -127,19 +123,17 @@ main(int argc, char **argv)
     std::printf("%s", formatCrossValidation(report).c_str());
     std::printf("  wall time           %.1f ms\n", report.wallMs);
 
-    unsigned definite_total = 0, maybe_total = 0, refuted_total = 0;
+    unsigned definite_total = 0, maybe_total = 0;
     unsigned summaries_total = 0;
     for (const CrossValidationRow &row : report.rows) {
         definite_total += row.definiteCount;
         maybe_total += row.maybeCount;
-        refuted_total += row.refutedCount;
         summaries_total += row.summariesApplied;
     }
-    std::printf("  solver refutations  %5u\n", refuted_total);
     std::printf("  summaries applied   %5u\n", summaries_total);
 
     // Interprocedural demo suite.
-    unsigned ip_definite = 0, ip_maybe = 0, ip_refuted = 0;
+    unsigned ip_definite = 0, ip_maybe = 0;
     bool demo_compile_error = false;
     std::printf("\nInterprocedural demos\n");
     for (const InterprocDemo &demo : kDemos) {
@@ -156,12 +150,8 @@ main(int argc, char **argv)
             (f.confidence == Confidence::definite ? definite : maybe)++;
         ip_definite += definite;
         ip_maybe += maybe;
-        ip_refuted += static_cast<unsigned>(analysis.refutations.size());
-        std::printf("  %-16s definite=%u maybe=%u refuted=%zu"
-                    " summaries=%u\n",
-                    demo.name, definite, maybe,
-                    analysis.refutations.size(),
-                    analysis.summariesApplied);
+        std::printf("  %-16s definite=%u maybe=%u summaries=%u\n",
+                    demo.name, definite, maybe, analysis.summariesApplied);
     }
 
     // Program-size scaling curve.
@@ -219,12 +209,9 @@ main(int argc, char **argv)
                      "  \"definite_recall\": %.4f,\n"
                      "  \"refuted\": %s,\n"
                      "  \"summaries\": %s,\n"
-                     "  \"solver\": %s,\n"
-                     "  \"solver_refutations\": %u,\n"
                      "  \"summaries_applied\": %u,\n"
                      "  \"interproc_definite\": %u,\n"
                      "  \"interproc_maybe\": %u,\n"
-                     "  \"interproc_refuted\": %u,\n"
                      "  \"cache_hits\": %llu,\n"
                      "  \"cache_misses\": %llu,\n"
                      "  \"scaling\": [",
@@ -234,9 +221,7 @@ main(int argc, char **argv)
                      report.definiteRecall(),
                      options.refute ? "true" : "false",
                      options.summaries ? "true" : "false",
-                     options.solver ? "true" : "false",
-                     refuted_total, summaries_total, ip_definite, ip_maybe,
-                     ip_refuted,
+                     summaries_total, ip_definite, ip_maybe,
                      static_cast<unsigned long long>(cstats.hits),
                      static_cast<unsigned long long>(cstats.misses));
         for (size_t i = 0; i < curve.size(); i++) {

@@ -254,12 +254,10 @@ def load_analysis(path):
     if not isinstance(doc.get("refuted"), bool):
         fail(f"{path}: refuted must be a bool")
     # Interprocedural fields (absent in pre-interprocedural reports).
-    for key in ("summaries", "solver"):
-        if key in doc and not isinstance(doc[key], bool):
-            fail(f"{path}: {key} must be a bool")
-    for key in ("solver_refutations", "summaries_applied",
-                "interproc_definite", "interproc_maybe",
-                "interproc_refuted", "cache_hits", "cache_misses"):
+    if "summaries" in doc and not isinstance(doc["summaries"], bool):
+        fail(f"{path}: summaries must be a bool")
+    for key in ("summaries_applied", "interproc_definite",
+                "interproc_maybe", "cache_hits", "cache_misses"):
         if key in doc:
             v = doc[key]
             if not isinstance(v, int) or v < 0:

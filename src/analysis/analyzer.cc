@@ -16,13 +16,11 @@
 #include <algorithm>
 #include <future>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 
 #include "analysis/callgraph.h"
-#include "analysis/constraints.h"
 #include "analysis/lattice.h"
 #include "analysis/summary.h"
 #include "interp/managed_engine.h"
@@ -163,14 +161,15 @@ freshVersion()
 }
 
 /**
- * Join (or widen) object @p b into @p a. The contents merge is the
- * subtle part: an entry surviving the merge claims to describe its
- * bytes on BOTH paths, so any shape mismatch degrades to a top-valued
- * entry (never silently to the default, which could falsely promise
- * zero or uninit bytes).
+ * Join object @p b into @p a, or widen it with the thresholds @p widen
+ * points to. The contents merge is the subtle part: an entry surviving
+ * the merge claims to describe its bytes on BOTH paths, so any shape
+ * mismatch degrades to a top-valued entry (never silently to the
+ * default, which could falsely promise zero or uninit bytes).
  */
 void
-mergeObjInto(ObjState &a, const ObjState &b, bool widen)
+mergeObjInto(ObjState &a, const ObjState &b,
+             const std::vector<int64_t> *widen)
 {
     ContentsDefault dfltA = a.dflt;
     ContentsDefault dfltB = b.dflt;
@@ -222,7 +221,7 @@ mergeObjInto(ObjState &a, const ObjState &b, bool widen)
         if (itB != b.contents.end() && itB->second.width == ea.width) {
             MemEntry out;
             out.width = ea.width;
-            out.val = widen ? widenValues(ea.val, itB->second.val)
+            out.val = widen ? widenValues(ea.val, itB->second.val, *widen)
                             : joinValues(ea.val, itB->second.val);
             out.mayBeUninit = ea.mayBeUninit || itB->second.mayBeUninit;
             out.version = ea.version == itB->second.version
@@ -251,10 +250,11 @@ mergeObjInto(ObjState &a, const ObjState &b, bool widen)
 }
 
 void
-mergeStateInto(AbsState &a, const AbsState &b, bool widen)
+mergeStateInto(AbsState &a, const AbsState &b,
+               const std::vector<int64_t> *widen)
 {
     for (size_t i = 0; i < a.slots.size(); i++)
-        a.slots[i] = widen ? widenValues(a.slots[i], b.slots[i])
+        a.slots[i] = widen ? widenValues(a.slots[i], b.slots[i], *widen)
                            : joinValues(a.slots[i], b.slots[i]);
     for (size_t i = 0; i < a.objects.size(); i++)
         mergeObjInto(a.objects[i], b.objects[i], widen);
@@ -423,6 +423,9 @@ class FunctionAnalyzer
 
     std::vector<std::optional<AbsState>> blockIn_;
     std::vector<unsigned> visits_;
+    /// Widening thresholds (sorted): 0 and c-1, c, c+1 for every
+    /// integer constant c this function compares against.
+    std::vector<int64_t> thresholds_;
     std::set<std::pair<int, unsigned>> worklist_; ///< (rpoIndex, block)
     bool abandoned_ = false;
 
@@ -1222,13 +1225,18 @@ FunctionAnalyzer::writeTarget(const PointerTarget &t, unsigned width,
             markPointerEntriesEscaped(entry, st);
         obj.contents.clear();
     } else {
-        int64_t lo = t.offset.lo;
-        int64_t hi = t.offset.hi;
-        // hi + width is bounded: offsets beyond the object fault anyway.
-        eraseOverlap(obj, lo,
-                     static_cast<unsigned>(
-                         std::min<int64_t>(hi - lo + width, 1 << 20)),
-                     st);
+        // Clobber every entry overlapping [lo, hi + width). Compared in
+        // 128 bits: a widened offset can sit at a rail.
+        for (auto it = obj.contents.begin(); it != obj.contents.end();) {
+            __int128 off = it->first;
+            if (off < static_cast<__int128>(t.offset.hi) + width &&
+                off + it->second.width > t.offset.lo) {
+                markPointerEntriesEscaped(it->second, st);
+                it = obj.contents.erase(it);
+            } else {
+                ++it;
+            }
+        }
     }
     obj.weaklyWritten = true;
     if (obj.dflt == ContentsDefault::zero ||
@@ -1435,7 +1443,7 @@ FunctionAnalyzer::transferIntrinsic(const Instruction &inst,
         if (objInfo_[id].multiInstance) {
             // The site object summarizes many instances: keep the old
             // ones in the summary.
-            mergeObjInto(st.objects[id], fresh, /*widen=*/false);
+            mergeObjInto(st.objects[id], fresh, nullptr);
             st.objects[id].live =
                 joinLiveness(st.objects[id].live, ObjState::Liveness::live);
         } else {
@@ -1487,7 +1495,7 @@ FunctionAnalyzer::transferIntrinsic(const Instruction &inst,
                 old.targets.empty())
                 fresh.dflt = ContentsDefault::zero; // pure malloc path
             if (objInfo_[id].multiInstance) {
-                mergeObjInto(st.objects[id], fresh, false);
+                mergeObjInto(st.objects[id], fresh, nullptr);
                 st.objects[id].live = joinLiveness(
                     st.objects[id].live, ObjState::Liveness::live);
             } else {
@@ -1893,7 +1901,7 @@ FunctionAnalyzer::applySummary(const Instruction &inst,
         ObjState fresh;
         fresh.dflt = sum.allocContents;
         if (objInfo_[id].multiInstance) {
-            mergeObjInto(st.objects[id], fresh, /*widen=*/false);
+            mergeObjInto(st.objects[id], fresh, nullptr);
             st.objects[id].live = joinLiveness(st.objects[id].live,
                                                ObjState::Liveness::live);
         } else {
@@ -2369,7 +2377,7 @@ FunctionAnalyzer::joinInto(unsigned block, const AbsState &state)
     }
     AbsState merged = *blockIn_[block];
     bool widen = visits_[block] >= options_.widenAfter;
-    mergeStateInto(merged, state, widen);
+    mergeStateInto(merged, state, widen ? &thresholds_ : nullptr);
     if (!(merged == *blockIn_[block])) {
         blockIn_[block] = std::move(merged);
         worklist_.insert({cfg_.rpoIndex(block), block});
@@ -2460,7 +2468,7 @@ FunctionAnalyzer::transferBlock(unsigned b, AbsState st)
             ObjState fresh;
             fresh.dflt = ContentsDefault::uninit;
             if (objInfo_[id].multiInstance) {
-                mergeObjInto(st.objects[id], fresh, false);
+                mergeObjInto(st.objects[id], fresh, nullptr);
                 st.objects[id].live = joinLiveness(
                     st.objects[id].live, ObjState::Liveness::live);
             } else {
@@ -2800,6 +2808,27 @@ FunctionAnalyzer::run(std::vector<StaticFinding> &findings)
     blockIn_.assign(n, std::nullopt);
     visits_.assign(n, 0);
     origins_.assign(fn_.numSlots(), Origin{});
+    thresholds_ = {0};
+    for (const auto &bb : fn_.blocks()) {
+        for (const auto &inst : bb->insts()) {
+            if (inst->op() != Opcode::icmp)
+                continue;
+            for (const Value *operand : inst->operands()) {
+                const auto *c = dynamic_cast<const ConstantInt *>(operand);
+                if (c == nullptr)
+                    continue;
+                int64_t v = c->value();
+                thresholds_.push_back(v);
+                if (v > INT64_MIN)
+                    thresholds_.push_back(v - 1);
+                if (v < INT64_MAX)
+                    thresholds_.push_back(v + 1);
+            }
+        }
+    }
+    std::sort(thresholds_.begin(), thresholds_.end());
+    thresholds_.erase(std::unique(thresholds_.begin(), thresholds_.end()),
+                      thresholds_.end());
     unsigned entry = fn_.entry()->index();
     blockIn_[entry] = entryState();
     worklist_.insert({cfg_.rpoIndex(entry), entry});
@@ -3216,56 +3245,6 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
     reg.counter("analysis.callgraph.sccs").inc(report.sccCount);
     if (report.summariesApplied != 0)
         reg.counter("analysis.summary.applied").inc(report.summariesApplied);
-
-    // Constraint-based refutation: try to prove each bounds/null finding
-    // infeasible along every witness path. A proof drops the finding
-    // with a certificate; everything else continues to the engine replay.
-    if (options.solver && !report.findings.empty()) {
-        MS_TRACE_SPAN("analysis.solver");
-        std::map<std::string, std::unique_ptr<PathRefuter>> refuters;
-        std::vector<StaticFinding> kept;
-        kept.reserve(report.findings.size());
-        for (StaticFinding &f : report.findings) {
-            bool eligible = f.kind == ErrorKind::outOfBounds ||
-                f.kind == ErrorKind::nullDeref;
-            const Function *fn =
-                eligible ? module.findFunction(f.function) : nullptr;
-            if (fn == nullptr || fn->isDeclaration()) {
-                kept.push_back(std::move(f));
-                continue;
-            }
-            std::unique_ptr<PathRefuter> &refuter = refuters[f.function];
-            if (refuter == nullptr)
-                refuter = std::make_unique<PathRefuter>(module, *fn);
-            RefutationCheck check = refuter->check(f);
-            report.solverChecked++;
-            switch (check.verdict) {
-              case RefuteVerdict::provenInfeasible: {
-                Refutation ref;
-                ref.function = f.function;
-                ref.blockIndex = f.blockIndex;
-                ref.instIndex = f.instIndex;
-                ref.kind = f.kind;
-                ref.certificate = check.certificate;
-                report.refutations.push_back(std::move(ref));
-                reg.counter("analysis.solver.refuted").inc();
-                break;
-              }
-              case RefuteVerdict::feasible:
-                reg.counter("analysis.solver.feasible").inc();
-                kept.push_back(std::move(f));
-                break;
-              case RefuteVerdict::unknown:
-                report.solverUnknown++;
-                reg.counter("analysis.solver.unknown").inc();
-                kept.push_back(std::move(f));
-                break;
-            }
-        }
-        report.findings = std::move(kept);
-        if (report.solverChecked != 0)
-            reg.counter("analysis.solver.checked").inc(report.solverChecked);
-    }
 
     auto countFindings = [&reg, &report] {
         uint64_t definite = 0;

@@ -37,14 +37,6 @@ StaticFinding::toString() const
     return os.str();
 }
 
-std::string
-Refutation::toString() const
-{
-    return "refuted " + std::string(errorKindName(kind)) + " in " +
-        function + " (block " + std::to_string(blockIndex) + ", inst " +
-        std::to_string(instIndex) + "): " + certificate;
-}
-
 unsigned
 AnalysisReport::definiteCount() const
 {
@@ -80,14 +72,10 @@ AnalysisReport::toString() const
             if (f.confidence == tier)
                 os << f.toString() << "\n";
     }
-    for (const Refutation &r : refutations)
-        os << r.toString() << "\n";
     os << "analysis: " << definiteCount() << " definite, " << maybeCount()
        << " maybe across " << functionsAnalyzed << " function(s)";
     if (incomplete)
         os << " (incomplete: a fixpoint was abandoned)";
-    if (!refutations.empty())
-        os << "; solver refuted " << refutations.size();
     if (replayRan)
         os << "; replay: " << replayOutcome;
     return os.str();

@@ -5,7 +5,8 @@
  * The analyzer reports candidate memory errors in the shared ErrorKind
  * taxonomy so that static findings, dynamic BugReports, and the corpus
  * ground truth can all be compared through study/classifier.h's BugClass
- * without parallel string tables.
+ * without parallel string tables. No stage drops a candidate: the one
+ * refuter, a replay on the managed engine, only confirms or demotes.
  */
 
 #ifndef MS_ANALYSIS_FINDING_H
@@ -75,23 +76,6 @@ struct StaticFinding
     std::string toString() const;
 };
 
-/**
- * A finding the constraint solver dropped, with the proof sketch.
- * Kept on the report (rather than silently deleting the finding) so
- * the pipeline's decisions stay auditable and testable.
- */
-struct Refutation
-{
-    std::string function;
-    unsigned blockIndex = 0;
-    unsigned instIndex = 0;
-    ErrorKind kind = ErrorKind::none;
-    /// Per-witness-path refutation certificate from the solver.
-    std::string certificate;
-
-    std::string toString() const;
-};
-
 /** Tuning knobs of one analysis run. */
 struct AnalysisOptions
 {
@@ -108,9 +92,6 @@ struct AnalysisOptions
     /// and apply them at call sites. Off = PR-4 behaviour (calls to
     /// user functions havoc everything reachable).
     bool summaries = true;
-    /// Run the SMT-lite constraint refutation stage before the replay;
-    /// proven-infeasible findings are dropped with a certificate.
-    bool solver = true;
     /// Fixpoint rounds for a recursive SCC's summaries before the whole
     /// SCC degrades to pessimistic.
     unsigned summaryDepth = 3;
@@ -118,7 +99,8 @@ struct AnalysisOptions
     /// Findings are merged in function order, so results are identical
     /// for any value.
     unsigned jobs = 1;
-    /// Joins at one block before intervals are widened to +/-inf.
+    /// Joins at one block before intervals are widened (to the
+    /// function's comparison thresholds, then to +/-inf).
     unsigned widenAfter = 6;
     /// Fixpoint visits of one block before the function is abandoned
     /// (reported as incomplete; its findings stay maybe).
@@ -135,17 +117,12 @@ struct AnalysisOptions
 struct AnalysisReport
 {
     std::vector<StaticFinding> findings;
-    /// Findings the constraint solver proved infeasible and dropped.
-    std::vector<Refutation> refutations;
     /// Number of function definitions visited by the fixpoint.
     unsigned functionsAnalyzed = 0;
     /// Strongly connected components of the call graph.
     unsigned sccCount = 0;
     /// Call sites where a callee summary was applied instead of a havoc.
     unsigned summariesApplied = 0;
-    /// Findings the solver examined / could not decide.
-    unsigned solverChecked = 0;
-    unsigned solverUnknown = 0;
     /// True when some function hit maxBlockVisits and was abandoned.
     bool incomplete = false;
     /// True when the refutation replay ran (a main() was present).

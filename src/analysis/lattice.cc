@@ -160,8 +160,11 @@ AbstractValue::toString() const
 namespace
 {
 
+/// Joins @p a and @p b; with @p widen set, growing intervals are
+/// widened with @p widen's thresholds.
 AbstractValue
-mergeValues(const AbstractValue &a, const AbstractValue &b, bool widen)
+mergeValues(const AbstractValue &a, const AbstractValue &b,
+            const std::vector<int64_t> *widen)
 {
     if (a.kind != b.kind)
         return AbstractValue::top();
@@ -172,7 +175,7 @@ mergeValues(const AbstractValue &a, const AbstractValue &b, bool widen)
       case AbstractValue::Kind::fpVal:
         break;
       case AbstractValue::Kind::intVal:
-        out.ival = widen ? a.ival.widen(a.ival.join(b.ival))
+        out.ival = widen ? a.ival.widen(a.ival.join(b.ival), *widen)
                          : a.ival.join(b.ival);
         break;
       case AbstractValue::Kind::pointer: {
@@ -184,7 +187,8 @@ mergeValues(const AbstractValue &a, const AbstractValue &b, bool widen)
             for (PointerTarget &have : out.targets) {
                 if (have.obj == t.obj) {
                     have.offset = widen
-                        ? have.offset.widen(have.offset.join(t.offset))
+                        ? have.offset.widen(have.offset.join(t.offset),
+                                            *widen)
                         : have.offset.join(t.offset);
                     merged = true;
                     break;
@@ -210,13 +214,14 @@ mergeValues(const AbstractValue &a, const AbstractValue &b, bool widen)
 AbstractValue
 joinValues(const AbstractValue &a, const AbstractValue &b)
 {
-    return mergeValues(a, b, false);
+    return mergeValues(a, b, nullptr);
 }
 
 AbstractValue
-widenValues(const AbstractValue &a, const AbstractValue &b)
+widenValues(const AbstractValue &a, const AbstractValue &b,
+            const std::vector<int64_t> &thresholds)
 {
-    return mergeValues(a, b, true);
+    return mergeValues(a, b, &thresholds);
 }
 
 bool

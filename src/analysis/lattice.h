@@ -63,18 +63,30 @@ struct Interval
         return {std::max(lo, o.lo), std::min(hi, o.hi)};
     }
 
-    /** Classic widening: bounds that grew jump to the rails. */
-    Interval widen(const Interval &next) const
+    /**
+     * Widening with thresholds: a bound that grew jumps to the nearest
+     * of @p thresholds (sorted ascending) that still covers it, and to
+     * the rail only past the last one. With no thresholds this is
+     * classic widening. The set is finite, so every widening chain is.
+     */
+    Interval widen(const Interval &next,
+                   const std::vector<int64_t> &thresholds = {}) const
     {
         if (isEmpty())
             return next;
         if (next.isEmpty())
             return *this;
         Interval w = *this;
-        if (next.lo < lo)
-            w.lo = INT64_MIN;
-        if (next.hi > hi)
-            w.hi = INT64_MAX;
+        if (next.lo < lo) {
+            auto it = std::upper_bound(thresholds.begin(), thresholds.end(),
+                                       next.lo);
+            w.lo = it == thresholds.begin() ? INT64_MIN : *(it - 1);
+        }
+        if (next.hi > hi) {
+            auto it = std::lower_bound(thresholds.begin(), thresholds.end(),
+                                       next.hi);
+            w.hi = it == thresholds.end() ? INT64_MAX : *it;
+        }
         return w;
     }
 
@@ -207,7 +219,10 @@ struct AbstractValue
 };
 
 AbstractValue joinValues(const AbstractValue &a, const AbstractValue &b);
-AbstractValue widenValues(const AbstractValue &a, const AbstractValue &b);
+/// Joins @p b into @p a, widening growing intervals (integers and
+/// pointer offsets) with @p thresholds (see Interval::widen).
+AbstractValue widenValues(const AbstractValue &a, const AbstractValue &b,
+                          const std::vector<int64_t> &thresholds);
 
 /**
  * A known scalar at a constant offset inside an abstract object.

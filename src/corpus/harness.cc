@@ -287,7 +287,6 @@ crossValidateCorpus(const std::vector<CorpusEntry> &entries,
         options.replayStdin = entry.stdinData;
         AnalysisReport analysis = analyzeModule(*prepared.module, options);
         row.replayOutcome = analysis.replayOutcome;
-        row.refutedCount = static_cast<unsigned>(analysis.refutations.size());
         row.summariesApplied = analysis.summariesApplied;
 
         prepared.engine->limits() = corpusRunLimits();

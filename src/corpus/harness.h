@@ -106,9 +106,6 @@ struct CrossValidationRow
     bool dynamicError = false;
     unsigned definiteCount = 0;
     unsigned maybeCount = 0;
-    /// Findings the constraint solver proved infeasible (dropped with a
-    /// refutation certificate before replay).
-    unsigned refutedCount = 0;
     /// Call sites where a callee summary was applied instead of havocking.
     unsigned summariesApplied = 0;
     /// A `definite` static finding whose kind the oracle did not

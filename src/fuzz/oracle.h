@@ -16,8 +16,9 @@
  *    `falsePositive`, differing stdout is an `outputDivergence`, and a
  *    resource/exit mismatch is a `terminationDivergence`.
  *  - Static findings: a `definite` finding on a clean program violates
- *    the analyzer's soundness contract (the refutation replay is the
- *    adjudicator: definite means the managed engine faulted there) and
+ *    the analyzer's soundness contract (the refutation replay, the
+ *    analyzer's only refuter, is the adjudicator: definite means the
+ *    managed engine faulted there) and
  *    reports as `falsePositive`; on injected programs the analyzer's
  *    hit/miss is recorded as statistics, never as an unexplained
  *    disagreement (static analysis is allowed to be incomplete, not

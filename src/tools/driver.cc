@@ -269,6 +269,36 @@ namespace
 {
 
 /**
+ * True when argv[@p i] is one of @p spec's flags. A value flag given as
+ * `--name V` also consumes argv[i + 1], and is a usage error (exit 2)
+ * when that value is missing.
+ */
+bool
+takeFlag(const FlagSpec &spec, int argc, char **argv, int &i)
+{
+    const char *arg = argv[i];
+    for (const char *flag : spec.switches) {
+        if (std::strcmp(arg, flag) == 0)
+            return true;
+    }
+    for (const char *flag : spec.values) {
+        size_t len = std::strlen(flag);
+        if (std::strcmp(arg, flag) == 0) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "error: %s requires a value\n", flag);
+                std::exit(2);
+            }
+            i++; // the next argument is this flag's value
+            return true;
+        }
+        if (std::strncmp(arg, flag, len) == 0 &&
+            (arg[len] == '=' || (flag[1] != '-' && arg[len] != '\0')))
+            return true;
+    }
+    return false;
+}
+
+/**
  * Strict parsing for the tier-tuning surface: a typo'd `--tier*` /
  * `--no-tier*` flag used to be silently ignored (and so silently
  * benchmarked the wrong configuration). Unknown spellings and value
@@ -278,46 +308,16 @@ namespace
 void
 validateTierFlags(int argc, char **argv)
 {
-    static const char *const switches[] = {
-        "--no-tier2",
-        "--no-tier3",
-        "--no-tier3-osr",
-    };
-    static const char *const value_flags[] = {
-        "--tier2-threshold",
-        "--tier3-threshold",
-        "--tier3-osr-threshold",
+    static const FlagSpec spec{
+        {"--no-tier2", "--no-tier3", "--no-tier3-osr"},
+        {"--tier2-threshold", "--tier3-threshold", "--tier3-osr-threshold"},
     };
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--tier", 6) != 0 &&
             std::strncmp(arg, "--no-tier", 9) != 0)
             continue;
-        bool known = false;
-        for (const char *flag : switches) {
-            if (std::strcmp(arg, flag) == 0) {
-                known = true;
-                break;
-            }
-        }
-        for (const char *flag : value_flags) {
-            if (known)
-                break;
-            size_t len = std::strlen(flag);
-            if (std::strcmp(arg, flag) == 0) {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "error: %s requires a value\n",
-                                 flag);
-                    std::exit(2);
-                }
-                known = true;
-                i++; // the next argument is this flag's value
-            } else if (std::strncmp(arg, flag, len) == 0 &&
-                       arg[len] == '=') {
-                known = true;
-            }
-        }
-        if (!known) {
+        if (!takeFlag(spec, argc, argv, i)) {
             std::fprintf(stderr,
                          "error: unknown flag '%s' (known tier flags: "
                          "--no-tier2, --tier2-threshold, --no-tier3, "
@@ -331,32 +331,17 @@ validateTierFlags(int argc, char **argv)
 /**
  * Strict parsing for the analysis surface, in parity with
  * validateTierFlags: a typo'd `--analyze*` / `--no-refute` /
- * `--no-solver` / `--no-summaries` / `--summary-depth` spelling used to
- * be silently ignored, which silently analyzed the wrong configuration
- * (e.g. an ablation run that never ablated anything).
+ * `--no-summaries` / `--summary-depth` spelling used to be silently
+ * ignored, which silently analyzed the wrong configuration (e.g. an
+ * ablation run that never ablated anything).
  */
 void
 validateAnalysisFlags(int argc, char **argv)
 {
-    static const char *const switches[] = {
-        "--analyze",
-        "--analyze-only",
-        "--analyze-libc",
-        "--no-refute",
-        "--no-solver",
-        "--no-summaries",
-    };
-    static const char *const value_flags[] = {
-        "--summary-depth",
-        "--analysis-jobs",
-        "--widen-after",
-        "--replay-steps",
-    };
     static const char *const prefixes[] = {
         "--analyze",
         "--analysis-",
         "--no-refute",
-        "--no-solver",
         "--no-summar",
         "--summary-",
         "--widen-after",
@@ -373,35 +358,11 @@ validateAnalysisFlags(int argc, char **argv)
         }
         if (!gated)
             continue;
-        bool known = false;
-        for (const char *flag : switches) {
-            if (std::strcmp(arg, flag) == 0) {
-                known = true;
-                break;
-            }
-        }
-        for (const char *flag : value_flags) {
-            if (known)
-                break;
-            size_t len = std::strlen(flag);
-            if (std::strcmp(arg, flag) == 0) {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "error: %s requires a value\n",
-                                 flag);
-                    std::exit(2);
-                }
-                known = true;
-                i++; // the next argument is this flag's value
-            } else if (std::strncmp(arg, flag, len) == 0 &&
-                       arg[len] == '=') {
-                known = true;
-            }
-        }
-        if (!known) {
+        if (!takeFlag(analysisFlagSpec(), argc, argv, i)) {
             std::fprintf(stderr,
                          "error: unknown flag '%s' (known analysis flags: "
                          "--analyze, --analyze-only, --analyze-libc, "
-                         "--no-refute, --no-solver, --no-summaries, "
+                         "--no-refute, --no-summaries, "
                          "--summary-depth, --analysis-jobs, "
                          "--widen-after, --replay-steps)\n", arg);
             std::exit(2);
@@ -410,6 +371,46 @@ validateAnalysisFlags(int argc, char **argv)
 }
 
 } // namespace
+
+const FlagSpec &
+analysisFlagSpec()
+{
+    static const FlagSpec spec{
+        {"--analyze", "--analyze-only", "--analyze-libc", "--no-refute",
+         "--no-summaries"},
+        {"--summary-depth", "--analysis-jobs", "--widen-after",
+         "--replay-steps"},
+    };
+    return spec;
+}
+
+const FlagSpec &
+limitFlagSpec()
+{
+    static const FlagSpec spec{
+        {},
+        {"--max-steps", "--heap-limit", "--output-limit", "--deadline-ms"},
+    };
+    return spec;
+}
+
+void
+rejectUnknownFlags(int argc, char **argv,
+                   std::initializer_list<const FlagSpec *> specs)
+{
+    for (int i = 1; i < argc; i++) {
+        bool known = false;
+        for (const FlagSpec *spec : specs) {
+            known = takeFlag(*spec, argc, argv, i);
+            if (known)
+                break;
+        }
+        if (!known) {
+            std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+            std::exit(2);
+        }
+    }
+}
 
 ManagedOptions
 parseManagedFlags(int argc, char **argv, ManagedOptions base)
@@ -447,8 +448,6 @@ parseAnalysisFlags(int argc, char **argv, AnalysisOptions base)
     validateAnalysisFlags(argc, argv);
     if (hasFlag(argc, argv, "no-refute"))
         base.refute = false;
-    if (hasFlag(argc, argv, "no-solver"))
-        base.solver = false;
     if (hasFlag(argc, argv, "no-summaries"))
         base.summaries = false;
     if (hasFlag(argc, argv, "analyze-libc"))

@@ -9,7 +9,9 @@
 #ifndef MS_TOOLS_DRIVER_H
 #define MS_TOOLS_DRIVER_H
 
+#include <initializer_list>
 #include <memory>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "interp/managed_engine.h"
@@ -163,7 +165,6 @@ ManagedOptions parseManagedFlags(int argc, char **argv,
 /**
  * Apply the static-analysis flags to @p base and return the result:
  * `--no-refute` (skip the engine replay; nothing is demoted),
- * `--no-solver` (skip the constraint-based refutation stage),
  * `--no-summaries` (havoc at every call instead of applying
  * interprocedural function summaries),
  * `--analyze-libc` (also analyze the linked libc functions),
@@ -179,6 +180,31 @@ ManagedOptions parseManagedFlags(int argc, char **argv,
  */
 AnalysisOptions parseAnalysisFlags(int argc, char **argv,
                                    AnalysisOptions base = {});
+
+/** The spellings of one family of flags, for rejectUnknownFlags(). */
+struct FlagSpec
+{
+    /// Bare switches, e.g. "--no-refute" or "-v".
+    std::vector<const char *> switches;
+    /// Flags taking a value as `--name V` or `--name=V`; a one-dash
+    /// flag such as "-j" also takes it attached (`-j8`).
+    std::vector<const char *> values;
+};
+
+/// The flags parseAnalysisFlags() reads, plus the `--analyze*` switches.
+const FlagSpec &analysisFlagSpec();
+/// The flags parseLimitFlags() reads.
+const FlagSpec &limitFlagSpec();
+
+/**
+ * Strict usage check for a tool that knows its whole command line:
+ * every argument must be a flag of one of @p specs, and a value flag
+ * needs its value. Anything else prints a diagnostic and exits 2, so a
+ * misspelled or removed flag can never silently run the default
+ * configuration.
+ */
+void rejectUnknownFlags(int argc, char **argv,
+                        std::initializer_list<const FlagSpec *> specs);
 
 /**
  * Compile @p user_source for Safe Sulong and run the static analyzer

@@ -684,15 +684,77 @@ int main(void) {
 }
 
 // ---------------------------------------------------------------------
-// Constraint solver: proofs drop findings, unknowns fall through
+// Threshold widening and the replay as the only refuter
 // ---------------------------------------------------------------------
 
-TEST(AnalysisSolver, ContradictoryGuardsProvenInfeasible)
+TEST(AnalysisWidening, OffByOneLoopKeepsItsFinding)
 {
-    // i == 10 requires argc > 3, the guarded store requires argc <= 3:
-    // every witness path is UNSAT, so the finding is dropped with a
-    // refutation certificate instead of merely demoted.
+    // The read of g[8] faults on the loop's ninth iteration. Without the
+    // replay, the finding must still sit at that read, and widening
+    // stops the index at the loop bound's thresholds instead of +inf.
     std::shared_ptr<const Module> module = moduleOf(R"(
+int g[8];
+int main(void) {
+    int i;
+    int sum = 0;
+    for (i = 0; i <= 8; i++)
+        sum += g[i];
+    return sum;
+}
+)");
+    ASSERT_NE(module, nullptr);
+    AnalysisOptions noRefute;
+    noRefute.refute = false;
+    AnalysisReport raw = analyzeModule(*module, noRefute);
+    const StaticFinding *oob = nullptr;
+    for (const StaticFinding &f : raw.findings)
+        if (f.kind == ErrorKind::outOfBounds)
+            oob = &f;
+    ASSERT_NE(oob, nullptr) << raw.toString();
+    EXPECT_EQ(oob->access, AccessKind::read) << raw.toString();
+    EXPECT_NE(oob->pathCondition.find("[0,32]"), std::string::npos)
+        << raw.toString();
+    EXPECT_EQ(oob->pathCondition.find("inf"), std::string::npos)
+        << raw.toString();
+
+    // The replay reaches the faulting read and confirms the same site.
+    AnalysisReport report = analyzeModule(*module);
+    std::vector<StaticFinding> definite =
+        report.byConfidence(Confidence::definite);
+    ASSERT_EQ(definite.size(), 1u) << report.toString();
+    EXPECT_EQ(definite[0].kind, ErrorKind::outOfBounds);
+    EXPECT_EQ(definite[0].blockIndex, oob->blockIndex);
+    EXPECT_EQ(definite[0].instIndex, oob->instIndex);
+}
+
+TEST(AnalysisWidening, CountedLoopIsSilent)
+{
+    AnalysisOptions noRefute;
+    noRefute.refute = false;
+    AnalysisReport report = analyze(R"(
+int main(void) {
+    int a[8];
+    int j;
+    for (j = 0; j < 8; j++)
+        a[j] = j;
+    return a[3];
+}
+)", noRefute);
+    EXPECT_FALSE(hasFinding(report, ErrorKind::outOfBounds,
+                            Confidence::maybe))
+        << report.toString();
+    EXPECT_FALSE(hasDefinite(report, ErrorKind::outOfBounds))
+        << report.toString();
+    EXPECT_FALSE(report.incomplete) << report.toString();
+}
+
+TEST(AnalysisRefutation, CorrelatedGuardsStayMaybe)
+{
+    // i == 10 requires argc > 3, the guarded store requires argc <= 3,
+    // so the store never faults. Intervals do not relate the two
+    // branches, and the replay (argc == 1) exits cleanly: the finding
+    // stays, demoted to maybe.
+    AnalysisReport report = analyze(R"(
 int main(int argc, char **argv) {
     int a[4]; int i;
     (void)argv;
@@ -701,29 +763,17 @@ int main(int argc, char **argv) {
     return 0;
 }
 )");
-    ASSERT_NE(module, nullptr);
-    AnalysisReport report = analyzeModule(*module);
-    EXPECT_TRUE(report.findings.empty()) << report.toString();
-    ASSERT_EQ(report.refutations.size(), 1u);
-    EXPECT_EQ(report.refutations[0].kind, ErrorKind::outOfBounds);
-    EXPECT_FALSE(report.refutations[0].certificate.empty());
-
-    // Ablation: with the solver off the same finding survives (the
-    // replay can only demote it to maybe, not prove it impossible).
-    AnalysisOptions off;
-    off.solver = false;
-    AnalysisReport kept = analyzeModule(*module, off);
-    EXPECT_TRUE(kept.refutations.empty());
+    EXPECT_EQ(report.replayOutcome, "exit") << report.toString();
     EXPECT_TRUE(
-        hasFinding(kept, ErrorKind::outOfBounds, Confidence::maybe))
-        << kept.toString();
+        hasFinding(report, ErrorKind::outOfBounds, Confidence::maybe))
+        << report.toString();
+    EXPECT_EQ(report.definiteCount(), 0u) << report.toString();
 }
 
-TEST(AnalysisSolver, UnprovenFindingFallsBackToReplay)
+TEST(AnalysisRefutation, UnprovenFindingFallsBackToReplay)
 {
-    // The store is feasible (argc can be 5), so the solver must NOT
-    // refute it; the engine replay (argc == 1) then demotes it to
-    // maybe. Pipeline order: solver proof > replay confirm > demote.
+    // The store is feasible (argc can be 5); the engine replay
+    // (argc == 1) does not reach it and demotes it to maybe.
     AnalysisReport report = analyze(R"(
 int main(int argc, char **argv) {
     int a[4];
@@ -733,8 +783,8 @@ int main(int argc, char **argv) {
     return 0;
 }
 )");
-    EXPECT_TRUE(report.refutations.empty()) << report.toString();
-    EXPECT_GE(report.solverChecked, 1u);
+    EXPECT_TRUE(report.replayRan) << report.toString();
+    EXPECT_EQ(report.replayOutcome, "exit") << report.toString();
     EXPECT_TRUE(
         hasFinding(report, ErrorKind::outOfBounds, Confidence::maybe))
         << report.toString();

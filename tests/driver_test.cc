@@ -127,9 +127,8 @@ parseAnalysis(std::vector<std::string> args)
 TEST(DriverTest, AnalysisFlagsParse)
 {
     AnalysisOptions opts = parseAnalysis(
-        {"--no-solver", "--no-summaries", "--summary-depth", "5",
-         "--analysis-jobs=4", "--widen-after=9", "--replay-steps", "100"});
-    EXPECT_FALSE(opts.solver);
+        {"--no-summaries", "--summary-depth", "5", "--analysis-jobs=4",
+         "--widen-after=9", "--replay-steps", "100"});
     EXPECT_FALSE(opts.summaries);
     EXPECT_TRUE(opts.refute);
     EXPECT_EQ(opts.summaryDepth, 5u);
@@ -138,7 +137,6 @@ TEST(DriverTest, AnalysisFlagsParse)
     EXPECT_EQ(opts.replaySteps, 100u);
 
     AnalysisOptions dflt = parseAnalysis({});
-    EXPECT_TRUE(dflt.solver);
     EXPECT_TRUE(dflt.summaries);
     EXPECT_TRUE(dflt.userCodeOnly);
     EXPECT_FALSE(parseAnalysis({"--no-refute"}).refute);
@@ -157,8 +155,45 @@ TEST(DriverTest, MisspelledAnalysisFlagIsUsageError)
                 ::testing::ExitedWithCode(2), "unknown flag");
     EXPECT_EXIT(parseAnalysis({"--analysis-jbos=2"}),
                 ::testing::ExitedWithCode(2), "unknown flag");
-    EXPECT_EXIT(parseAnalysis({"--no-solverr"}),
+}
+
+/** Run rejectUnknownFlags over @p args with the analysis flags plus
+ *  one tool-specific value flag, the way bench_analysis does. */
+void
+checkAnalysisTool(std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    std::string prog = "bench_analysis";
+    argv.push_back(prog.data());
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    const FlagSpec own{{"-v"}, {"--json", "-j"}};
+    rejectUnknownFlags(static_cast<int>(argv.size()), argv.data(),
+                       {&own, &analysisFlagSpec(), &limitFlagSpec()});
+}
+
+TEST(DriverTest, StrictToolRejectsUnknownFlags)
+{
+    // The removed solver ablation must fail loudly, not run the
+    // default configuration under a stale flag.
+    EXPECT_EXIT(checkAnalysisTool({"--no-solver"}),
+                ::testing::ExitedWithCode(2), "unknown flag '--no-solver'");
+    EXPECT_EXIT(checkAnalysisTool({"--no-solverr"}),
                 ::testing::ExitedWithCode(2), "unknown flag");
+    EXPECT_EXIT(checkAnalysisTool({"--bogus"}),
+                ::testing::ExitedWithCode(2), "unknown flag");
+    EXPECT_EXIT(checkAnalysisTool({"stray"}),
+                ::testing::ExitedWithCode(2), "unknown flag");
+    EXPECT_EXIT(checkAnalysisTool({"--json"}),
+                ::testing::ExitedWithCode(2), "requires a value");
+    EXPECT_EXIT(
+        {
+            checkAnalysisTool({"--no-summaries", "--json", "out.json",
+                               "--summary-depth=2", "--max-steps", "9",
+                               "-j4", "-j", "2", "-v"});
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(DriverTest, AnalysisValueFlagWithoutValueIsUsageError)

@@ -7,6 +7,7 @@
  *               [--report FILE] [--json FILE] [--emit-corpus FILE]
  *               [--print-seed N] [-v]
  *               [resource flags: --max-steps, --heap-limit, ...]
+ *               [analysis flags: --no-refute, --no-summaries, ...]
  *
  * Runs seeds [seed-start, seed-start + seeds) through the generative
  * scenario engine: grammar-generated mini-C programs (a seeded fraction
@@ -25,7 +26,8 @@
  *                       bug.c && msulong run bug.c)
  *
  * Exit status: 0 on a clean campaign, 1 when any unexplained
- * disagreement (or compile error) survived — so CI shards fail loudly.
+ * disagreement (or compile error) survived — so CI shards fail loudly —
+ * and 2 on a usage error (an unknown flag, or a flag without its value).
  */
 
 #include <cstdio>
@@ -68,6 +70,15 @@ main(int argc, char **argv)
             "                   [--max-steps N] [--heap-limit BYTES] [-v]\n";
         return 0;
     }
+
+    const FlagSpec own{
+        {"--no-minimize", "--no-analysis", "--clean-only", "--verbose",
+         "-v"},
+        {"--seed-start", "--seeds", "--jobs", "-j", "--bug-ratio",
+         "--report", "--json", "--emit-corpus", "--print-seed"},
+    };
+    rejectUnknownFlags(argc, argv,
+                       {&own, &limitFlagSpec(), &analysisFlagSpec()});
 
     CampaignOptions options;
     options.seedBegin = parseUint64Flag(argc, argv, "seed-start", 1);
