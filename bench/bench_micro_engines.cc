@@ -166,12 +166,9 @@ stripCustomFlags(int argc, char **argv)
         return arg.rfind(prefix, 0) == 0;
     };
     static const char *value_flags[] = {"json", "tier2-threshold",
-                                        "inline-budget", "inline-min",
-                                        "tier3-threshold",
-                                        "tier3-osr-threshold"};
+                                        "inline-budget", "inline-min"};
     static const char *switch_flags[] = {"no-tier2", "no-inlining",
-                                         "no-check-elision", "no-tier3",
-                                         "no-fusion", "no-tier3-osr"};
+                                         "no-check-elision"};
     std::vector<char *> out;
     out.push_back(argv[0]);
     for (int i = 1; i < argc; i++) {

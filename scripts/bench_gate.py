@@ -9,13 +9,6 @@ Subcommands:
                      fail unless geomean(OFF/ON) >= the threshold; also
                      fail if the retired-step counts differ, since the
                      optimizing tier must do the same guest work.
-  tier3 FILE [--benches A,B] [--min-geomean X]
-                     validate a BENCH_tier3.json/v1 report (bench_tier3
-                     --json) and fail unless, over the named benchmarks
-                     (default: the perf-gate set), tier-3 retired exactly
-                     the same guest steps as tier-2, actually translated
-                     code, and the geomean same-process speedup meets the
-                     threshold.
   analysis FILE [--min-recall X] [--min-definite-recall Y]
                 [--require-scaling] [--max-scaling-blowup X]
                 [--fewer-maybes-than OTHER]
@@ -143,86 +136,6 @@ def cmd_gate(args):
     print(f"geomean speedup: {geomean:.3f}x (threshold {args.min_geomean}x)")
     if geomean < args.min_geomean:
         fail(f"geomean {geomean:.3f}x below threshold {args.min_geomean}x")
-    return 0
-
-
-TIER3_SCHEMA = "BENCH_tier3.json/v1"
-
-# The benches the tier-3 PR is gated on: the call- and pointer-bound
-# workloads threaded dispatch targets. The full suite's geomean includes
-# float-heavy kernels tier-3 helps less, so gating on it would only
-# measure host noise.
-TIER3_DEFAULT_BENCHES = "fig16.calltower,fig16.pointerchase"
-
-
-def load_tier3(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        fail(f"{path}: top level is not an object")
-    if doc.get("schema") != TIER3_SCHEMA:
-        fail(f"{path}: schema is {doc.get('schema')!r},"
-             f" want {TIER3_SCHEMA!r}")
-    records = doc.get("records")
-    if not isinstance(records, list) or not records:
-        fail(f"{path}: records missing or empty")
-    out = {}
-    for i, r in enumerate(records):
-        where = f"{path}: records[{i}]"
-        if not isinstance(r, dict):
-            fail(f"{where}: not an object")
-        for key in ("bench", "config"):
-            if not isinstance(r.get(key), str) or not r[key]:
-                fail(f"{where}: {key} missing or empty")
-        for key in ("tier2_ns_per_op", "tier3_ns_per_op", "speedup"):
-            v = r.get(key)
-            if not isinstance(v, (int, float)) or v <= 0:
-                fail(f"{where}: {key} must be a positive number,"
-                     f" got {v!r}")
-        for key in ("tier2_steps", "tier3_steps", "t3_compiles",
-                    "t3_superblocks", "t3_osr_entries", "t3_deopt_mega",
-                    "t3_deopt_shape", "t3_deopt_steps", "t3_deopt_bug"):
-            v = r.get(key)
-            if not isinstance(v, int) or v < 0:
-                fail(f"{where}: {key} must be a non-negative int,"
-                     f" got {v!r}")
-        if r["bench"] in out:
-            fail(f"{path}: duplicate record for {r['bench']}")
-        out[r["bench"]] = r
-    return out
-
-
-def cmd_tier3(args):
-    records = load_tier3(args.file)
-    benches = [b for b in args.benches.split(",") if b]
-    if not benches:
-        fail("--benches is empty")
-    ratios = []
-    for bench in benches:
-        r = records.get(bench)
-        if r is None:
-            fail(f"{args.file}: no record for {bench}")
-        if r["tier2_steps"] != r["tier3_steps"]:
-            fail(f"{bench}: retired steps differ (tier2"
-                 f" {r['tier2_steps']}, tier3 {r['tier3_steps']}) —"
-                 " tier-3 must do exactly the same guest work")
-        if r["t3_compiles"] == 0:
-            fail(f"{bench}: t3_compiles is 0 — the tier-3 arm never"
-                 " translated anything, so the comparison is vacuous")
-        ratio = r["tier2_ns_per_op"] / r["tier3_ns_per_op"]
-        ratios.append(ratio)
-        deopts = (r["t3_deopt_mega"] + r["t3_deopt_shape"] +
-                  r["t3_deopt_steps"] + r["t3_deopt_bug"])
-        print(f"{bench}: tier2={r['tier2_ns_per_op'] / 1e6:.1f}ms "
-              f"tier3={r['tier3_ns_per_op'] / 1e6:.1f}ms "
-              f"speedup={ratio:.2f}x sblocks={r['t3_superblocks']} "
-              f"osr={r['t3_osr_entries']} deopts={deopts}")
-    geomean = math.exp(sum(map(math.log, ratios)) / len(ratios))
-    print(f"geomean tier-3 speedup: {geomean:.3f}x"
-          f" (threshold {args.min_geomean}x)")
-    if geomean < args.min_geomean:
-        fail(f"geomean {geomean:.3f}x below threshold"
-             f" {args.min_geomean}x")
     return 0
 
 
@@ -786,12 +699,6 @@ def main():
                         help="comma-separated bench names to compare")
     p_gate.add_argument("--min-geomean", type=float, default=1.2)
     p_gate.set_defaults(func=cmd_gate)
-    p_tier3 = sub.add_parser("tier3")
-    p_tier3.add_argument("file")
-    p_tier3.add_argument("--benches", default=TIER3_DEFAULT_BENCHES,
-                         help="comma-separated bench names to gate on")
-    p_tier3.add_argument("--min-geomean", type=float, default=1.4)
-    p_tier3.set_defaults(func=cmd_tier3)
     p_analysis = sub.add_parser("analysis")
     p_analysis.add_argument("file")
     p_analysis.add_argument("--min-recall", type=float, default=0.95)

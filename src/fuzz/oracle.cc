@@ -166,21 +166,18 @@ runOracle(const FuzzProgram &program, const OracleOptions &options,
     report.bug = program.bug;
     std::string source = program.render();
 
-    // The managed reference runs first (three times: cold tier-1
-    // profile, eagerly tier-2-compiled, and eagerly tier-3-threaded),
-    // then the native/instrumented engines. The tier-3 arm is the
-    // differential check that threaded dispatch, superblock fusion,
-    // and deopt never change what a program computes or reports.
+    // The managed reference runs first (twice: cold tier-1 profile,
+    // and eagerly compiled with every eligible call site inlined), then
+    // the native/instrumented engines. The eager arm is the
+    // differential check that compilation, inlining, threaded dispatch,
+    // and superblock fusion never change what a program computes or
+    // reports.
     ToolConfig managed = ToolConfig::make(ToolKind::safeSulong);
     managed.managed = options.managed;
     ToolConfig managed_tier2 = managed;
     managed_tier2.managed.enableTier2 = true;
     managed_tier2.managed.compileThreshold = 1;
-    managed_tier2.managed.enableTier3 = false;
-    ToolConfig managed_tier3 = managed_tier2;
-    managed_tier3.managed.enableTier3 = true;
-    managed_tier3.managed.tier3Threshold = 0;
-    managed_tier3.managed.inlineSiteMin = 0;
+    managed_tier2.managed.inlineSiteMin = 0;
 
     struct RunSpec
     {
@@ -190,7 +187,6 @@ runOracle(const FuzzProgram &program, const OracleOptions &options,
     const RunSpec specs[] = {
         {"managed", managed},
         {"managed-tier2", managed_tier2},
-        {"managed-tier3", managed_tier3},
         {"native", ToolConfig::make(ToolKind::clang, 0)},
         {"asan", ToolConfig::make(ToolKind::asan, 0)},
         {"memcheck", ToolConfig::make(ToolKind::memcheck, 0)},

@@ -28,17 +28,14 @@ ManagedEngine::flushTelemetry(const ExecutionResult &result)
 
     uint64_t tier1Steps = 0;
     uint64_t tier2Steps = 0;
-    uint64_t tier3Steps = 0;
     for (const auto &[fn, prof] : fnProfiles_) {
         tier1Steps += prof.tier1Steps;
         tier2Steps += prof.tier2Steps;
-        tier3Steps += prof.tier3Steps;
         // Per-function retired-step and tier attribution. Counter names
         // are keyed by function name, so identical functions from
         // different batch jobs aggregate — which keeps totals
         // deterministic across worker counts.
-        uint64_t total =
-            prof.tier1Steps + prof.tier2Steps + prof.tier3Steps;
+        uint64_t total = prof.tier1Steps + prof.tier2Steps;
         if (total != 0)
             reg.histogram("managed.fn.steps").record(total);
         if (prof.tier1Steps != 0)
@@ -47,16 +44,11 @@ ManagedEngine::flushTelemetry(const ExecutionResult &result)
         if (prof.tier2Steps != 0)
             reg.counter("managed.fn." + fn->name() + ".steps.tier2")
                 .inc(prof.tier2Steps);
-        if (prof.tier3Steps != 0)
-            reg.counter("managed.fn." + fn->name() + ".steps.tier3")
-                .inc(prof.tier3Steps);
     }
     if (tier1Steps != 0)
         reg.counter("managed.steps.tier1").inc(tier1Steps);
     if (tier2Steps != 0)
         reg.counter("managed.steps.tier2").inc(tier2Steps);
-    if (tier3Steps != 0)
-        reg.counter("managed.steps.tier3").inc(tier3Steps);
 
     if (telem_.tier2Compiles != 0)
         reg.counter("managed.tier2.compiles").inc(telem_.tier2Compiles);
@@ -82,33 +74,6 @@ ManagedEngine::flushTelemetry(const ExecutionResult &result)
     if (telem_.elideShapeMisses != 0)
         reg.counter("managed.elide.shape_misses")
             .inc(telem_.elideShapeMisses);
-
-    // Tier-3 threaded execution. The event counters themselves are
-    // maintained unconditionally (benches read them via telemetry());
-    // only this registry flush is profiling-gated, like everything else
-    // here, so totals stay deterministic for the obs determinism gate.
-    if (telem_.t3Compiles != 0)
-        reg.counter("managed.tier3.compiles").inc(telem_.t3Compiles);
-    if (telem_.t3Superblocks != 0)
-        reg.counter("managed.tier3.superblocks")
-            .inc(telem_.t3Superblocks);
-    if (telem_.t3OsrEntries != 0)
-        reg.counter("managed.tier3.osr_entries").inc(telem_.t3OsrEntries);
-    if (telem_.t3DeoptMega != 0)
-        reg.counter("managed.tier3.deopt.megamorphic")
-            .inc(telem_.t3DeoptMega);
-    if (telem_.t3DeoptShape != 0)
-        reg.counter("managed.tier3.deopt.shape").inc(telem_.t3DeoptShape);
-    if (telem_.t3DeoptSteps != 0)
-        reg.counter("managed.tier3.deopt.step_limit")
-            .inc(telem_.t3DeoptSteps);
-    if (telem_.t3DeoptBug != 0)
-        reg.counter("managed.tier3.deopt.bug").inc(telem_.t3DeoptBug);
-    if (telem_.t3FusedChecks != 0)
-        reg.counter("managed.tier3.fused_checks_retired")
-            .inc(telem_.t3FusedChecks);
-    for (uint64_t size : telem_.tier3CodeSizes)
-        reg.histogram("managed.tier3.code_size").record(size);
 
     // The heap survives run() under persistState: flush deltas.
     if (heap_ != nullptr) {

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "interp/tier2.h"
-#include "interp/tier3.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -258,8 +257,6 @@ ManagedEngine::run(const Module &module, const std::vector<std::string> &args,
         intrinsicCache_.clear();
         invocationCounts_.clear();
         compiled_.clear();
-        tier3Retired_.clear();
-        tier3Count_ = 0;
         callSiteCounts_.clear();
         compileEvents_.clear();
         tier2Count_ = 0;
@@ -359,13 +356,6 @@ ManagedEngine::callFunction(const Function *fn, std::vector<MValue> args,
         else if (count >= options_.compileThreshold)
             code = tier2CodeFor(fn, nullptr);
     }
-    Tier3Code *t3 = code != nullptr ? maybeTier3(fn, code) : nullptr;
-    if (profiling_) {
-        FnProfile *prof = profileFor(fn);
-        (t3 != nullptr       ? prof->tier3Calls
-             : code != nullptr ? prof->tier2Calls
-                               : prof->tier1Calls)++;
-    }
 
     Frame frame;
     frame.slots.resize(code != nullptr ? code->frameSize()
@@ -375,13 +365,8 @@ ManagedEngine::callFunction(const Function *fn, std::vector<MValue> args,
     frame.varargs = std::move(varargs);
 
     try {
-        MValue result;
-        if (t3 != nullptr)
-            result = t3->execute(*this, frame);
-        else if (code != nullptr)
-            result = code->execute(*this, frame);
-        else
-            result = interpret(fn, frame);
+        MValue result = code != nullptr ? code->execute(*this, frame)
+                                        : interpret(fn, frame);
         guard_.leaveCall();
         return result;
     } catch (...) {
@@ -453,88 +438,6 @@ ManagedEngine::tier2CodeFor(const Function *fn, const char *why)
     return raw;
 }
 
-Tier3Code *
-ManagedEngine::tier3CodeFor(const Function *fn, CompiledFunction *code)
-{
-    if (code->tier3_ != nullptr)
-        return code->tier3_;
-    if (!options_.enableTier3 || code->tier3Fails_ >= 2)
-        return nullptr;
-    MS_TRACE_SPAN("tier3.translate", fn->name());
-    auto t3 = translateTier3(*fn, *code, *this);
-    if (t3 == nullptr) {
-        code->tier3Fails_ = 2; // empty body: never retry
-        return nullptr;
-    }
-    tier3Count_++;
-    telem_.t3Compiles++;
-    telem_.t3Superblocks += t3->superblocks();
-    if (profiling_)
-        telem_.tier3CodeSizes.push_back(t3->codeSize());
-    code->tier3_ = t3.get();
-    code->tier3Owner_ = std::move(t3);
-    return code->tier3_;
-}
-
-Tier3Code *
-ManagedEngine::maybeTier3(const Function *fn, CompiledFunction *code)
-{
-    if (code->tier3_ != nullptr)
-        return code->tier3_;
-    if (!options_.enableTier3 || code->tier3Fails_ >= 2 ||
-        ++code->activations_ < options_.tier3Threshold)
-        return nullptr;
-    return tier3CodeFor(fn, code);
-}
-
-Tier3Code *
-ManagedEngine::tier3ForOsr(const Function *fn, CompiledFunction *code)
-{
-    Tier3Code *t3 = tier3CodeFor(fn, code);
-    if (t3 != nullptr)
-        telem_.t3OsrEntries++;
-    return t3;
-}
-
-void
-ManagedEngine::retireTier3(CompiledFunction &code)
-{
-    // Recursive activations of the retired code deopt independently;
-    // only the first retirement moves the owner (and counts a strike).
-    if (code.tier3Owner_ == nullptr)
-        return;
-    tier3Retired_.push_back(std::move(code.tier3Owner_));
-    code.tier3_ = nullptr;
-    code.activations_ = 0;
-    code.tier3Fails_++;
-}
-
-MValue
-ManagedEngine::callCompiled(const Function *fn, CompiledFunction *code,
-                            std::vector<MValue> args)
-{
-    guard_.enterCall();
-    resolveEpoch_++;
-    Frame frame;
-    frame.slots.resize(code->frameSize());
-    for (size_t i = 0; i < args.size() && i < frame.slots.size(); i++)
-        frame.slots[i] = std::move(args[i]);
-    try {
-        // IC-dispatched calls never pass through invocationCounts_, so
-        // the tier-up check lives here too (activations_ counts both).
-        Tier3Code *t3 = maybeTier3(fn, code);
-        if (t3 != nullptr && profiling_)
-            profileFor(fn)->tier3Calls++;
-        MValue result = t3 != nullptr ? t3->execute(*this, frame)
-                                      : code->execute(*this, frame);
-        guard_.leaveCall();
-        return result;
-    } catch (...) {
-        guard_.leaveCall();
-        throw;
-    }
-}
-
 ManagedEngine::Frame
 ManagedEngine::acquireFrame()
 {
@@ -556,17 +459,12 @@ ManagedEngine::releaseFrame(Frame &&frame)
 }
 
 MValue
-ManagedEngine::callCompiledFrame(const Function *fn, CompiledFunction *code,
-                                 Frame &frame)
+ManagedEngine::invokeCompiled(CompiledFunction *code, Frame &frame)
 {
     guard_.enterCall();
     resolveEpoch_++;
     try {
-        Tier3Code *t3 = maybeTier3(fn, code);
-        if (t3 != nullptr && profiling_)
-            profileFor(fn)->tier3Calls++;
-        MValue result = t3 != nullptr ? t3->execute(*this, frame)
-                                      : code->execute(*this, frame);
+        MValue result = code->execute(*this, frame);
         guard_.leaveCall();
         return result;
     } catch (...) {

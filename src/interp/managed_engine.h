@@ -27,7 +27,6 @@ namespace sulong
 {
 
 class CompiledFunction;
-class Tier3Code;
 
 /** Tunables of the managed engine. */
 struct ManagedOptions
@@ -61,22 +60,9 @@ struct ManagedOptions
     /// aggregate walk. Bounds/type/liveness checks always run; the
     /// --no-check-elision ablation proves reports are bit-identical.
     bool enableCheckElision = true;
-    /// Tier-3: re-label hot tier-2 bodies as a direct-threaded
-    /// superblock stream (computed-goto dispatch where the toolchain
-    /// supports it; see threaded.h). Every check still runs; tier-3
-    /// deopts back to tier-2 on IC megamorphism, shape-cache miss
-    /// streaks, step-budget edges, and any detected bug.
-    bool enableTier3 = true;
-    /// Tier-2 activations after which a function is tier-3 translated.
-    unsigned tier3Threshold = 200;
-    /// Superblock fusion: batch straight-line runs into one step-charge
-    /// (off = every op is its own superblock; the --no-fusion ablation
-    /// isolates the dispatch win from batched accounting).
-    bool enableFusion = true;
-    /// OSR from tier-2 loop back-edges into tier-3 mid-activation.
-    bool tier3Osr = true;
-    /// Back-edges in one tier-2 activation before tier-3 OSR kicks in.
-    unsigned tier3OsrThreshold = 10'000;
+    /// Not settable; kept only because perfbench/ reads these names.
+    static constexpr bool enableTier3 = false;
+    static constexpr unsigned tier3Threshold = 0;
     /// Disable the relaxed type rules of Section 3.2 (ablation).
     bool strictTypes = false;
     /// Keep profiling counters and tier-2 code across run() calls on the
@@ -124,20 +110,6 @@ struct ManagedTelemetry
     /// flushed to the registry histogram at run() end, so the compile
     /// path never touches the registry from this TU.
     std::vector<uint64_t> tier2CodeSizes;
-    // Tier-3 (cold-path events are counted unconditionally — they are
-    // rare, and benches read them through telemetry() without needing
-    // the obs registry; only the flush is profiling-gated).
-    uint64_t t3Compiles = 0;
-    uint64_t t3Superblocks = 0;
-    uint64_t t3OsrEntries = 0;
-    uint64_t t3DeoptMega = 0;
-    uint64_t t3DeoptShape = 0;
-    uint64_t t3DeoptSteps = 0;
-    uint64_t t3DeoptBug = 0;
-    /// Checked memory effects retired inside charged superblocks
-    /// (profiling-gated: this one lives on the hot dispatch path).
-    uint64_t t3FusedChecks = 0;
-    std::vector<uint64_t> tier3CodeSizes;
 };
 
 /**
@@ -164,23 +136,16 @@ class ManagedEngine : public Engine
     uint64_t executedSteps() const { return guard_.steps(); }
     /** Functions executed at tier 2 at least once in the last run. */
     unsigned tier2Functions() const { return tier2Count_; }
-    /** Functions translated to tier-3 in the last run. */
-    unsigned tier3Functions() const { return tier3Count_; }
+    /// Always 0; kept only because perfbench/ reads this name.
+    unsigned tier3Functions() const { return 0; }
     /** Call sites spliced into their caller by tier-2 inlining. */
     unsigned inlinedSites() const { return inlinedSites_; }
-    /** This run's profiler scratch (tier-3 event counters are always
-     *  populated; the rest only when obs metrics are enabled). */
-    const ManagedTelemetry &telemetry() const { return telem_; }
 
   private:
     friend class CompiledFunction;
     friend class Tier2Compiler;
-    friend class Tier3Code;
     friend std::unique_ptr<CompiledFunction>
     compileTier2(const Function &fn, ManagedEngine &engine);
-    friend std::unique_ptr<Tier3Code>
-    translateTier3(const Function &fn, CompiledFunction &t2,
-                   ManagedEngine &engine);
 
     struct Frame
     {
@@ -475,35 +440,17 @@ class ManagedEngine : public Engine
     /** Compile (or fetch) tier-2 code outside the invocation-count path:
      *  OSR transitions and inline-cache compile-on-first-dispatch. */
     CompiledFunction *tier2CodeFor(const Function *fn, const char *why);
-    /** Invoke tier-2 code directly (call inline caches), with the same
-     *  depth accounting as callFunction. */
-    MValue callCompiled(const Function *fn, CompiledFunction *code,
-                        std::vector<MValue> args);
-    /** Tier-3's call fast path: invoke @p code on a frame the caller
-     *  already sized and filled (via acquireFrame), skipping the
-     *  intermediate argument vector callCompiled needs. Same depth
-     *  accounting and tier-up check. */
-    MValue callCompiledFrame(const Function *fn, CompiledFunction *code,
-                             Frame &frame);
+    /** Compiled code's call fast path (direct calls and inline-cache
+     *  hits): invoke @p code on a frame the caller already sized and
+     *  filled (via acquireFrame), with the same depth accounting as
+     *  callFunction. */
+    MValue invokeCompiled(CompiledFunction *code, Frame &frame);
     /** Pop a cleared frame off the pool (fresh value-initialized slots
      *  after resize; the backing allocation is reused across calls). */
     Frame acquireFrame();
     /** Clear @p frame and return it to the pool. Skipped on unwind —
      *  the frame just destructs and the pool refills on later calls. */
     void releaseFrame(Frame &&frame);
-    /** Fetch (or translate) tier-3 code for a tier-2 body; null when
-     *  tier-3 is off, the function is barred, or the body is empty. */
-    Tier3Code *tier3CodeFor(const Function *fn, CompiledFunction *code);
-    /** Tier-up check on the call path: counts a tier-2 activation and
-     *  translates once the threshold is crossed. */
-    Tier3Code *maybeTier3(const Function *fn, CompiledFunction *code);
-    /** Tier-3 OSR request from a hot tier-2 back-edge. */
-    Tier3Code *tier3ForOsr(const Function *fn, CompiledFunction *code);
-    /** Invalidate a function's tier-3 code after a deopt (megamorphic
-     *  IC / polymorphic shapes). The code object moves to a graveyard —
-     *  recursive activations still executing it stay valid — and two
-     *  strikes bar the function from retranslation. */
-    void retireTier3(CompiledFunction &code);
     /// Saturating float->int conversions shared by both tiers.
     static int64_t satFptosi(double v);
     static uint64_t satFptoui(double v);
@@ -524,10 +471,6 @@ class ManagedEngine : public Engine
     {
         uint64_t tier1Steps = 0;
         uint64_t tier2Steps = 0;
-        uint64_t tier3Steps = 0;
-        uint64_t tier1Calls = 0;
-        uint64_t tier2Calls = 0;
-        uint64_t tier3Calls = 0;
     };
     FnProfile *profileFor(const Function *fn);
     /// Push this run's telemetry into the global obs registry. Defined
@@ -574,12 +517,7 @@ class ManagedEngine : public Engine
     std::vector<CompileEvent> compileEvents_;
     unsigned tier2Count_ = 0;
     unsigned inlinedSites_ = 0;
-    /// Tier-3 state. Live code is owned by its CompiledFunction; retired
-    /// code parks here until the next full reset so activations that
-    /// deopted out of it can finish unwinding safely.
-    unsigned tier3Count_ = 0;
-    std::vector<std::unique_ptr<Tier3Code>> tier3Retired_;
-    /// Recycled call frames for tier-3's call handlers: tiny-call
+    /// Recycled call frames for compiled code's call handlers: tiny-call
     /// workloads otherwise spend more time in the per-call slot-vector
     /// malloc/free than in the callee. Frames are cleared on release,
     /// so acquire + resize hands out value-initialized slots — the

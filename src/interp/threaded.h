@@ -1,39 +1,37 @@
 /**
  * @file
- * Dispatch vocabulary for the tier-3 direct-threaded interpreter.
+ * Dispatch vocabulary for the compiled tier's direct-threaded executor.
  *
- * Tier-3 re-labels the tier-2 PInst stream with a flat opcode (TOp)
- * whose values are dense array indices, so the executor can dispatch
- * either through a computed-goto label table (GCC/Clang `&&label`
- * extension, probed by CMake into MS_THREADED_DISPATCH) or through a
- * portable switch that compiles on any C++20 toolchain. The X-macro
- * below is the single source of truth: the enum, the label table, the
- * switch, and topName() are all generated from it, so the two dispatch
- * modes can never drift apart.
+ * The tier-2 compiler stamps every PInst with a flat opcode (TOp) whose
+ * values are dense array indices, so the executor can dispatch either
+ * through a computed-goto label table (GCC/Clang `&&label` extension,
+ * probed by CMake into MS_THREADED_DISPATCH) or through a portable
+ * switch that compiles on any C++20 toolchain. The X-macro below is the
+ * single source of truth: the enum, the label table, and the switch are
+ * all generated from it, so the two dispatch modes can never drift
+ * apart.
  *
- * Each TOp already folds in the tier-2 superinstruction flags
+ * Each TOp already folds in the superinstruction flags
  * (kPFuseLoad/kPFuseStore/kPFuseCmpBr): the executor never re-tests
  * PInst::flags on the hot path. Ops with no specialized handler (plain
- * `call`, ptrtoint/inttoptr, megamorphic indirect-call sites) funnel
- * into tInterp, which defers to the tier-1 instruction evaluator —
- * exactly what tier-2's default case does.
+ * `call`, ptrtoint/inttoptr) funnel into tInterp, which defers to the
+ * tier-1 instruction evaluator.
  */
 
 #ifndef MS_INTERP_THREADED_H
 #define MS_INTERP_THREADED_H
 
-#include <cstddef>
 #include <cstdint>
 
 namespace sulong
 {
 
 /**
- * One entry per tier-3 handler. Order is the dispatch-table order;
- * keep branches/returns first (hottest) and the interpreter escape
- * hatch last.
+ * One entry per handler. Order is the dispatch-table order; keep
+ * branches/returns first (hottest) and the interpreter escape hatch
+ * last.
  */
-#define MS_T3_OPS(X)                                                    \
+#define MS_TOPS(X)                                                      \
     X(tBr)          /* unconditional jump */                            \
     X(tCondBr)      /* conditional jump on an i1 slot */                \
     X(tRet)         /* return a value */                                \
@@ -63,34 +61,17 @@ namespace sulong
     X(tMove)        /* inline-splice slot move */                       \
     X(tInlineRet)   /* inline-splice return (move + jump) */            \
     X(tCallDirect)  /* direct call through a CallSite */                \
-    X(tCallIndirect)/* monomorphic-IC indirect call */                  \
+    X(tCallIndirect)/* indirect call through an inline cache */         \
     X(tInterp)      /* tier-1 evaluator escape hatch */                 \
     X(tUnreachable) /* 'unreachable' trap */
 
-/// Flat tier-3 opcode; values are dense dispatch-table indices.
+/// Flat dispatch opcode; values are dense dispatch-table indices.
 enum class TOp : uint8_t
 {
-#define MS_T3_ENUM(name) name,
-    MS_T3_OPS(MS_T3_ENUM)
-#undef MS_T3_ENUM
+#define MS_TOP_ENUM(name) name,
+    MS_TOPS(MS_TOP_ENUM)
+#undef MS_TOP_ENUM
 };
-
-/// Number of tier-3 handlers (size of the dispatch table).
-inline constexpr size_t kNumTOps = []() {
-    size_t n = 0;
-#define MS_T3_COUNT(name) n++;
-    MS_T3_OPS(MS_T3_COUNT)
-#undef MS_T3_COUNT
-    return n;
-}();
-
-/// Handler name for telemetry/debugging ("tICmpBr", ...).
-const char *topName(TOp op);
-
-/// True when this build dispatches through computed-goto labels; false
-/// when it uses the portable switch fallback. Purely informational —
-/// both modes execute identical semantics.
-bool threadedDispatchEnabled();
 
 } // namespace sulong
 

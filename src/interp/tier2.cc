@@ -1,6 +1,7 @@
 /**
  * @file
- * Tier-2 "compilation" and execution (see tier2.h for the model).
+ * Tier-2 "compilation" and checked access (see tier2.h for the model;
+ * the executor is in threaded.cc).
  *
  * The compiler flattens IR blocks into a pre-decoded PInst array and
  * layers the optimizing upgrades on top: profile-guided inlining of
@@ -12,13 +13,19 @@
  * already-established facts (aggregate walks, callee lookups) is
  * cached, and every cache guard falls back to the interpreter-identical
  * slow path on mismatch.
+ *
+ * A last linear pass stamps the stream for the threaded executor: each
+ * instruction gets its flat dispatch opcode (the superinstruction flags
+ * folded in, so the hot loop never re-tests them), superblock heads
+ * (function entry, every block entry and branch target, and the
+ * successor of every call/interpreter escape) get the batched step
+ * charge of their straight-line run, and recyclable alloca sites get a
+ * recycling slot.
  */
 
 #include "interp/tier2.h"
 
 #include <algorithm>
-
-#include "interp/tier3.h"
 
 namespace sulong
 {
@@ -66,6 +73,120 @@ isFusableProducer(Opcode op)
     }
 }
 
+/** Flat dispatch opcode for one pre-decoded instruction. */
+TOp
+topFor(const PInst &pi)
+{
+    const bool fl = (pi.flags & kPFuseLoad) != 0;
+    const bool fs = (pi.flags & kPFuseStore) != 0;
+    switch (pi.op) {
+      case Opcode::br:
+        return TOp::tBr;
+      case Opcode::condbr:
+        return TOp::tCondBr;
+      case Opcode::ret:
+        return pi.dest == -2 ? TOp::tRetVoid : TOp::tRet;
+      case Opcode::icmp:
+        if ((pi.flags & kPFuseCmpBr) != 0)
+            return fl ? TOp::tICmpLoadBr : TOp::tICmpBr;
+        return fl ? TOp::tICmpLoad : TOp::tICmp;
+      case Opcode::add: case Opcode::sub: case Opcode::mul:
+      case Opcode::sdiv: case Opcode::udiv: case Opcode::srem:
+      case Opcode::urem: case Opcode::and_: case Opcode::or_:
+      case Opcode::xor_: case Opcode::shl: case Opcode::lshr:
+      case Opcode::ashr:
+        return fl ? (fs ? TOp::tIArithLS : TOp::tIArithL)
+                  : (fs ? TOp::tIArithS : TOp::tIArith);
+      case Opcode::fadd: case Opcode::fsub: case Opcode::fmul:
+      case Opcode::fdiv: case Opcode::frem:
+        return fl ? (fs ? TOp::tFArithLS : TOp::tFArithL)
+                  : (fs ? TOp::tFArithS : TOp::tFArith);
+      case Opcode::fcmp:
+        return TOp::tFCmp;
+      case Opcode::gep:
+        return TOp::tGep;
+      case Opcode::load:
+        return TOp::tLoad;
+      case Opcode::store:
+        return TOp::tStore;
+      case Opcode::alloca_:
+        return TOp::tAlloca;
+      case Opcode::select:
+        return TOp::tSelect;
+      case Opcode::fneg:
+        return TOp::tFneg;
+      case Opcode::trunc:
+      case Opcode::sext:
+        return TOp::tTruncSext;
+      case Opcode::zext:
+        return TOp::tZext;
+      case Opcode::fptosi: case Opcode::fptoui: case Opcode::sitofp:
+      case Opcode::uitofp: case Opcode::fpext: case Opcode::fptrunc:
+        return TOp::tCastOther;
+      case Opcode::p2Move:
+        return TOp::tMove;
+      case Opcode::p2Ret:
+        return TOp::tInlineRet;
+      case Opcode::p2CallDirect:
+        return TOp::tCallDirect;
+      case Opcode::p2CallIndirect:
+        return TOp::tCallIndirect;
+      case Opcode::unreachable_:
+        return TOp::tUnreachable;
+      default:
+        // call, ptrtoint, inttoptr — the interpreter escape.
+        return TOp::tInterp;
+    }
+}
+
+/** Does this op end a superblock? Anything that branches, returns, or
+ *  hands control to another accounting domain (calls, interpreter
+ *  escapes) must be the last op of its superblock, so the head's batch
+ *  charge is exact at every point where steps can be observed. */
+bool
+endsSuperblock(TOp top)
+{
+    switch (top) {
+      case TOp::tBr:
+      case TOp::tCondBr:
+      case TOp::tRet:
+      case TOp::tRetVoid:
+      case TOp::tICmpBr:
+      case TOp::tICmpLoadBr:
+      case TOp::tInlineRet:
+      case TOp::tCallDirect:
+      case TOp::tCallIndirect:
+      case TOp::tInterp:
+      case TOp::tUnreachable:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Superblock enders that continue at the next instruction (the rest
+ *  jump, so their successor is only a head if something branches to
+ *  it). */
+bool
+fallsThrough(TOp top)
+{
+    return top == TOp::tCallDirect || top == TOp::tCallIndirect ||
+        top == TOp::tInterp;
+}
+
+/** Alloca types whose objects support resetForReuse(). */
+bool
+recyclableAlloca(const Type *type)
+{
+    if (type->isScalar())
+        return true;
+    if (type->isArray()) {
+        const Type *elem = type->elemType();
+        return elem->isInteger() || elem->isFloat() || elem->isPointer();
+    }
+    return false;
+}
+
 } // namespace
 
 /**
@@ -97,6 +218,7 @@ class Tier2Compiler
         emitBody(body, -1, nullptr, stack, 0);
         out_->frameSize_ = static_cast<uint32_t>(maxSlot_);
         markCachesAndElision();
+        stampDispatch();
         engine_.inlinedSites_ += out_->inlinedSites();
         return std::move(out_);
     }
@@ -601,6 +723,66 @@ class Tier2Compiler
         out_->slotRes_.assign(out_->frameSize_, SlotResolution{});
     }
 
+    /** Stamp dispatch opcodes, superblock charges, and alloca-recycling
+     *  sites onto the finished stream (see the file comment). */
+    void
+    stampDispatch()
+    {
+        std::vector<PInst> &code = out_->code_;
+        const size_t n = code.size();
+        for (PInst &pi : code) {
+            pi.top = topFor(pi);
+            if (pi.op == Opcode::alloca_ &&
+                recyclableAlloca(pi.src->accessType())) {
+                pi.allocaSite =
+                    static_cast<int32_t>(out_->allocaCache_.size());
+                out_->allocaCache_.emplace_back();
+            }
+        }
+
+        // Superblock heads: entry, block entries, branch targets, and the
+        // fall-through successor of every call/interpreter escape.
+        std::vector<char> head(n, 0);
+        head[0] = 1;
+        for (const auto &entry : out_->blockStart_)
+            head[static_cast<size_t>(entry.second)] = 1;
+        for (size_t i = 0; i < n; i++) {
+            const PInst &pi = code[i];
+            switch (pi.top) {
+              case TOp::tBr:
+              case TOp::tInlineRet:
+                head[static_cast<size_t>(pi.t0)] = 1;
+                break;
+              case TOp::tCondBr:
+              case TOp::tICmpBr:
+              case TOp::tICmpLoadBr:
+                head[static_cast<size_t>(pi.t0)] = 1;
+                head[static_cast<size_t>(pi.t1)] = 1;
+                break;
+              default:
+                break;
+            }
+            if (fallsThrough(pi.top) && i + 1 < n)
+                head[i + 1] = 1;
+        }
+
+        // Stamp each head with its straight-line run's charge. The walk
+        // partitions the stream: it stops at superblock enders, at the
+        // next head, and at the length cap (forcing a head there so no
+        // op is ever executed outside a charged superblock).
+        for (size_t h = 0; h < n; h++) {
+            if (head[h] == 0)
+                continue;
+            size_t j = h;
+            while (!endsSuperblock(code[j].top) && j + 1 < n &&
+                   head[j + 1] == 0 && j + 1 - h < kMaxSuperblockLen)
+                j++;
+            if (!endsSuperblock(code[j].top) && j + 1 < n)
+                head[j + 1] = 1; // length cap hit: next run starts a head
+            code[h].charge = static_cast<uint16_t>(j + 1 - h);
+        }
+    }
+
     const Function &fn_;
     ManagedEngine &engine_;
     std::unique_ptr<CompiledFunction> out_;
@@ -614,10 +796,6 @@ compileTier2(const Function &fn, ManagedEngine &engine)
 {
     return Tier2Compiler(fn, engine).compile();
 }
-
-// Out of line: Tier3Code is incomplete in tier2.h (tier3Owner_).
-CompiledFunction::CompiledFunction(const Function *fn) : fn_(fn) {}
-CompiledFunction::~CompiledFunction() = default;
 
 /** Walk an aggregate down to the leaf sub-object containing the access,
  *  running exactly the checks the uncached path runs (each resolveStep
@@ -667,7 +845,7 @@ CompiledFunction::fillAccessCache(AccessCache &cache, const StructObject *sobj,
 MValue
 CompiledFunction::loadAt(ManagedEngine &engine, const Address &addr,
                          const Instruction *src, int32_t ic,
-                         SlotResolution *sr, uint16_t *shape_miss)
+                         SlotResolution *sr)
 {
     if (addr.isNull())
         engine.raiseNullDeref(false, src->loc());
@@ -700,16 +878,12 @@ CompiledFunction::loadAt(ManagedEngine &engine, const Address &addr,
                     static_cast<int64_t>(size) <= cache.fieldSize) {
             if (engine.profiling_)
                 engine.telem_.elideShapeHits++;
-            if (shape_miss != nullptr)
-                *shape_miss = 0;
             return engine.loadFromObject(sobj->field(cache.fieldIndex),
                                          addr.offset - cache.fieldOffset,
                                          type);
         }
         if (engine.profiling_)
             engine.telem_.elideShapeMisses++;
-        if (shape_miss != nullptr)
-            ++*shape_miss;
         MValue v = engine.loadFromObject(obj, addr.offset, type);
         fillAccessCache(cache, sobj, addr.offset, size);
         return v;
@@ -739,8 +913,7 @@ CompiledFunction::loadAt(ManagedEngine &engine, const Address &addr,
 void
 CompiledFunction::storeAt(ManagedEngine &engine, const Address &addr,
                           const Instruction *src, const MValue &v,
-                          int32_t ic, SlotResolution *sr,
-                          uint16_t *shape_miss)
+                          int32_t ic, SlotResolution *sr)
 {
     if (addr.isNull())
         engine.raiseNullDeref(true, src->loc());
@@ -765,16 +938,12 @@ CompiledFunction::storeAt(ManagedEngine &engine, const Address &addr,
                     static_cast<int64_t>(size) <= cache.fieldSize) {
             if (engine.profiling_)
                 engine.telem_.elideShapeHits++;
-            if (shape_miss != nullptr)
-                *shape_miss = 0;
             engine.storeToObject(sobj->field(cache.fieldIndex),
                                  addr.offset - cache.fieldOffset, type, v);
             return;
         }
         if (engine.profiling_)
             engine.telem_.elideShapeMisses++;
-        if (shape_miss != nullptr)
-            ++*shape_miss;
         engine.storeToObject(obj, addr.offset, type, v);
         fillAccessCache(cache, sobj, addr.offset, size);
         return;
@@ -800,337 +969,6 @@ CompiledFunction::storeAt(ManagedEngine &engine, const Address &addr,
         return;
     }
     engine.storeToObject(obj, addr.offset, type, v);
-}
-
-
-MValue
-CompiledFunction::execute(ManagedEngine &engine,
-                          ManagedEngine::Frame &frame, size_t start_pc,
-                          bool allow_osr3)
-{
-    auto &slots = frame.slots;
-    if (slots.size() < frameSize_)
-        slots.resize(frameSize_); // OSR entry from an interpreter frame
-    const MValue *constants = constants_.data();
-    auto fetch = [&](const POperand &op) -> const MValue & {
-        return op.isSlot ? slots[static_cast<size_t>(op.index)]
-                         : constants[static_cast<size_t>(op.index)];
-    };
-    auto doFusedLoad = [&](const PInst &pi) {
-        SlotResolution *sr = (pi.flags & kPElideLoad) != 0
-            ? &slotRes_[static_cast<size_t>(pi.loadAddr.index)] : nullptr;
-        slots[static_cast<size_t>(pi.destLoad)] =
-            loadAt(engine, fetch(pi.loadAddr).a, pi.srcLoad, pi.icLoad, sr);
-    };
-    auto doFusedStore = [&](const PInst &pi, const MValue &v) {
-        SlotResolution *sr = (pi.flags & kPElideStore) != 0
-            ? &slotRes_[static_cast<size_t>(pi.c.index)] : nullptr;
-        // Stores mutate leaf contents, never aggregate layout, so they
-        // leave cached resolutions valid (no epoch bump).
-        storeAt(engine, fetch(pi.c).a, pi.srcStore, v, pi.icStore, sr);
-    };
-
-    ManagedEngine::FnProfile *prof =
-        engine.profiling_ ? engine.profileFor(fn_) : nullptr;
-    // Tier-3 OSR: count loop back-edges (branch targets at or before
-    // the current pc) and tier up mid-activation once hot. Branch
-    // targets are superblock heads, so any back-edge target is a valid
-    // tier-3 entry with the live frame as-is. Off while resuming from a
-    // tier-3 deopt (allow_osr3 == false) so the tiers can't ping-pong.
-    bool osr3 = allow_osr3 && engine.options_.enableTier3 &&
-        engine.options_.tier3Osr;
-    uint64_t backedges3 = 0;
-    auto osrTarget = [&](size_t target, size_t cur) -> Tier3Code * {
-        if (!osr3 || target > cur ||
-            ++backedges3 < engine.options_.tier3OsrThreshold)
-            return nullptr;
-        Tier3Code *t3 = engine.tier3ForOsr(fn_, this);
-        osr3 = false; // one shot: entered, or translation unavailable
-        return t3;
-    };
-    size_t pc = start_pc;
-    try {
-        while (true) {
-            const PInst &pi = code_[pc];
-            engine.step();
-            if (prof != nullptr)
-                prof->tier2Steps++;
-            switch (pi.op) {
-              case Opcode::br: {
-                size_t target = static_cast<size_t>(pi.t0);
-                if (Tier3Code *t3 = osrTarget(target, pc))
-                    return t3->execute(engine, frame, target);
-                pc = target;
-                continue;
-              }
-              case Opcode::condbr: {
-                size_t target = static_cast<size_t>(
-                    fetch(pi.a).i != 0 ? pi.t0 : pi.t1);
-                if (Tier3Code *t3 = osrTarget(target, pc))
-                    return t3->execute(engine, frame, target);
-                pc = target;
-                continue;
-              }
-              case Opcode::ret:
-                if (pi.dest == -2)
-                    return MValue{};
-                return fetch(pi.a);
-              case Opcode::icmp: {
-                if ((pi.flags & kPFuseLoad) != 0)
-                    doFusedLoad(pi);
-                bool out = ManagedEngine::evalICmp(
-                    static_cast<IntPred>(pi.pred), fetch(pi.a),
-                    fetch(pi.b));
-                if (pi.dest >= 0) {
-                    slots[static_cast<size_t>(pi.dest)] =
-                        MValue::makeInt(out ? 1 : 0, 1);
-                }
-                if ((pi.flags & kPFuseCmpBr) != 0) {
-                    size_t target =
-                        static_cast<size_t>(out ? pi.t0 : pi.t1);
-                    if (Tier3Code *t3 = osrTarget(target, pc))
-                        return t3->execute(engine, frame, target);
-                    pc = target;
-                    continue;
-                }
-                pc++;
-                continue;
-              }
-              case Opcode::fcmp: {
-                bool out = ManagedEngine::evalFCmp(
-                    static_cast<FloatPred>(pi.pred), fetch(pi.a),
-                    fetch(pi.b));
-                slots[static_cast<size_t>(pi.dest)] =
-                    MValue::makeInt(out ? 1 : 0, 1);
-                pc++;
-                continue;
-              }
-              case Opcode::add: case Opcode::sub: case Opcode::mul:
-              case Opcode::sdiv: case Opcode::udiv: case Opcode::srem:
-              case Opcode::urem: case Opcode::and_: case Opcode::or_:
-              case Opcode::xor_: case Opcode::shl: case Opcode::lshr:
-              case Opcode::ashr: {
-                if ((pi.flags & kPFuseLoad) != 0)
-                    doFusedLoad(pi);
-                int64_t out = ManagedEngine::evalIntBinOp(
-                    pi.op, fetch(pi.a), fetch(pi.b), pi.bits);
-                MValue res = MValue::makeInt(out, pi.bits);
-                slots[static_cast<size_t>(pi.dest)] = res;
-                if ((pi.flags & kPFuseStore) != 0)
-                    doFusedStore(pi, res);
-                pc++;
-                continue;
-              }
-              case Opcode::fadd: case Opcode::fsub: case Opcode::fmul:
-              case Opcode::fdiv: case Opcode::frem: {
-                if ((pi.flags & kPFuseLoad) != 0)
-                    doFusedLoad(pi);
-                double out = ManagedEngine::evalFloatBinOp(
-                    pi.op, fetch(pi.a), fetch(pi.b), pi.bits);
-                MValue res = MValue::makeFP(out, pi.bits);
-                slots[static_cast<size_t>(pi.dest)] = res;
-                if ((pi.flags & kPFuseStore) != 0)
-                    doFusedStore(pi, res);
-                pc++;
-                continue;
-              }
-              case Opcode::gep: {
-                const MValue &base = fetch(pi.a);
-                int64_t offset = pi.gepOff;
-                if (pi.b.isSlot || pi.gepScale != 0) {
-                    offset += fetch(pi.b).i *
-                        static_cast<int64_t>(pi.gepScale);
-                }
-                slots[static_cast<size_t>(pi.dest)] =
-                    MValue::makeAddr(base.a.withOffset(offset));
-                pc++;
-                continue;
-              }
-              case Opcode::load: {
-                SlotResolution *sr = (pi.flags & kPElideLoad) != 0
-                    ? &slotRes_[static_cast<size_t>(pi.a.index)] : nullptr;
-                slots[static_cast<size_t>(pi.dest)] =
-                    loadAt(engine, fetch(pi.a).a, pi.src, pi.icLoad, sr);
-                pc++;
-                continue;
-              }
-              case Opcode::store: {
-                SlotResolution *sr = (pi.flags & kPElideStore) != 0
-                    ? &slotRes_[static_cast<size_t>(pi.b.index)] : nullptr;
-                storeAt(engine, fetch(pi.b).a, pi.src, fetch(pi.a),
-                        pi.icStore, sr);
-                pc++;
-                continue;
-              }
-              case Opcode::alloca_:
-                slots[static_cast<size_t>(pi.dest)] = MValue::makeAddr(
-                    Address{engine.allocaObject(*pi.src), 0});
-                pc++;
-                continue;
-              case Opcode::select: {
-                const MValue &cond = fetch(pi.a);
-                slots[static_cast<size_t>(pi.dest)] =
-                    fetch(cond.i != 0 ? pi.b : pi.c);
-                pc++;
-                continue;
-              }
-              case Opcode::fneg:
-                slots[static_cast<size_t>(pi.dest)] =
-                    MValue::makeFP(-fetch(pi.a).f, pi.bits);
-                pc++;
-                continue;
-              case Opcode::trunc:
-              case Opcode::sext:
-                slots[static_cast<size_t>(pi.dest)] =
-                    MValue::makeInt(fetch(pi.a).i, pi.bits);
-                pc++;
-                continue;
-              case Opcode::zext:
-                slots[static_cast<size_t>(pi.dest)] = MValue::makeInt(
-                    static_cast<int64_t>(fetch(pi.a).zext()), pi.bits);
-                pc++;
-                continue;
-              case Opcode::fptosi:
-                slots[static_cast<size_t>(pi.dest)] = MValue::makeInt(
-                    ManagedEngine::satFptosi(fetch(pi.a).f), pi.bits);
-                pc++;
-                continue;
-              case Opcode::fptoui:
-                slots[static_cast<size_t>(pi.dest)] = MValue::makeInt(
-                    static_cast<int64_t>(
-                        ManagedEngine::satFptoui(fetch(pi.a).f)),
-                    pi.bits);
-                pc++;
-                continue;
-              case Opcode::sitofp:
-                slots[static_cast<size_t>(pi.dest)] = MValue::makeFP(
-                    static_cast<double>(fetch(pi.a).i), pi.bits);
-                pc++;
-                continue;
-              case Opcode::uitofp:
-                slots[static_cast<size_t>(pi.dest)] = MValue::makeFP(
-                    static_cast<double>(fetch(pi.a).zext()), pi.bits);
-                pc++;
-                continue;
-              case Opcode::fpext:
-                slots[static_cast<size_t>(pi.dest)] =
-                    MValue::makeFP(fetch(pi.a).f, 64);
-                pc++;
-                continue;
-              case Opcode::fptrunc:
-                slots[static_cast<size_t>(pi.dest)] =
-                    MValue::makeFP(fetch(pi.a).f, 32);
-                pc++;
-                continue;
-              case Opcode::p2Move:
-                slots[static_cast<size_t>(pi.dest)] = fetch(pi.a);
-                pc++;
-                continue;
-              case Opcode::p2Ret:
-                // Inlined return: move the value to the call's slot and
-                // jump to the continuation.
-                if (pi.dest >= 0)
-                    slots[static_cast<size_t>(pi.dest)] = fetch(pi.a);
-                pc = static_cast<size_t>(pi.t0);
-                continue;
-              case Opcode::p2CallDirect: {
-                CallSite &site = callSites_[static_cast<size_t>(
-                    pi.callSite)];
-                if (site.code == nullptr)
-                    site.code = engine.tier2CodeFor(site.callee, " (IC)");
-                std::vector<MValue> args;
-                args.reserve(site.args.size());
-                for (const POperand &op : site.args)
-                    args.push_back(fetch(op));
-                MValue v = engine.callCompiled(site.callee, site.code,
-                                               std::move(args));
-                if (pi.dest >= 0)
-                    slots[static_cast<size_t>(pi.dest)] = std::move(v);
-                pc++;
-                continue;
-              }
-              case Opcode::p2CallIndirect: {
-                CallSite &site = callSites_[static_cast<size_t>(
-                    pi.callSite)];
-                const MValue &target = fetch(pi.a);
-                // Guard mirrors the interpreter's dispatch exactly; any
-                // miss or special case drops to the interpreter path.
-                if (target.kind == MValue::Kind::addrV &&
-                    !target.a.isNull() &&
-                    target.a.pointee->kind() ==
-                        ObjectKind::functionObject &&
-                    site.cachedFnId != kICMegamorphic) {
-                    uint32_t id = static_cast<const FunctionObject *>(
-                        target.a.pointee.get())->fnId();
-                    uint32_t cachedBefore = site.cachedFnId;
-                    if (site.cachedFnId == kICEmpty) {
-                        const Function *fn = engine.module_->functionById(id);
-                        if (fn != nullptr && !fn->isDeclaration() &&
-                            !fn->isVarArg() &&
-                            fn->numArgs() == site.args.size()) {
-                            site.callee = fn;
-                            site.code = engine.tier2CodeFor(fn, " (IC)");
-                            site.cachedFnId = id;
-                            if (engine.profiling_)
-                                engine.telem_.icToMono++;
-                        } else {
-                            site.cachedFnId = kICMegamorphic;
-                            if (engine.profiling_)
-                                engine.telem_.icToMega++;
-                        }
-                    } else if (site.cachedFnId != id) {
-                        site.cachedFnId = kICMegamorphic; // polymorphic
-                        if (engine.profiling_)
-                            engine.telem_.icToMega++;
-                    }
-                    if (site.cachedFnId == id) {
-                        if (engine.profiling_ && cachedBefore == id)
-                            engine.telem_.icHits++;
-                        std::vector<MValue> args;
-                        args.reserve(site.args.size());
-                        for (const POperand &op : site.args)
-                            args.push_back(fetch(op));
-                        MValue v = engine.callCompiled(site.callee,
-                                                       site.code,
-                                                       std::move(args));
-                        if (pi.dest >= 0) {
-                            slots[static_cast<size_t>(pi.dest)] =
-                                std::move(v);
-                        }
-                        pc++;
-                        continue;
-                    }
-                }
-                MValue v = engine.execInstruction(*pi.src, frame);
-                if (pi.dest >= 0)
-                    slots[static_cast<size_t>(pi.dest)] = std::move(v);
-                pc++;
-                continue;
-              }
-              case Opcode::unreachable_:
-                throw EngineError("reached 'unreachable' in " +
-                                  fn_->name());
-              default: {
-                // Remaining calls, ptrtoint/inttoptr: share the
-                // interpreter path so semantics (mementos, varargs,
-                // pinning) stay identical.
-                MValue v = engine.execInstruction(*pi.src, frame);
-                if (pi.src->slot() >= 0) {
-                    slots[static_cast<size_t>(pi.src->slot())] =
-                        std::move(v);
-                }
-                pc++;
-                continue;
-              }
-            }
-        }
-    } catch (MemoryErrorException &error) {
-        // Spliced code keeps its callee's instructions, so the site
-        // names where the bug lives, not where the compiler put it.
-        ManagedEngine::noteBugSite(
-            error.report(), faultSite(code_[pc], error.report().access));
-        throw;
-    }
 }
 
 } // namespace sulong

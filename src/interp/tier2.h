@@ -12,6 +12,21 @@
  * the remaining monomorphic sites, and a redundant-check elision pass
  * that caches pointee resolution per address slot and per access site.
  *
+ * The stream runs on a direct-threaded executor: every instruction
+ * carries a dense dispatch opcode (TOp, threaded.h) so the executor
+ * jumps handler-to-handler through a computed-goto label table (or a
+ * portable switch) instead of re-decoding flags every step. Straight-
+ * line runs are fused into *superblocks*: maximal single-entry runs that
+ * end at any branch, return, call, or interpreter escape. The head
+ * charges the whole run's step count against the ResourceGuard at once;
+ * every op still executes individually with every check — fusion
+ * batches *accounting*, never semantics. An exception mid-superblock
+ * returns the not-yet-executed remainder with uncharge(), and a batch
+ * the guard refuses (it would cross the step limit) switches the
+ * activation to op-by-op charging, so executedSteps() equals the
+ * per-op count on every path and the limit trips on exactly the
+ * instruction where tier-1 stops.
+ *
  * All checks of the managed object model remain in place: like Graal,
  * this tier optimizes under safe semantics and can never optimize a bug
  * away (paper Sections 3.1/3.4). Elision only short-circuits the
@@ -25,6 +40,7 @@
 #include <unordered_map>
 
 #include "interp/managed_engine.h"
+#include "interp/threaded.h"
 
 namespace sulong
 {
@@ -57,9 +73,14 @@ enum : uint8_t
 struct PInst
 {
     Opcode op = Opcode::unreachable_;
+    /// Flat dispatch opcode (op with the fusion flags folded in).
+    TOp top = TOp::tInterp;
     uint8_t bits = 32;
     uint8_t pred = 0;
     uint8_t flags = 0;
+    /// Superblock length in ops, charged at once on entry; 0 on
+    /// non-head instructions (already covered by their head's charge).
+    uint16_t charge = 0;
     int32_t dest = -1;     ///< result slot (-1 none, -2 void-return)
     int32_t destLoad = -1; ///< fused load's own result slot
     int32_t t0 = 0;
@@ -73,11 +94,19 @@ struct PInst
     int32_t icLoad = -1;   ///< access-cache index of the (fused) load
     int32_t icStore = -1;  ///< access-cache index of the (fused) store
     int32_t callSite = -1; ///< call-site index of p2Call* ops
+    /// Index into CompiledFunction::allocaCache_ for recyclable alloca
+    /// sites (scalar and primitive-array locals); -1 when the site's
+    /// type has no reset support and must always allocate afresh.
+    int32_t allocaSite = -1;
     /// Original instruction (loc, access type, call site, fallback).
     const Instruction *src = nullptr;
     const Instruction *srcLoad = nullptr;  ///< fused preceding load
     const Instruction *srcStore = nullptr; ///< fused following store
 };
+
+/// Superblock length cap (PInst::charge is uint16_t; also bounds the
+/// step-accounting granularity the guard sees in one batch).
+constexpr size_t kMaxSuperblockLen = 1024;
 
 /// Inline-cache states of an indirect call site.
 constexpr uint32_t kICEmpty = ~0u;
@@ -136,29 +165,24 @@ faultSite(const PInst &pi, AccessKind access)
     return *pi.src;
 }
 
-class Tier3Code;
-
 /**
  * A tier-2 compiled function body.
  */
 class CompiledFunction
 {
   public:
-    // Ctor/dtor out of line: Tier3Code is incomplete here (tier3Owner_).
-    explicit CompiledFunction(const Function *fn);
-    ~CompiledFunction();
+    explicit CompiledFunction(const Function *fn) : fn_(fn) {}
 
     /**
-     * Execute on the given frame (same semantics as the interpreter).
-     * @param start_pc  pre-decoded index to begin at — block entries
-     *                  only; used by on-stack replacement to enter
+     * Execute on the given frame (same semantics as the interpreter)
+     * through the direct-threaded executor (threaded.cc).
+     * @param start_pc  pre-decoded index to begin at — function entry
+     *                  or a block entry (both superblock heads); block
+     *                  entries let tier-1 on-stack replacement enter
      *                  mid-function with the interpreter's live frame.
-     * @param allow_osr3  count loop back-edges and OSR into tier-3 when
-     *                  hot; off when tier-3 itself resumes here after a
-     *                  deopt (no ping-pong re-entry).
      */
     MValue execute(ManagedEngine &engine, ManagedEngine::Frame &frame,
-                   size_t start_pc = 0, bool allow_osr3 = true);
+                   size_t start_pc = 0);
 
     size_t codeSize() const { return code_.size(); }
 
@@ -177,24 +201,20 @@ class CompiledFunction
 
   private:
     friend class Tier2Compiler;
-    friend class Tier3Code;
-    friend class ManagedEngine;
-    friend std::unique_ptr<Tier3Code>
-    translateTier3(const Function &fn, CompiledFunction &t2,
-                   ManagedEngine &engine);
 
-    /**
-     * Checked load/store through the elision caches. @p shape_miss,
-     * when given, tracks the access site's consecutive shape-cache miss
-     * streak (reset on a hit) so tier-3 can deopt a site that went
-     * polymorphic; tier-2 itself never needs it.
-     */
+    /** The threaded dispatch loop. @p kPerOp charges every op on its
+     *  own instead of per superblock; a batched activation switches to
+     *  it when the guard refuses a batch that would cross the limit. */
+    template <bool kPerOp>
+    MValue run(ManagedEngine &engine, ManagedEngine::Frame &frame,
+               size_t start_pc);
+
+    /** Checked load/store through the elision caches. */
     MValue loadAt(ManagedEngine &engine, const Address &addr,
-                  const Instruction *src, int32_t ic, SlotResolution *sr,
-                  uint16_t *shape_miss = nullptr);
+                  const Instruction *src, int32_t ic, SlotResolution *sr);
     void storeAt(ManagedEngine &engine, const Address &addr,
                  const Instruction *src, const MValue &v, int32_t ic,
-                 SlotResolution *sr, uint16_t *shape_miss = nullptr);
+                 SlotResolution *sr);
     static ManagedObject *resolveLeaf(ManagedObject *obj, int64_t offset,
                                       unsigned size, bool is_write,
                                       int64_t &leaf_offset);
@@ -210,17 +230,12 @@ class CompiledFunction
     std::vector<CallSite> callSites_;
     std::vector<AccessCache> accessCaches_;
     std::vector<SlotResolution> slotRes_;
+    /// Per recyclable alloca site: the object most recently handed out.
+    /// When its refcount drops back to 1 (only this cache holds it), the
+    /// local provably died without escaping and the next execution of
+    /// the site resets and reuses it instead of allocating.
+    std::vector<ObjRef> allocaCache_;
     unsigned inlinedSites_ = 0;
-
-    // --- tier-3 state (owned here so the hot lookup is one load) ---
-    /// Tier-2 activations since the last (re)translation; crossing
-    /// ManagedOptions::tier3Threshold triggers tier-3 translation.
-    uint32_t activations_ = 0;
-    /// Times tier-3 code for this function was invalidated; two strikes
-    /// bar the function from retranslation (megamorphism is sticky).
-    uint8_t tier3Fails_ = 0;
-    Tier3Code *tier3_ = nullptr; ///< hot pointer (null = not translated)
-    std::unique_ptr<Tier3Code> tier3Owner_;
 };
 
 /** Pre-decode @p fn (resolving globals through the engine's state). */

@@ -262,8 +262,8 @@ class ManagedObject
     long refCount() const { return refs_; }
 
     /**
-     * Restore the object to its just-allocated state so a tier-3 alloca
-     * site can recycle it instead of allocating afresh. Only legal when
+     * Restore the object to its just-allocated state so a compiled
+     * alloca site can recycle it instead of allocating afresh. Only legal when
      * the caller holds the sole reference (refCount() == 1), so no live
      * pointer can observe the recycled identity. Returns false when the
      * object cannot be reset (freed, or a kind without support); the

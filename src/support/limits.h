@@ -119,11 +119,11 @@ class ResourceGuard
     }
 
     /**
-     * Charge a batch of @p n instructions at once (tier-3 superblock
+     * Charge a batch of @p n instructions at once (compiled superblock
      * heads). Returns false — charging *nothing* — when the batch would
      * cross the step limit: the caller must fall back to per-step
-     * accounting (deopt to a per-op tier) so the limit trips at exactly
-     * the same instruction as tier-1/tier-2 would trip it. Polls
+     * accounting so the limit trips at exactly the same instruction as
+     * tier-1 would trip it. Polls
      * interrupts when the batch crosses a 4096-step boundary, matching
      * onStep's cadence.
      */
@@ -141,7 +141,7 @@ class ResourceGuard
     }
 
     /// Return @p n not-yet-executed instructions from a batch charged
-    /// with onSteps (exception or deopt mid-superblock).
+    /// with onSteps (exception mid-superblock).
     void uncharge(uint64_t n) { steps_ -= n; }
 
     /// Guest call entry/exit (the host interpreter recurses with it).

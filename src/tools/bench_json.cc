@@ -22,12 +22,7 @@ managedConfigString(const ManagedOptions &options)
        << " inlining=" << (options.enableInlining ? "on" : "off")
        << " inline-budget=" << options.inlineBudget
        << " inline-min=" << options.inlineSiteMin
-       << " check-elision=" << (options.enableCheckElision ? "on" : "off")
-       << " tier3=" << (options.enableTier3 ? "on" : "off")
-       << " tier3-threshold=" << options.tier3Threshold
-       << " fusion=" << (options.enableFusion ? "on" : "off")
-       << " tier3-osr=" << (options.tier3Osr ? "on" : "off")
-       << " tier3-osr-threshold=" << options.tier3OsrThreshold;
+       << " check-elision=" << (options.enableCheckElision ? "on" : "off");
     return os.str();
 }
 
@@ -45,43 +40,6 @@ writeBenchJson(const std::string &path,
            << "\", \"config\": \"" << jsonEscape(r.config)
            << "\", \"ns_per_op\": " << r.nsPerOp
            << ", \"steps_per_op\": " << r.stepsPerOp << "}";
-    }
-    os << "\n  ]\n}\n";
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    std::string text = os.str();
-    size_t written = std::fwrite(text.data(), 1, text.size(), f);
-    bool ok = written == text.size();
-    return std::fclose(f) == 0 && ok;
-}
-
-bool
-writeTier3BenchJson(const std::string &path,
-                    const std::vector<Tier3Record> &records)
-{
-    std::ostringstream os;
-    os.precision(15);
-    os << "{\n  \"schema\": \"BENCH_tier3.json/v1\",\n  \"records\": [";
-    for (size_t i = 0; i < records.size(); i++) {
-        const Tier3Record &r = records[i];
-        double speedup =
-            r.tier3NsPerOp > 0 ? r.tier2NsPerOp / r.tier3NsPerOp : 0;
-        os << (i ? "," : "") << "\n    {\"bench\": \"" << jsonEscape(r.bench)
-           << "\", \"config\": \"" << jsonEscape(r.config)
-           << "\", \"tier2_ns_per_op\": " << r.tier2NsPerOp
-           << ", \"tier3_ns_per_op\": " << r.tier3NsPerOp
-           << ", \"speedup\": " << speedup
-           << ", \"tier2_steps\": " << r.tier2Steps
-           << ", \"tier3_steps\": " << r.tier3Steps
-           << ", \"t3_compiles\": " << r.compiles
-           << ", \"t3_superblocks\": " << r.superblocks
-           << ", \"t3_osr_entries\": " << r.osrEntries
-           << ", \"t3_deopt_mega\": " << r.deoptMega
-           << ", \"t3_deopt_shape\": " << r.deoptShape
-           << ", \"t3_deopt_steps\": " << r.deoptSteps
-           << ", \"t3_deopt_bug\": " << r.deoptBug << "}";
     }
     os << "\n  ]\n}\n";
 

@@ -36,32 +36,7 @@ struct BenchRecord
     uint64_t stepsPerOp = 0;
 };
 
-/** One A/B measurement of tier-3 against tier-2 on the same workload
- *  (same binary, same process), for the BENCH_tier3.json/v1 schema. */
-struct Tier3Record
-{
-    /// Benchmark name, e.g. "fig16.calltower".
-    std::string bench;
-    /// Configuration summary of the tier-3 run (see managedConfigString).
-    std::string config;
-    double tier2NsPerOp = 0;
-    double tier3NsPerOp = 0;
-    /// IR instructions retired by one (identical) run under each mode;
-    /// the gate fails when they differ — tier-3 must do the same guest
-    /// work it merely dispatches faster.
-    uint64_t tier2Steps = 0;
-    uint64_t tier3Steps = 0;
-    // Tier-3 telemetry summed over every run of the tier-3 arm.
-    uint64_t compiles = 0;
-    uint64_t superblocks = 0;
-    uint64_t osrEntries = 0;
-    uint64_t deoptMega = 0;
-    uint64_t deoptShape = 0;
-    uint64_t deoptSteps = 0;
-    uint64_t deoptBug = 0;
-};
-
-/** One-line summary of the tier-2/tier-3 knobs, stable across runs. */
+/** One-line summary of the tier-2 knobs, stable across runs. */
 std::string managedConfigString(const ManagedOptions &options);
 
 /**
@@ -71,15 +46,6 @@ std::string managedConfigString(const ManagedOptions &options);
  */
 bool writeBenchJson(const std::string &path,
                     const std::vector<BenchRecord> &records);
-
-/**
- * Write @p records to @p path in the BENCH_tier3.json/v1 schema:
- * `{"schema": "BENCH_tier3.json/v1", "records": [...]}` with per-record
- * speedup and tier-3 event counters (consumed by `bench_gate.py tier3`).
- * @return false when the file could not be written.
- */
-bool writeTier3BenchJson(const std::string &path,
-                         const std::vector<Tier3Record> &records);
 
 } // namespace sulong
 

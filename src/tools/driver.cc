@@ -303,26 +303,28 @@ takeFlag(const FlagSpec &spec, int argc, char **argv, int &i)
  * `--no-tier*` flag used to be silently ignored (and so silently
  * benchmarked the wrong configuration). Unknown spellings and value
  * flags without a value are usage errors, in parity with how
- * parseUint64Strict already rejects malformed values.
+ * parseUint64Strict already rejects malformed values. `--no-fusion`
+ * is gated too: it was a tier flag once, and a stale use must not
+ * silently run the default configuration.
  */
 void
 validateTierFlags(int argc, char **argv)
 {
-    static const FlagSpec spec{
-        {"--no-tier2", "--no-tier3", "--no-tier3-osr"},
-        {"--tier2-threshold", "--tier3-threshold", "--tier3-osr-threshold"},
-    };
+    static const FlagSpec spec{{"--no-tier2"}, {"--tier2-threshold"}};
+    static const char *const prefixes[] = {"--tier", "--no-tier",
+                                           "--no-fusion"};
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
-        if (std::strncmp(arg, "--tier", 6) != 0 &&
-            std::strncmp(arg, "--no-tier", 9) != 0)
+        bool gated = false;
+        for (const char *prefix : prefixes)
+            gated = gated || std::strncmp(arg, prefix,
+                                          std::strlen(prefix)) == 0;
+        if (!gated)
             continue;
         if (!takeFlag(spec, argc, argv, i)) {
             std::fprintf(stderr,
                          "error: unknown flag '%s' (known tier flags: "
-                         "--no-tier2, --tier2-threshold, --no-tier3, "
-                         "--tier3-threshold, --no-tier3-osr, "
-                         "--tier3-osr-threshold)\n", arg);
+                         "--no-tier2, --tier2-threshold)\n", arg);
             std::exit(2);
         }
     }
@@ -394,6 +396,16 @@ limitFlagSpec()
     return spec;
 }
 
+const FlagSpec &
+obsFlagSpec()
+{
+    static const FlagSpec spec{
+        {"--stats"},
+        {"--trace-out", "--metrics-json", "--metrics-expo"},
+    };
+    return spec;
+}
+
 void
 rejectUnknownFlags(int argc, char **argv,
                    std::initializer_list<const FlagSpec *> specs)
@@ -429,16 +441,6 @@ parseManagedFlags(int argc, char **argv, ManagedOptions base)
         static_cast<uint64_t>(static_cast<int64_t>(base.inlineSiteMin))));
     if (hasFlag(argc, argv, "no-check-elision"))
         base.enableCheckElision = false;
-    if (hasFlag(argc, argv, "no-tier3"))
-        base.enableTier3 = false;
-    base.tier3Threshold = static_cast<unsigned>(parseUint64Flag(
-        argc, argv, "tier3-threshold", base.tier3Threshold));
-    if (hasFlag(argc, argv, "no-fusion"))
-        base.enableFusion = false;
-    if (hasFlag(argc, argv, "no-tier3-osr"))
-        base.tier3Osr = false;
-    base.tier3OsrThreshold = static_cast<unsigned>(parseUint64Flag(
-        argc, argv, "tier3-osr-threshold", base.tier3OsrThreshold));
     return base;
 }
 

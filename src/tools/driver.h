@@ -195,6 +195,8 @@ struct FlagSpec
 const FlagSpec &analysisFlagSpec();
 /// The flags parseLimitFlags() reads.
 const FlagSpec &limitFlagSpec();
+/// The flags parseObsFlags() reads.
+const FlagSpec &obsFlagSpec();
 
 /**
  * Strict usage check for a tool that knows its whole command line:

@@ -79,35 +79,42 @@ parseFlags(std::vector<std::string> args)
 
 TEST(DriverTest, TierFlagsParse)
 {
-    ManagedOptions opts = parseFlags(
-        {"--tier2-threshold", "9", "--no-fusion", "--tier3-threshold=7",
-         "--no-tier3-osr", "--tier3-osr-threshold=123"});
+    ManagedOptions opts = parseFlags({"--tier2-threshold", "9"});
     EXPECT_EQ(opts.compileThreshold, 9u);
-    EXPECT_FALSE(opts.enableFusion);
-    EXPECT_EQ(opts.tier3Threshold, 7u);
-    EXPECT_FALSE(opts.tier3Osr);
-    EXPECT_EQ(opts.tier3OsrThreshold, 123u);
-    EXPECT_TRUE(opts.enableTier3);
-    EXPECT_FALSE(parseFlags({"--no-tier3"}).enableTier3);
+    EXPECT_TRUE(opts.enableTier2);
+    EXPECT_EQ(parseFlags({"--tier2-threshold=7"}).compileThreshold, 7u);
     EXPECT_FALSE(parseFlags({"--no-tier2"}).enableTier2);
+}
+
+TEST(DriverTest, RemovedTierFlagsAreUsageErrors)
+{
+    // The tier-3 knobs are gone with tier-3 itself; a stale use must
+    // fail loudly instead of silently running the default engine.
+    for (const char *flag :
+         {"--no-tier3", "--tier3-threshold=7", "--no-tier3-osr",
+          "--tier3-osr-threshold=123", "--no-fusion"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_EXIT(parseFlags({flag}), ::testing::ExitedWithCode(2),
+                    "unknown flag");
+    }
+    EXPECT_EXIT(parseFlags({"--tier3-threshold", "7"}),
+                ::testing::ExitedWithCode(2), "unknown flag");
 }
 
 TEST(DriverTest, MisspelledTierFlagIsUsageError)
 {
     // A typo'd tier flag used to be silently ignored — and silently
     // benchmarked the wrong configuration. Now it is a usage error.
-    EXPECT_EXIT(parseFlags({"--tier3-treshold", "7"}),
+    EXPECT_EXIT(parseFlags({"--tier2-treshold", "7"}),
                 ::testing::ExitedWithCode(2), "unknown flag");
     EXPECT_EXIT(parseFlags({"--no-tier4"}),
                 ::testing::ExitedWithCode(2), "unknown flag");
-    EXPECT_EXIT(parseFlags({"--tier3_threshold=7"}),
+    EXPECT_EXIT(parseFlags({"--tier2_threshold=7"}),
                 ::testing::ExitedWithCode(2), "unknown flag");
 }
 
 TEST(DriverTest, TierValueFlagWithoutValueIsUsageError)
 {
-    EXPECT_EXIT(parseFlags({"--tier3-threshold"}),
-                ::testing::ExitedWithCode(2), "requires a value");
     EXPECT_EXIT(parseFlags({"--tier2-threshold"}),
                 ::testing::ExitedWithCode(2), "requires a value");
 }

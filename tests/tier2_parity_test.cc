@@ -1,18 +1,25 @@
 /**
  * @file
- * Tier-1 vs tier-2 parity: the optimizing tier (inlining, call inline
- * caches, superinstruction fusion, redundant-check elision) must be
+ * Tier-1 vs tier-2 parity: the compiled tier (inlining, call inline
+ * caches, superinstruction fusion, redundant-check elision, threaded
+ * dispatch with batched superblock step charging, OSR entry) must be
  * observationally identical to the plain interpreter — same stdout,
  * same stderr, same exit code, and for buggy programs the same bug
  * kind, attributed function, faulting site, and detail text. This is
  * the paper's core guarantee ("the compiler cannot optimize a bug
  * away") stated as a differential test over the whole bug corpus, the
  * benchmark programs, and targeted struct/pointer-heavy snippets.
+ *
+ * Step accounting is tested without a per-op twin: the eager
+ * configuration's retired-step totals are pinned, and a step-limit
+ * sweep checks that batched charging trips the limit on exactly the
+ * instruction where per-op charging would (executedSteps() == L + 1).
  */
 
 #include "test_util.h"
 
 #include "corpus/corpus.h"
+#include "interp/managed_engine.h"
 #include "tools/benchmark_programs.h"
 
 namespace sulong
@@ -20,15 +27,26 @@ namespace sulong
 namespace
 {
 
-/** The tier-2 configurations that must all match pure interpretation. */
-std::vector<std::pair<std::string, ToolConfig>>
-tier2Variants()
+/** Eager tiering so even one-shot corpus programs run compiled, with
+ *  every eligible call site inlined. */
+ToolConfig
+eagerTier2()
 {
-    std::vector<std::pair<std::string, ToolConfig>> variants;
+    ToolConfig config = ToolConfig::make(ToolKind::safeSulong);
+    config.managed.compileThreshold = 0;
+    config.managed.inlineSiteMin = 0;
+    return config;
+}
 
-    ToolConfig eager = ToolConfig::make(ToolKind::safeSulong);
-    eager.managed.compileThreshold = 0;
-    eager.managed.inlineSiteMin = 0;
+using Variants = std::vector<std::pair<std::string, ToolConfig>>;
+
+/** The eager configurations: every function compiled on first call. */
+Variants
+eagerVariants()
+{
+    Variants variants;
+
+    ToolConfig eager = eagerTier2();
     variants.emplace_back("tier2-eager+inline+elision", eager);
 
     ToolConfig no_elision = eager;
@@ -42,22 +60,82 @@ tier2Variants()
     return variants;
 }
 
+/** Reaching compiled code the way a real run does: after call-count
+ *  warm-up, or mid-loop through OSR at a back-edge. */
+Variants
+warmupVariants()
+{
+    ToolConfig warm = ToolConfig::make(ToolKind::safeSulong);
+    warm.managed.compileThreshold = 2;
+    warm.managed.enableOsr = true;
+    warm.managed.osrThreshold = 100;
+    return {{"tier2 via warm-up thresholds and OSR", warm}};
+}
+
+/** The tier-2 configurations that must all match pure interpretation. */
+Variants
+tier2Variants()
+{
+    Variants variants = eagerVariants();
+    for (auto &variant : warmupVariants())
+        variants.push_back(std::move(variant));
+    return variants;
+}
+
+/** One run plus the engine-side observations the tests judge. */
+struct TieredRun
+{
+    ExecutionResult result;
+    uint64_t steps = 0;
+    unsigned compiledFunctions = 0;
+    std::vector<CompileEvent> compileEvents;
+};
+
+TieredRun
+runTiered(const ToolConfig &config, const std::string &source,
+          const std::vector<std::string> &args = {},
+          uint64_t max_steps = 0)
+{
+    PreparedProgram prepared = prepareProgram(source, config);
+    TieredRun out;
+    if (!prepared.ok()) {
+        out.result.bug.kind = ErrorKind::engineError;
+        out.result.bug.detail = prepared.compileErrors;
+        return out;
+    }
+    prepared.engine->limits().maxSteps = max_steps;
+    out.result = prepared.run(args);
+    auto *managed = dynamic_cast<ManagedEngine *>(prepared.engine.get());
+    out.steps = managed->executedSteps();
+    out.compiledFunctions = managed->tier2Functions();
+    out.compileEvents = managed->compileEvents();
+    return out;
+}
+
+/** Plain tier-1 interpretation: the reference every tier must match. */
+ToolConfig
+tier1Only()
+{
+    ToolConfig config = ToolConfig::make(ToolKind::safeSulong);
+    config.managed.enableTier2 = false;
+    return config;
+}
+
 void
 expectParity(const std::string &label, const std::string &source,
              const std::vector<std::string> &args = {},
-             const std::string &stdin_data = "")
+             const std::string &stdin_data = "",
+             const Variants &variants = tier2Variants())
 {
-    ToolConfig tier1 = ToolConfig::make(ToolKind::safeSulong);
-    tier1.managed.enableTier2 = false;
     ExecutionResult reference =
-        runUnderTool(source, tier1, args, stdin_data);
+        runUnderTool(source, tier1Only(), args, stdin_data);
     const BugReport &bug = reference.bug;
     if (bug.kind != ErrorKind::none && bug.kind != ErrorKind::engineError) {
         EXPECT_TRUE(bug.blockIndex.has_value() && bug.instIndex.has_value())
             << label << ": memory-error report without a site";
     }
 
-    for (const auto &[name, config] : tier2Variants()) {
+    for (const auto &[name, config] : variants) {
         ExecutionResult result =
             runUnderTool(source, config, args, stdin_data);
         SCOPED_TRACE(label + " under " + name);
@@ -76,7 +154,18 @@ expectParity(const std::string &label, const std::string &source,
 TEST(Tier2ParityTest, WholeBugCorpus)
 {
     for (const CorpusEntry &entry : bugCorpus())
-        expectParity(entry.id, entry.source, entry.args, entry.stdinData);
+        expectParity(entry.id, entry.source, entry.args, entry.stdinData,
+                     eagerVariants());
+}
+
+TEST(Tier2ParityTest, WholeBugCorpusViaWarmupAndOsr)
+{
+    // Corpus programs that enter compiled code part-way through — a
+    // function after its second call, a loop at its 100th back-edge —
+    // must report exactly what the interpreter reports.
+    for (const CorpusEntry &entry : bugCorpus())
+        expectParity(entry.id, entry.source, entry.args, entry.stdinData,
+                     warmupVariants());
 }
 
 struct BenchmarkCase
@@ -238,6 +327,180 @@ TEST(Tier2ParityTest, UninitReadDetectionUnaffectedByElision)
         EXPECT_EQ(result.bug.blockIndex, reference.bug.blockIndex);
         EXPECT_EQ(result.bug.instIndex, reference.bug.instIndex);
     }
+}
+
+/// Retired steps of the eager configuration on the two call- and
+/// pointer-heavy benchmarks at their reduced sizes. Batched superblock
+/// charging must add up to exactly the per-op total; these are the
+/// totals the per-op executor retired before batching was the only
+/// compiled path.
+constexpr uint64_t kCalltowerEagerSteps = 242859;
+constexpr uint64_t kPointerchaseEagerSteps = 469797;
+
+TEST(Tier2ParityTest, CalltowerAcrossAblations)
+{
+    const BenchmarkProgram *program = findBenchmark("calltower");
+    ASSERT_NE(program, nullptr);
+    expectParity(program->name, program->source, {"2000"});
+    TieredRun run = runTiered(eagerTier2(), program->source, {"2000"});
+    EXPECT_TRUE(run.result.ok()) << run.result.bug.toString();
+    EXPECT_EQ(run.steps, kCalltowerEagerSteps);
+}
+
+TEST(Tier2ParityTest, PointerchaseAcrossAblations)
+{
+    const BenchmarkProgram *program = findBenchmark("pointerchase");
+    ASSERT_NE(program, nullptr);
+    expectParity(program->name, program->source, {"40"});
+    TieredRun run = runTiered(eagerTier2(), program->source, {"40"});
+    EXPECT_TRUE(run.result.ok()) << run.result.bug.toString();
+    EXPECT_EQ(run.steps, kPointerchaseEagerSteps);
+}
+
+TEST(Tier2ParityTest, EagerConfigActuallyCompiles)
+{
+    // Guard against the parity suite going vacuous: the eager config
+    // must compile and inline on a hot call-heavy workload.
+    const BenchmarkProgram *program = findBenchmark("calltower");
+    ASSERT_NE(program, nullptr);
+    PreparedProgram prepared = prepareProgram(program->source, eagerTier2());
+    ASSERT_TRUE(prepared.ok());
+    ExecutionResult result = prepared.run({"2000"});
+    EXPECT_TRUE(result.ok()) << result.bug.toString();
+    auto *managed = dynamic_cast<ManagedEngine *>(prepared.engine.get());
+    EXPECT_GT(managed->tier2Functions(), 0u);
+    EXPECT_GT(managed->inlinedSites(), 0u);
+}
+
+TEST(Tier2ParityTest, StepLimitSweepMatchesPerOpCharging)
+{
+    // Every limit below the total must stop the run on the instruction
+    // per-op charging stops on: the step that crosses the limit is
+    // counted and refused, so executedSteps() reads L + 1. Most limits
+    // land inside a superblock whose batch the guard then refuses.
+    const BenchmarkProgram *program = findBenchmark("calltower");
+    ASSERT_NE(program, nullptr);
+    const uint64_t total = kCalltowerEagerSteps;
+    for (uint64_t k = 1; k <= 20; k++) {
+        uint64_t limit = total * k / 21 + k * 7919 % 97;
+        SCOPED_TRACE("max steps " + std::to_string(limit));
+        TieredRun run =
+            runTiered(eagerTier2(), program->source, {"2000"}, limit);
+        EXPECT_EQ(run.result.termination, TerminationKind::stepLimit);
+        EXPECT_EQ(run.steps, limit + 1);
+    }
+    TieredRun exact =
+        runTiered(eagerTier2(), program->source, {"2000"}, total);
+    EXPECT_TRUE(exact.result.ok()) << exact.result.terminationDetail;
+    EXPECT_EQ(exact.steps, total);
+}
+
+TEST(Tier2ParityTest, MegamorphicCallMidSuperblockRunsInPlace)
+{
+    // An indirect call site that cycles through four targets goes
+    // megamorphic, and one target faults once its argument grows. The
+    // compiled code keeps running through the interpreter's generic
+    // call path at that site: output, bug, and site match tier-1.
+    const char *src = R"(
+        typedef int (*fn)(int);
+        static int tab[4] = {1, 2, 3, 4};
+        static int f0(int x) { return x + 1; }
+        static int f1(int x) { return x + 2; }
+        static int f2(int x) { return x * 2; }
+        static int f3(int x) { return x - tab[x / 100]; }
+        static int apply(fn f, int x) { return f(x) ^ (x & 7); }
+        int main(void) {
+            fn fns[4] = {f0, f1, f2, f3};
+            int s = 0;
+            for (int i = 0; i < 420; i++) {
+                s += apply(fns[i & 3], i);
+                if (i % 100 == 99)
+                    printf("%d\n", s);
+            }
+            printf("%d\n", s);
+            return 0;
+        }
+    )";
+    expectParity("megamorphic-indirect", src);
+
+    TieredRun reference = runTiered(tier1Only(), src);
+    ASSERT_EQ(reference.result.bug.kind, ErrorKind::outOfBounds);
+    EXPECT_EQ(reference.result.bug.function, "f3");
+    TieredRun run = runTiered(eagerTier2(), src);
+    EXPECT_GT(run.compiledFunctions, 0u);
+    EXPECT_EQ(run.result.output, reference.result.output);
+    EXPECT_EQ(run.result.bug.kind, reference.result.bug.kind);
+    EXPECT_EQ(run.result.bug.function, reference.result.bug.function);
+    EXPECT_EQ(run.result.bug.detail, reference.result.bug.detail);
+    EXPECT_EQ(run.result.bug.blockIndex, reference.result.bug.blockIndex);
+    EXPECT_EQ(run.result.bug.instIndex, reference.result.bug.instIndex);
+}
+
+TEST(Tier2ParityTest, OsrEntersCompiledCodeAtLoopBackEdge)
+{
+    // One single activation of main with a long loop: the invocation
+    // counter can never cross an astronomically high compile
+    // threshold, so the only way into compiled code is tier-1 OSR at a
+    // loop back-edge.
+    const char *src = R"(
+        int main(void) {
+            long acc = 0;
+            for (int i = 0; i < 20000; i++)
+                acc += (i ^ (acc & 15)) % 97;
+            printf("%ld\n", acc);
+            return 0;
+        }
+    )";
+    expectParity("osr-backedge", src);
+
+    ToolConfig config = ToolConfig::make(ToolKind::safeSulong);
+    config.managed.compileThreshold = 1000000;
+    config.managed.enableOsr = true;
+    config.managed.osrThreshold = 500;
+    TieredRun run = runTiered(config, src);
+    TieredRun reference = runTiered(tier1Only(), src);
+    EXPECT_TRUE(run.result.ok()) << run.result.bug.toString();
+    EXPECT_EQ(run.result.output, reference.result.output);
+    ASSERT_EQ(run.compileEvents.size(), 1u);
+    EXPECT_EQ(run.compileEvents[0].function, "main (OSR)");
+
+    // The ablation must really ablate: with OSR off (and the threshold
+    // unreachable), the same program never runs compiled.
+    config.managed.enableOsr = false;
+    TieredRun no_osr = runTiered(config, src);
+    EXPECT_TRUE(no_osr.result.ok());
+    EXPECT_EQ(no_osr.compiledFunctions, 0u);
+    EXPECT_EQ(no_osr.result.output, reference.result.output);
+}
+
+TEST(Tier2ParityTest, BugInHotLoopKeepsIdenticalReport)
+{
+    // A spatial bug that only fires after the loop has run hot in
+    // fused superblocks: the faulting access must produce the
+    // byte-identical report of the pure interpreter, site included.
+    const char *src = R"(
+        int main(void) {
+            int *a = malloc(64 * sizeof(int));
+            long s = 0;
+            for (int i = 0; i < 5000; i++)
+                s += (a[i & 63] = i) & 1;
+            for (int i = 0; i <= 64; i++)
+                s += a[i];
+            printf("%ld\n", s);
+            return 0;
+        }
+    )";
+    expectParity("oob-in-hot-loop", src);
+
+    TieredRun reference = runTiered(tier1Only(), src);
+    ASSERT_EQ(reference.result.bug.kind, ErrorKind::outOfBounds);
+    TieredRun run = runTiered(eagerTier2(), src);
+    EXPECT_GT(run.compiledFunctions, 0u);
+    EXPECT_EQ(run.result.bug.kind, reference.result.bug.kind);
+    EXPECT_EQ(run.result.bug.function, reference.result.bug.function);
+    EXPECT_EQ(run.result.bug.detail, reference.result.bug.detail);
+    EXPECT_EQ(run.result.bug.blockIndex, reference.result.bug.blockIndex);
+    EXPECT_EQ(run.result.bug.instIndex, reference.result.bug.instIndex);
 }
 
 } // namespace

@@ -25,6 +25,10 @@
  *            [--metrics-sock PATH] [--metrics-dump FILE]
  *            [--metrics-json FILE] [--metrics-expo FILE]
  *            [--trace-out FILE] [--stats]
+ *   msulongd --help
+ *
+ * `--help` prints this usage and exits 0; any flag not listed above is
+ * a usage error (exit 2). Neither starts a daemon.
  *
  * --metrics-sock serves the live Prometheus text exposition: every
  * connection to PATH receives one scrape and is closed, so
@@ -153,11 +157,39 @@ serveMetricsSocket(int listen_fd)
     }
 }
 
+const char kUsage[] =
+    "usage: msulongd [--socket=PATH] [--jobs N] [--queue-cap N]\n"
+    "                [--tenant-cap N] [--watchdog-ms N] [--retries N]\n"
+    "                [--cache-cap N] [--drain-grace-ms N]\n"
+    "                [--max-frame-bytes N] [--max-steps N]\n"
+    "                [--heap-limit BYTES] [--output-limit BYTES]\n"
+    "                [--deadline-ms MS] [--chaos-seed N]\n"
+    "                [--chaos-accept P] [--chaos-read P]\n"
+    "                [--chaos-write P] [--chaos-job P]\n"
+    "                [--postmortem-dir DIR] [--postmortem-keep N]\n"
+    "                [--metrics-sock PATH] [--metrics-dump FILE]\n"
+    "                [--metrics-json FILE] [--metrics-expo FILE]\n"
+    "                [--trace-out FILE] [--stats]\n";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    if (hasFlag(argc, argv, "help")) {
+        std::fputs(kUsage, stdout);
+        return 0;
+    }
+    const FlagSpec own{
+        {},
+        {"--socket", "--jobs", "-j", "--queue-cap", "--tenant-cap",
+         "--watchdog-ms", "--retries", "--cache-cap", "--drain-grace-ms",
+         "--max-frame-bytes", "--chaos-seed", "--chaos-accept",
+         "--chaos-read", "--chaos-write", "--chaos-job", "--postmortem-dir",
+         "--postmortem-keep", "--metrics-sock", "--metrics-dump"},
+    };
+    rejectUnknownFlags(argc, argv, {&own, &limitFlagSpec(), &obsFlagSpec()});
+
     std::string socket_path =
         parseStringFlag(argc, argv, "socket", "/tmp/msulong.sock");
 
