@@ -4,11 +4,12 @@
  * Sulong, ASan -O0/-O3, and Valgrind -O0/-O3, including the "found only
  * by Safe Sulong" list (the paper's 8 bugs) and a per-entry breakdown.
  *
- * The matrix runs twice: serially cell by cell (the reference), then
- * through the batch runner with a worker pool (--jobs N, default 8) and
- * the shared compile cache. The bench asserts that both runs produce an
- * identical matrix and reports the wall-clock speedup and cache-hit
- * counts; a deviation makes it exit non-zero so CI can gate on it.
+ * The matrix runs twice through the batch runner, each time with a
+ * fresh compile cache and the same limits: on one worker (the serial
+ * reference), then on a worker pool (--jobs N, default 8). The bench
+ * asserts that both runs produce an identical matrix and reports the
+ * wall-clock speedup and cache-hit counts; a deviation makes it exit
+ * non-zero so CI can gate on it.
  */
 
 #include <chrono>
@@ -83,15 +84,14 @@ main(int argc, char **argv)
         ToolConfig::make(ToolKind::clang, 0),
     };
 
-    auto serial_start = std::chrono::steady_clock::now();
-    auto rows = runDetectionMatrix(corpus, tools);
-    auto serial_end = std::chrono::steady_clock::now();
-
     BatchOptions options;
-    options.jobs = jobs;
-    options.useCompileCache = true;
     options.retries = static_cast<unsigned>(
         parseUint64Flag(argc, argv, "retries", 0));
+    auto serial_start = std::chrono::steady_clock::now();
+    auto rows = runDetectionMatrix(corpus, tools, options, nullptr, &limits);
+    auto serial_end = std::chrono::steady_clock::now();
+
+    options.jobs = jobs;
     CompileCacheStats cache;
     auto batch_start = std::chrono::steady_clock::now();
     auto batch_rows =

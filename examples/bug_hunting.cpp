@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "tools/compile_cache.h"
 #include "tools/driver.h"
 
 namespace
@@ -80,9 +81,19 @@ main(int argc, char **argv)
         std::printf("(no input file given — analyzing the built-in demo)\n\n");
     }
 
+    // The analyzer and every tool share one cache: each pipeline stage
+    // compiles once.
+    CompileCache cache;
     if (analyze) {
-        AnalysisReport report =
-            analyzeSource(source, analysis_options, guest_args);
+        AnalysisReport report;
+        PreparedProgram prepared = prepareProgram(
+            source, ToolConfig::make(ToolKind::safeSulong), &cache);
+        if (prepared.ok()) {
+            analysis_options.replayArgs = guest_args;
+            report = analyzeModule(*prepared.module, analysis_options);
+        } else {
+            report.replayOutcome = "compile error: " + prepared.compileErrors;
+        }
         std::printf("static analysis:\n%s\n", report.toString().c_str());
         if (analyze_only)
             return report.definiteCount() > 0 ? 2 : 0;
@@ -101,14 +112,16 @@ main(int argc, char **argv)
 
     std::printf("%-13s %-8s %s\n", "tool", "exit", "report");
     for (const ToolConfig &config : tools) {
-        ExecutionResult result = runUnderTool(source, config, guest_args);
+        ExecutionResult result =
+            runUnderTool(source, config, guest_args, "", &cache);
         std::printf("%-13s %-8d %s\n", config.toString().c_str(),
                     result.exitCode, result.bug.toString().c_str());
     }
 
     std::printf("\nstdout under Safe Sulong:\n");
     ExecutionResult managed = runUnderTool(
-        source, ToolConfig::make(ToolKind::safeSulong), guest_args);
+        source, ToolConfig::make(ToolKind::safeSulong), guest_args, "",
+        &cache);
     std::printf("%s", managed.output.c_str());
     return 0;
 }

@@ -22,11 +22,11 @@
  *
  * Tool/engine flags for `run`: --tool=safe|clang|asan|memcheck, --opt=N,
  * plus the shared managed/limit flags (--tier2-threshold, --max-steps,
- * ...). `corpus` takes --jobs=N, --watchdog-ms=N, --retries=N.
+ * ...). `corpus` takes --jobs=N, --watchdog-ms=N, --retries=N. An
+ * unknown flag is a usage error (exit 2) for every subcommand.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -112,26 +112,29 @@ printCacheStats(const CompileCacheStats &stats)
 int
 cmdRun(int argc, char **argv)
 {
+    // Every `--` argument must be a known flag; the operands are the
+    // input file, then the guest args.
+    static const FlagSpec own{
+        {}, {"--tool", "--opt", "--corpus", "--benchmark"}};
+    std::vector<std::string> operands;
+    rejectUnknownFlags(argc - 1, argv + 1,
+                       {&own, &managedFlagSpec(), &limitFlagSpec(),
+                        &obsFlagSpec()},
+                       &operands);
     ObsFlags obs_flags = parseObsFlags(argc, argv);
     ToolConfig config = toolFromFlags(argc, argv);
 
     std::string source = DEMO;
-    std::vector<std::string> guest_args;
     std::string corpus_id = parseStringFlag(argc, argv, "corpus");
     std::string bench_name = parseStringFlag(argc, argv, "benchmark");
-    const char *input_file = nullptr;
-    for (int i = 2; i < argc; i++) {
-        if (std::strncmp(argv[i], "--", 2) == 0)
-            continue;
-        if (input_file == nullptr)
-            input_file = argv[i];
-        else
-            guest_args.push_back(argv[i]);
-    }
-    if (input_file != nullptr) {
+    std::vector<std::string> guest_args;
+    if (!operands.empty()) {
+        const std::string &input_file = operands.front();
+        guest_args.assign(operands.begin() + 1, operands.end());
         std::ifstream file(input_file);
         if (!file) {
-            std::fprintf(stderr, "msulong: cannot open %s\n", input_file);
+            std::fprintf(stderr, "msulong: cannot open %s\n",
+                         input_file.c_str());
             return 1;
         }
         std::ostringstream buf;
@@ -197,6 +200,11 @@ cmdRun(int argc, char **argv)
 int
 cmdCorpus(int argc, char **argv)
 {
+    static const FlagSpec own{
+        {}, {"--tool", "--opt", "--jobs", "-j", "--watchdog-ms", "--retries"}};
+    rejectUnknownFlags(argc - 1, argv + 1,
+                       {&own, &managedFlagSpec(), &limitFlagSpec(),
+                        &obsFlagSpec()});
     ObsFlags obs_flags = parseObsFlags(argc, argv);
     ToolConfig config = toolFromFlags(argc, argv);
 
@@ -277,7 +285,9 @@ main(int argc, char **argv)
         return cmdRun(argc, argv);
     if (command == "corpus")
         return cmdCorpus(argc, argv);
-    if (command == "list")
+    if (command == "list") {
+        rejectUnknownFlags(argc - 1, argv + 1, {});
         return cmdList();
+    }
     return usage();
 }

@@ -42,27 +42,6 @@ classifyOutcome(const CorpusEntry &entry, const ExecutionResult &result)
     return outcome;
 }
 
-namespace
-{
-
-MatrixRow
-foldRow(const ToolConfig &config, const std::vector<CorpusEntry> &entries,
-        const ExecutionResult *results)
-{
-    MatrixRow row;
-    row.tool = config.toString();
-    for (size_t i = 0; i < entries.size(); i++) {
-        DetectionOutcome outcome = classifyOutcome(entries[i], results[i]);
-        row.directCount += outcome.detected ? 1 : 0;
-        row.indirectCount += outcome.indirect ? 1 : 0;
-        row.errorCount += outcome.error ? 1 : 0;
-        row.outcomes.push_back(std::move(outcome));
-    }
-    return row;
-}
-
-} // namespace
-
 ResourceLimits
 corpusRunLimits()
 {
@@ -81,23 +60,6 @@ corpusRunLimits()
 
 std::vector<MatrixRow>
 runDetectionMatrix(const std::vector<CorpusEntry> &entries,
-                   const std::vector<ToolConfig> &tools)
-{
-    std::vector<MatrixRow> rows;
-    for (const ToolConfig &config : tools) {
-        std::vector<ExecutionResult> results;
-        results.reserve(entries.size());
-        for (const CorpusEntry &entry : entries) {
-            results.push_back(runUnderTool(
-                entry.source, config, entry.args, entry.stdinData));
-        }
-        rows.push_back(foldRow(config, entries, results.data()));
-    }
-    return rows;
-}
-
-std::vector<MatrixRow>
-runDetectionMatrix(const std::vector<CorpusEntry> &entries,
                    const std::vector<ToolConfig> &tools,
                    const BatchOptions &options,
                    CompileCacheStats *cache_stats,
@@ -105,8 +67,8 @@ runDetectionMatrix(const std::vector<CorpusEntry> &entries,
 {
     ResourceLimits limits =
         job_limits != nullptr ? *job_limits : corpusRunLimits();
-    // Tool-major job order mirrors the serial overload, so cell
-    // (tool r, entry i) is job r * |entries| + i.
+    // Tool-major job order: cell (tool r, entry i) is job
+    // r * |entries| + i.
     std::vector<BatchJob> jobs;
     jobs.reserve(tools.size() * entries.size());
     for (const ToolConfig &config : tools) {
@@ -121,11 +83,18 @@ runDetectionMatrix(const std::vector<CorpusEntry> &entries,
     if (cache_stats != nullptr)
         *cache_stats = report.cacheStats;
 
-    std::vector<MatrixRow> rows;
-    rows.reserve(tools.size());
+    std::vector<MatrixRow> rows(tools.size());
     for (size_t r = 0; r < tools.size(); r++) {
-        rows.push_back(foldRow(tools[r], entries,
-                               report.results.data() + r * entries.size()));
+        MatrixRow &row = rows[r];
+        row.tool = tools[r].toString();
+        for (size_t i = 0; i < entries.size(); i++) {
+            DetectionOutcome outcome = classifyOutcome(
+                entries[i], report.results[r * entries.size() + i]);
+            row.directCount += outcome.detected ? 1 : 0;
+            row.indirectCount += outcome.indirect ? 1 : 0;
+            row.errorCount += outcome.error ? 1 : 0;
+            row.outcomes.push_back(std::move(outcome));
+        }
     }
     return rows;
 }

@@ -53,23 +53,17 @@ DetectionOutcome classifyOutcome(const CorpusEntry &entry,
  */
 ResourceLimits corpusRunLimits();
 
-/** Run @p entries under @p tools (rows are tool-major), serially and
- *  without a compile cache. */
-std::vector<MatrixRow>
-runDetectionMatrix(const std::vector<CorpusEntry> &entries,
-                   const std::vector<ToolConfig> &tools);
-
 /**
- * Batch-evaluated detection matrix: every (tool, entry) cell becomes one
+ * Run @p entries under @p tools: every (tool, entry) cell becomes one
  * BatchJob, executed over @p options' worker pool and compile cache.
- * Rows and cells come back in the same deterministic order as the serial
- * overload and hold identical outcomes. Jobs run under @p job_limits
- * (corpusRunLimits() when null).
+ * Rows are tool-major and come back in the same deterministic order,
+ * with identical outcomes, for every worker count. Jobs run under
+ * @p job_limits (corpusRunLimits() when null).
  */
 std::vector<MatrixRow>
 runDetectionMatrix(const std::vector<CorpusEntry> &entries,
                    const std::vector<ToolConfig> &tools,
-                   const BatchOptions &options,
+                   const BatchOptions &options = {},
                    CompileCacheStats *cache_stats = nullptr,
                    const ResourceLimits *job_limits = nullptr);
 

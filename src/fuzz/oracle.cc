@@ -192,6 +192,8 @@ runOracle(const FuzzProgram &program, const OracleOptions &options,
         {"memcheck", ToolConfig::make(ToolKind::memcheck, 0)},
     };
 
+    // The analyzer reads the managed arm's (safe, unoptimized) module.
+    std::shared_ptr<const Module> managed_module;
     std::vector<DynamicRun> runs;
     for (const RunSpec &spec : specs) {
         DynamicRun run;
@@ -199,6 +201,8 @@ runOracle(const FuzzProgram &program, const OracleOptions &options,
         run.tool = spec.config.kind;
         PreparedProgram prepared = prepareProgram(source, spec.config,
                                                   cache);
+        if (runs.empty())
+            managed_module = prepared.module;
         if (!prepared.ok()) {
             report.compileError = true;
             report.compileErrorDetail = std::string(spec.name) + ": " +
@@ -228,8 +232,12 @@ runOracle(const FuzzProgram &program, const OracleOptions &options,
     }
 
     if (options.runAnalysis) {
+        // A compile error leaves no module and no findings.
         AnalysisOptions analysis = options.analysis;
-        AnalysisReport findings = analyzeSource(source, analysis);
+        analysis.replayArgs.clear();
+        AnalysisReport findings;
+        if (managed_module != nullptr)
+            findings = analyzeModule(*managed_module, analysis);
         report.analysisRan = true;
         report.staticDefinite = findings.definiteCount();
         report.staticMaybe = findings.maybeCount();

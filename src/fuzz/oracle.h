@@ -135,7 +135,11 @@ struct OracleOptions
     OracleOptions();
 };
 
-/** Run @p program under every engine and judge the results. */
+/**
+ * Run @p program under every engine and judge the results. The arms
+ * share @p cache, so with one the program is compiled once per pipeline
+ * stage; the analyzer reads the managed arm's module.
+ */
 OracleReport runOracle(const FuzzProgram &program,
                        const OracleOptions &options,
                        CompileCache *cache = nullptr);

@@ -276,9 +276,8 @@ runBatch(const std::vector<BatchJob> &jobs, const BatchOptions &options)
     report.jobStats.resize(jobs.size());
 
     CompileCache localCache;
-    CompileCache *cache = nullptr;
-    if (options.useCompileCache)
-        cache = options.cache != nullptr ? options.cache : &localCache;
+    CompileCache *cache =
+        options.cache != nullptr ? options.cache : &localCache;
 
     unsigned workers = options.jobs == 0 ? ThreadPool::hardwareWorkers()
                                          : options.jobs;
@@ -345,8 +344,7 @@ runBatch(const std::vector<BatchJob> &jobs, const BatchOptions &options)
     if (report.drainedJobs != 0)
         reg.counter("batch.drained").inc(report.drainedJobs);
 
-    if (cache != nullptr)
-        report.cacheStats = cache->stats();
+    report.cacheStats = cache->stats();
     return report;
 }
 

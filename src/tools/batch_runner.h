@@ -73,11 +73,9 @@ struct BatchOptions
     /// Worker threads; 1 runs inline on the caller, 0 means one per
     /// hardware thread.
     unsigned jobs = 1;
-    /// Share front-end/optimizer stages across jobs (identical results;
-    /// see CompileCache).
-    bool useCompileCache = true;
-    /// Reuse an external cache across batches; null and useCompileCache
-    /// means a cache private to this batch.
+    /// Jobs share front-end/optimizer stages through this cache
+    /// (identical results; see CompileCache); null means a cache private
+    /// to this batch.
     CompileCache *cache = nullptr;
     /// Wall-clock execution budget per job attempt in milliseconds
     /// (compilation excluded — cancellation is polled on the guest step

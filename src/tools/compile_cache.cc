@@ -1,5 +1,8 @@
 #include "tools/compile_cache.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "frontend/compiler.h"
 #include "ir/clone.h"
 #include "obs/metrics.h"
@@ -10,23 +13,19 @@
 namespace sulong
 {
 
-uint64_t
-CompileCache::hashSources(const std::vector<SourceFile> &sources)
+bool
+CompileCache::Key::operator<(const Key &other) const
 {
-    uint64_t hash = 1469598103934665603ull; // FNV offset basis
-    auto mix = [&hash](const std::string &text) {
-        for (unsigned char c : text) {
-            hash ^= c;
-            hash *= 1099511628211ull; // FNV prime
-        }
-        hash ^= 0xff; // separator so ("ab","c") != ("a","bc")
-        hash *= 1099511628211ull;
+    auto stage = [](const Key &key) {
+        return std::tie(key.variant, key.optLevel, key.instrumented);
     };
-    for (const SourceFile &src : sources) {
-        mix(src.name);
-        mix(src.text);
-    }
-    return hash;
+    if (stage(*this) != stage(other))
+        return stage(*this) < stage(other);
+    return std::lexicographical_compare(
+        sources.begin(), sources.end(), other.sources.begin(),
+        other.sources.end(), [](const SourceFile &a, const SourceFile &b) {
+            return std::tie(a.name, a.text) < std::tie(b.name, b.text);
+        });
 }
 
 std::shared_ptr<const CompileCache::Entry>
@@ -34,7 +33,7 @@ CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
                            LibcVariant variant, int opt_level,
                            bool instrumented)
 {
-    Key key{hashSources(user_sources), variant, opt_level, instrumented};
+    Key key{user_sources, variant, opt_level, instrumented};
 
     std::shared_ptr<Slot> slot;
     bool created = false;
@@ -42,8 +41,9 @@ CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = slots_.find(key);
         if (it == slots_.end()) {
-            it = slots_.emplace(key, std::make_shared<Slot>()).first;
-            lru_.push_front(key);
+            it = slots_.emplace(std::move(key), std::make_shared<Slot>())
+                     .first;
+            lru_.push_front(it);
             it->second->lruPos = lru_.begin();
             created = true;
             enforceCapacityLocked();
@@ -64,7 +64,9 @@ CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
         auto entry = std::make_shared<Entry>();
         if (instrumented) {
             // Copy-on-instrument: the pass runs on a private clone of the
-            // plain stage, never on a module other keys hand out.
+            // plain stage, never on a module other keys hand out. Like
+            // real ASan it runs after optimization: what the optimizer
+            // deleted can no longer be checked (P2).
             auto base = getOrCompile(user_sources, variant, opt_level,
                                      /*instrumented=*/false);
             if (!base->ok()) {
@@ -102,14 +104,6 @@ CompileCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-void
-CompileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    slots_.clear();
-    lru_.clear();
 }
 
 void

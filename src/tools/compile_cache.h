@@ -8,17 +8,18 @@
  * the nativeOptimized libc linked with the user program and run the O0
  * pipeline; the -O3 tools share the O3 pipeline; Safe Sulong runs the
  * unoptimized IR with the safe libc. The cache keys on
- * (source-text hash, libc variant, opt level) — the pipeline *stage* a
- * tool kind maps onto — and stores one immutable prototype module per
- * stage.
+ * (source names and texts, libc variant, opt level) — the pipeline
+ * *stage* a tool kind maps onto — and stores one immutable prototype
+ * module per stage. It is the only code that compiles a program:
+ * prepareProgram() without a cache uses a call-local one.
  *
  * ASan's compile-time instrumentation mutates modules, so its stages are
  * cached separately (the `instrumented` key bit — effectively the tool
  * kind): the pass runs once on a private *clone* of the matching
  * uninstrumented stage (copy-on-instrument; see ir/clone.h), never on a
  * cached module. Engines treat modules as strictly read-only, so batch
- * jobs execute the shared prototypes directly, and cached runs stay
- * bit-identical to uncached ones.
+ * jobs execute the shared prototypes directly, and a shared cache's runs
+ * stay bit-identical to cold ones.
  *
  * Thread safe: concurrent lookups of the same key compile once and
  * share the result; lookups of different keys compile in parallel.
@@ -74,9 +75,6 @@ class CompileCache
 
     CompileCacheStats stats() const;
 
-    /** Drop all entries (counters are kept). */
-    void clear();
-
     /**
      * Bound the cache to @p max_entries stages, evicting in LRU order
      * (0 = unbounded, the default). In-flight users of an evicted stage
@@ -85,29 +83,20 @@ class CompileCache
      */
     void setCapacity(size_t max_entries);
 
-    /** FNV-1a over names and contents of @p sources. */
-    static uint64_t hashSources(const std::vector<SourceFile> &sources);
-
   private:
+    /** The full source text is the key: equal keys are equal programs. */
     struct Key
     {
-        uint64_t sourceHash;
+        std::vector<SourceFile> sources;
         LibcVariant variant;
         int optLevel;
         bool instrumented;
 
-        bool
-        operator<(const Key &other) const
-        {
-            if (sourceHash != other.sourceHash)
-                return sourceHash < other.sourceHash;
-            if (variant != other.variant)
-                return variant < other.variant;
-            if (optLevel != other.optLevel)
-                return optLevel < other.optLevel;
-            return instrumented < other.instrumented;
-        }
+        bool operator<(const Key &other) const;
     };
+
+    struct Slot;
+    using SlotMap = std::map<Key, std::shared_ptr<Slot>>;
 
     /** One cache slot; compiled at most once via its own flag. */
     struct Slot
@@ -115,16 +104,16 @@ class CompileCache
         std::once_flag once;
         std::shared_ptr<const Entry> entry;
         /// Position in lru_ for O(1) touch/evict.
-        std::list<Key>::iterator lruPos;
+        std::list<SlotMap::iterator>::iterator lruPos;
     };
 
     /** Evict least-recently-used slots down to capacity_ (locked). */
     void enforceCapacityLocked();
 
     mutable std::mutex mutex_;
-    std::map<Key, std::shared_ptr<Slot>> slots_;
-    /// Most-recently-used keys at the front.
-    std::list<Key> lru_;
+    SlotMap slots_;
+    /// Most-recently-used slots at the front.
+    std::list<SlotMap::iterator> lru_;
     size_t capacity_ = 0;
     CompileCacheStats stats_;
 };

@@ -4,42 +4,15 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "ir/clone.h"
 #include "obs/expo.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "opt/passes.h"
-#include "sanitizer/asan_pass.h"
 #include "support/string_utils.h"
 #include "tools/compile_cache.h"
 
 namespace sulong
 {
-
-namespace
-{
-
-/** The front-end/optimizer stage a tool kind shares with its peers. */
-struct PipelineStage
-{
-    LibcVariant variant;
-    /// -1: run the IR as the front end produced it (Safe Sulong).
-    int optLevel;
-};
-
-PipelineStage
-stageFor(const ToolConfig &config)
-{
-    // Safe Sulong interprets its safety-first libc; native tools run the
-    // performance-optimized one (word-wise strlen etc.), like real
-    // precompiled libcs.
-    if (config.kind == ToolKind::safeSulong)
-        return {LibcVariant::safe, -1};
-    return {LibcVariant::nativeOptimized, config.optLevel >= 3 ? 3 : 0};
-}
-
-} // namespace
 
 std::string
 ToolConfig::toString() const
@@ -61,48 +34,29 @@ PreparedProgram
 prepareProgram(const std::vector<SourceFile> &user_sources,
                const ToolConfig &config, CompileCache *cache)
 {
+    // One compile path: without a shared cache, a call-local one runs
+    // the same compile -> optimize -> instrument steps. Tool kinds that
+    // share a pipeline stage reuse one cached prototype directly —
+    // engines treat modules as read-only, and the ASan pass ran on the
+    // cache's private clone, so nothing this job does can touch another
+    // job's module.
+    CompileCache local_cache;
+    if (cache == nullptr)
+        cache = &local_cache;
+    // Safe Sulong interprets its safety-first libc as the front end
+    // produced it; native tools run the performance-optimized one
+    // (word-wise strlen etc.), like real precompiled libcs.
+    bool safe = config.kind == ToolKind::safeSulong;
+    auto entry = cache->getOrCompile(
+        user_sources, safe ? LibcVariant::safe : LibcVariant::nativeOptimized,
+        safe ? -1 : (config.optLevel >= 3 ? 3 : 0),
+        config.kind == ToolKind::asan);
     PreparedProgram prepared;
-    PipelineStage stage = stageFor(config);
-    bool instrumented = config.kind == ToolKind::asan;
-
-    if (cache != nullptr) {
-        // Tool kinds that share a pipeline stage reuse one cached
-        // prototype directly — engines treat modules as read-only, and
-        // the ASan pass ran on the cache's private clone, so nothing
-        // this job does can touch another job's module.
-        auto entry = cache->getOrCompile(user_sources, stage.variant,
-                                         stage.optLevel, instrumented);
-        if (!entry->ok()) {
-            prepared.compileErrors = entry->errors;
-            return prepared;
-        }
-        prepared.module = entry->prototype;
-    } else {
-        std::vector<SourceFile> sources = libcSources(stage.variant);
-        for (const auto &src : user_sources)
-            sources.push_back(src);
-
-        CompileResult compiled = compileC(sources);
-        if (!compiled.ok()) {
-            prepared.compileErrors = compiled.errors;
-            return prepared;
-        }
-        std::unique_ptr<Module> module = std::move(compiled.module);
-        {
-            MS_TRACE_SPAN("pipeline.optimize");
-            if (stage.optLevel >= 3)
-                runO3Pipeline(*module);
-            else if (stage.optLevel >= 0)
-                runO0Pipeline(*module);
-        }
-        // Like real ASan, instrumentation runs after optimization: what
-        // the optimizer deleted can no longer be checked (P2).
-        if (instrumented) {
-            MS_TRACE_SPAN("pipeline.instrument");
-            runAsanPass(*module);
-        }
-        prepared.module = std::move(module);
+    if (!entry->ok()) {
+        prepared.compileErrors = entry->errors;
+        return prepared;
     }
+    prepared.module = entry->prototype;
 
     switch (config.kind) {
       case ToolKind::safeSulong:
@@ -310,7 +264,6 @@ takeFlag(const FlagSpec &spec, int argc, char **argv, int &i)
 void
 validateTierFlags(int argc, char **argv)
 {
-    static const FlagSpec spec{{"--no-tier2"}, {"--tier2-threshold"}};
     static const char *const prefixes[] = {"--tier", "--no-tier",
                                            "--no-fusion"};
     for (int i = 1; i < argc; i++) {
@@ -321,7 +274,7 @@ validateTierFlags(int argc, char **argv)
                                           std::strlen(prefix)) == 0;
         if (!gated)
             continue;
-        if (!takeFlag(spec, argc, argv, i)) {
+        if (!takeFlag(managedFlagSpec(), argc, argv, i)) {
             std::fprintf(stderr,
                          "error: unknown flag '%s' (known tier flags: "
                          "--no-tier2, --tier2-threshold)\n", arg);
@@ -375,6 +328,16 @@ validateAnalysisFlags(int argc, char **argv)
 } // namespace
 
 const FlagSpec &
+managedFlagSpec()
+{
+    static const FlagSpec spec{
+        {"--no-tier2", "--no-inlining", "--no-check-elision"},
+        {"--tier2-threshold", "--inline-budget", "--inline-min"},
+    };
+    return spec;
+}
+
+const FlagSpec &
 analysisFlagSpec()
 {
     static const FlagSpec spec{
@@ -408,7 +371,8 @@ obsFlagSpec()
 
 void
 rejectUnknownFlags(int argc, char **argv,
-                   std::initializer_list<const FlagSpec *> specs)
+                   std::initializer_list<const FlagSpec *> specs,
+                   std::vector<std::string> *operands)
 {
     for (int i = 1; i < argc; i++) {
         bool known = false;
@@ -416,6 +380,11 @@ rejectUnknownFlags(int argc, char **argv,
             known = takeFlag(*spec, argc, argv, i);
             if (known)
                 break;
+        }
+        if (!known && operands != nullptr &&
+            std::strncmp(argv[i], "--", 2) != 0) {
+            operands->push_back(argv[i]);
+            continue;
         }
         if (!known) {
             std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
@@ -463,22 +432,6 @@ parseAnalysisFlags(int argc, char **argv, AnalysisOptions base)
     base.replaySteps =
         parseUint64Flag(argc, argv, "replay-steps", base.replaySteps);
     return base;
-}
-
-AnalysisReport
-analyzeSource(const std::string &user_source, const AnalysisOptions &options,
-              const std::vector<std::string> &guest_args)
-{
-    PreparedProgram prepared =
-        prepareProgram(user_source, ToolConfig::make(ToolKind::safeSulong));
-    if (!prepared.ok()) {
-        AnalysisReport report;
-        report.replayOutcome = "compile error: " + prepared.compileErrors;
-        return report;
-    }
-    AnalysisOptions effective = options;
-    effective.replayArgs = guest_args;
-    return analyzeModule(*prepared.module, effective);
 }
 
 std::vector<ToolConfig>

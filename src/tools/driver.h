@@ -94,10 +94,11 @@ struct PreparedProgram
  * Compile @p user_sources with the configuration's libc variant and
  * pipelines, and construct the matching engine.
  *
- * With a @p cache, the front-end/optimizer stage shared by tool kinds is
- * compiled once per (sources, libc variant, opt level) and this call
- * instruments and executes a private clone of the cached prototype
- * (copy-on-instrument), producing results identical to uncached runs.
+ * Every compile goes through a CompileCache: the front-end/optimizer
+ * stage shared by tool kinds is compiled once per (sources, libc
+ * variant, opt level), and ASan instruments a private clone of it
+ * (copy-on-instrument). Without a @p cache, a cache local to this call
+ * is used, so results never depend on whether one was passed.
  */
 PreparedProgram prepareProgram(const std::vector<SourceFile> &user_sources,
                                const ToolConfig &config,
@@ -191,6 +192,8 @@ struct FlagSpec
     std::vector<const char *> values;
 };
 
+/// The flags parseManagedFlags() reads.
+const FlagSpec &managedFlagSpec();
 /// The flags parseAnalysisFlags() reads, plus the `--analyze*` switches.
 const FlagSpec &analysisFlagSpec();
 /// The flags parseLimitFlags() reads.
@@ -203,20 +206,13 @@ const FlagSpec &obsFlagSpec();
  * every argument must be a flag of one of @p specs, and a value flag
  * needs its value. Anything else prints a diagnostic and exits 2, so a
  * misspelled or removed flag can never silently run the default
- * configuration.
+ * configuration. With @p operands, an argument no spec knows that does
+ * not start with `--` (an input file, a guest argument) is appended
+ * there instead of rejected.
  */
 void rejectUnknownFlags(int argc, char **argv,
-                        std::initializer_list<const FlagSpec *> specs);
-
-/**
- * Compile @p user_source for Safe Sulong and run the static analyzer
- * over the user functions of the resulting module, with @p guest_args
- * as the refutation stage's replayed argv. Compile errors come back as
- * an AnalysisReport whose replayOutcome holds the message.
- */
-AnalysisReport analyzeSource(const std::string &user_source,
-                             const AnalysisOptions &options = {},
-                             const std::vector<std::string> &guest_args = {});
+                        std::initializer_list<const FlagSpec *> specs,
+                        std::vector<std::string> *operands = nullptr);
 
 /** Telemetry-output selection shared by every CLI. */
 struct ObsFlags

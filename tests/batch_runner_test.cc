@@ -69,20 +69,24 @@ TEST(BatchRunnerTest, EightWorkersMatchSerial)
     }
 }
 
-TEST(BatchRunnerTest, MatrixOverloadMatchesSerialHarness)
+TEST(BatchRunnerTest, MatrixIsIdenticalOnOneAndEightWorkers)
 {
     const auto &corpus = bugCorpus();
     std::vector<CorpusEntry> entries(corpus.begin(),
                                      corpus.begin() + 10);
     auto tools = evaluationToolMatrix();
+    ResourceLimits limits = corpusRunLimits();
 
-    std::vector<MatrixRow> reference = runDetectionMatrix(entries, tools);
+    BatchOptions serial;
+    serial.jobs = 1;
+    std::vector<MatrixRow> reference =
+        runDetectionMatrix(entries, tools, serial, nullptr, &limits);
 
     BatchOptions options;
     options.jobs = 8;
     CompileCacheStats stats;
     std::vector<MatrixRow> rows =
-        runDetectionMatrix(entries, tools, options, &stats);
+        runDetectionMatrix(entries, tools, options, &stats, &limits);
 
     ASSERT_EQ(rows.size(), reference.size());
     for (size_t r = 0; r < rows.size(); r++) {
@@ -98,6 +102,8 @@ TEST(BatchRunnerTest, MatrixOverloadMatchesSerialHarness)
                       reference[r].outcomes[i].indirect);
             EXPECT_EQ(rows[r].outcomes[i].error,
                       reference[r].outcomes[i].error);
+            EXPECT_EQ(rows[r].outcomes[i].report.detail,
+                      reference[r].outcomes[i].report.detail);
         }
     }
     // 5 tools map onto 5 pipeline stages per entry (3 plain + 2 ASan);
@@ -125,23 +131,26 @@ TEST(BatchRunnerTest, CacheSharesStagesAcrossTools)
     EXPECT_EQ(report.cacheStats.hits, 2u);
 }
 
-TEST(BatchRunnerTest, CachedAndUncachedResultsAgree)
+TEST(BatchRunnerTest, PerJobPrepareMatchesSharedCache)
 {
     std::vector<BatchJob> jobs = corpusJobs(6);
 
-    BatchOptions cached;
-    cached.jobs = 4;
-    BatchReport a = runBatch(jobs, cached);
+    BatchOptions shared;
+    shared.jobs = 4;
+    BatchReport report = runBatch(jobs, shared);
+    ASSERT_EQ(report.results.size(), jobs.size());
+    EXPECT_GT(report.cacheStats.hits, 0u);
 
-    BatchOptions uncached;
-    uncached.jobs = 4;
-    uncached.useCompileCache = false;
-    BatchReport b = runBatch(jobs, uncached);
-
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (size_t i = 0; i < jobs.size(); i++)
-        EXPECT_TRUE(sameResult(a.results[i], b.results[i])) << "job " << i;
-    EXPECT_EQ(b.cacheStats.hits + b.cacheStats.misses, 0u);
+    // Without a cache, each prepare compiles into a cold call-local one.
+    for (size_t i = 0; i < jobs.size(); i++) {
+        PreparedProgram prepared =
+            prepareProgram(jobs[i].sources, jobs[i].config);
+        ASSERT_TRUE(prepared.ok()) << prepared.compileErrors;
+        prepared.engine->limits() = jobs[i].limits;
+        ExecutionResult result =
+            prepared.run(jobs[i].args, jobs[i].stdinData);
+        EXPECT_TRUE(sameResult(result, report.results[i])) << "job " << i;
+    }
 }
 
 TEST(BatchRunnerTest, CompileErrorsStayPerJob)

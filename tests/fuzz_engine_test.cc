@@ -10,6 +10,8 @@
 #include "test_util.h"
 
 #include "fuzz/campaign.h"
+#include "obs/metrics.h"
+#include "tools/compile_cache.h"
 
 namespace sulong
 {
@@ -136,6 +138,35 @@ INSTANTIATE_TEST_SUITE_P(
                 name += c;
         return name;
     });
+
+// ---------------------------------------------------------------------
+// One compile per pipeline stage
+// ---------------------------------------------------------------------
+
+TEST(FuzzOracle, CompilesEachPipelineStageOnce)
+{
+    if (!obs::kObsCompiledIn)
+        GTEST_SKIP() << "frontend.compiles is compiled out (MS_OBS=OFF)";
+    FuzzProgram program = ProgramGenerator(21).generate();
+    OracleOptions options;
+    ASSERT_TRUE(options.runAnalysis);
+
+    obs::Counter &compiles =
+        obs::MetricsRegistry::global().counter("frontend.compiles");
+    obs::setMetricsEnabled(true);
+    uint64_t before = compiles.value();
+    CompileCache cache;
+    OracleReport report = runOracle(program, options, &cache);
+    uint64_t after = compiles.value();
+    obs::setMetricsEnabled(false);
+
+    ASSERT_FALSE(report.compileError) << report.compileErrorDetail;
+    EXPECT_TRUE(report.analysisRan);
+    // Five dynamic arms and the analyzer share two stages: the safe
+    // libc unoptimized, and the native libc at -O0 (ASan instruments a
+    // clone of it).
+    EXPECT_EQ(after - before, 2u);
+}
 
 // ---------------------------------------------------------------------
 // Minimizer: preservation, pinning, idempotence

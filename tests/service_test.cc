@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -934,10 +935,20 @@ TEST(ServiceServerTest, StatsFrameAnswersUnderLoadInBothFormats)
         EXPECT_NE(expo.stringAt("expo").find("# TYPE"),
                   std::string::npos);
     }
-    // The sliding window saw the admissions the load generated.
+    // The sliding window saw the admissions the load generated. The
+    // load thread's first admission may still be in flight, so poll
+    // until it lands or a generous deadline passes.
     StatsRequest request;
     obs::JsonValue stats;
-    ASSERT_TRUE(client.stats(request, &stats, &error)) << error;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (;;) {
+        ASSERT_TRUE(client.stats(request, &stats, &error)) << error;
+        if (stats.find("window")->uintAt("admitted") > 0 ||
+            std::chrono::steady_clock::now() >= deadline)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
     EXPECT_GT(stats.find("window")->uintAt("admitted"), 0u);
 
     stop.store(true);

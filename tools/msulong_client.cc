@@ -20,6 +20,8 @@
  *   msulong_client --demo=clean|bug [...]
  *   msulong_client --health [--json] | --stats [--expo] | --drain
  *
+ * An unknown flag exits 2 before any connection is made.
+ *
  * --trace-out submits the jobs with a trace context attached, fetches
  * the daemon-side spans that joined the trace, and writes BOTH halves
  * into one Chrome trace file (client = pid 1, daemon = pid 2).
@@ -190,6 +192,16 @@ daemonTraceEvents(const obs::JsonValue &stats, const std::string &trace_id)
 int
 main(int argc, char **argv)
 {
+    // Reject a bad command line before touching the socket.
+    static const FlagSpec own{
+        {"--quiet", "--health", "--json", "--stats", "--expo", "--drain",
+         "--analyze"},
+        {"--socket", "--tenant", "--tool", "--opt", "--guest-stdin",
+         "--demo", "--count", "--trace-out"},
+    };
+    std::vector<std::string> operands;
+    rejectUnknownFlags(argc, argv, {&own, &limitFlagSpec()}, &operands);
+
     std::string socket_path =
         parseStringFlag(argc, argv, "socket", "/tmp/msulong.sock");
     bool quiet = hasFlag(argc, argv, "quiet");
@@ -287,28 +299,16 @@ main(int argc, char **argv)
                      "(expected clean|bug)\n", demo.c_str());
         return 2;
     } else {
-        // First non-flag argument is the source file.
-        const char *path = nullptr;
-        for (int i = 1; i < argc; i++) {
-            if (argv[i][0] != '-') {
-                // Skip values consumed by "--flag value" forms.
-                if (i > 1 && argv[i - 1][0] == '-' &&
-                    std::string(argv[i - 1]).find('=') == std::string::npos)
-                    continue;
-                path = argv[i];
-                break;
-            }
-        }
-        if (path == nullptr) {
+        if (operands.empty()) {
             std::fprintf(stderr,
                          "usage: msulong_client [--socket=PATH] FILE "
                          "| --demo=clean|bug | --health | --drain\n");
             return 2;
         }
-        std::ifstream in(path);
+        std::ifstream in(operands.front());
         if (!in) {
             std::fprintf(stderr, "msulong_client: cannot read %s\n",
-                         path);
+                         operands.front().c_str());
             return 2;
         }
         std::ostringstream text;
