@@ -11,7 +11,8 @@
  *   --analyze        also run the static analyzer before the tool matrix
  *   --analyze-only   static analysis only; exit 2 on a definite finding
  *   --no-refute      report raw abstract findings (skip the replay)
- *   --analyze-libc   analyze the linked libc functions too
+ *   --analyze-libc   analyze the linked libc too: the libc bodies the
+ *                    program reaches (the others are never linked in)
  */
 
 #include <cstdio>

@@ -3,8 +3,10 @@
 namespace sulong
 {
 
-CodeGen::CodeGen(Module &module, CTypeContext &types, DiagnosticEngine &diags)
-    : module_(module), types_(types), diags_(diags), builder_(module)
+CodeGen::CodeGen(Module &module, CTypeContext &types, DiagnosticEngine &diags,
+                 const LibraryDecls *library)
+    : module_(module), types_(types), diags_(diags), builder_(module),
+      library_(library)
 {}
 
 void
@@ -55,6 +57,8 @@ CodeGen::generate(const TranslationUnit &unit)
     unit_ = &unit;
     declareFunctions(unit);
     emitGlobals(unit);
+    if (library_ != nullptr)
+        replayLibraryGlobals();
     for (const auto &fn : unit.functions) {
         if (fn->body != nullptr) {
             try {
@@ -69,6 +73,14 @@ CodeGen::generate(const TranslationUnit &unit)
 void
 CodeGen::declareFunctions(const TranslationUnit &unit)
 {
+    if (library_ != nullptr) {
+        const auto &functions = library_->module->functions();
+        for (size_t i = 0; i < functions.size(); i++) {
+            const CType *type = library_->functionTypes[i];
+            functionTypes_[functions[i]->name()] = type;
+            module_.addFunction(types_.lower(type), functions[i]->name());
+        }
+    }
     for (const auto &fn : unit.functions) {
         auto known = functionTypes_.find(fn->name);
         if (known != functionTypes_.end()) {
@@ -87,29 +99,51 @@ void
 CodeGen::emitGlobals(const TranslationUnit &unit)
 {
     // Merge declarations by name; the one with an initializer defines.
-    std::vector<const VarDecl *> order;
-    std::unordered_map<std::string, const VarDecl *> chosen;
+    // A library's globals come first, each one a definition.
+    struct Definition
+    {
+        const VarDecl *var = nullptr; ///< null for library global `index`
+        size_t index = 0;
+    };
+    const size_t numLibrary =
+        library_ != nullptr ? library_->globalTypes.size() : 0;
+    auto name = [this](const Definition &def) -> const std::string & {
+        return def.var != nullptr
+            ? def.var->name : library_->module->globals()[def.index]->name();
+    };
+    std::vector<Definition> order;
+    std::unordered_map<std::string, size_t> chosen;
+    for (size_t i = 0; i < numLibrary; i++) {
+        order.push_back(Definition{nullptr, i});
+        chosen[name(order.back())] = i;
+    }
     for (const auto &var : unit.globals) {
         auto it = chosen.find(var.name);
         if (it == chosen.end()) {
-            chosen[var.name] = &var;
-            order.push_back(&var);
+            chosen[var.name] = order.size();
+            order.push_back(Definition{&var, 0});
         } else if (var.init != nullptr) {
-            if (it->second->init != nullptr) {
+            const Definition &prev = order[it->second];
+            if (prev.var == nullptr || prev.var->init != nullptr) {
                 diags_.error(var.loc,
                              "redefinition of global '" + var.name + "'");
             }
-            it->second = &var;
-            for (auto &slot : order) {
-                if (slot->name == var.name)
-                    slot = &var;
-            }
+            order[it->second] = Definition{&var, 0};
         }
     }
     // Phase 1: create all globals (zero-initialized) so initializers can
     // reference globals declared later in the file.
-    std::vector<std::pair<const VarDecl *, const CType *>> created;
-    for (const VarDecl *var : order) {
+    std::vector<std::pair<Definition, const CType *>> created;
+    for (const Definition &def : order) {
+        if (def.var == nullptr) {
+            const CType *type = library_->globalTypes[def.index];
+            globalTypes_[name(def)] = type;
+            module_.addGlobal(types_.lower(type), name(def),
+                              Initializer::makeZero());
+            created.emplace_back(def, type);
+            continue;
+        }
+        const VarDecl *var = def.var;
         const CType *type = var->type;
         // Infer incomplete array lengths from the initializer.
         if (type->isArray() && type->arrayLength() == 0 &&
@@ -126,19 +160,93 @@ CodeGen::emitGlobals(const TranslationUnit &unit)
         globalTypes_[var->name] = type;
         module_.addGlobal(types_.lower(type), var->name,
                           Initializer::makeZero());
-        created.emplace_back(var, type);
+        created.emplace_back(def, type);
+    }
+    for (size_t i = 0; i < numLibrary; i++) {
+        const GlobalVariable *global = library_->module->globals()[i].get();
+        libraryGlobals_[global] = module_.findGlobal(global->name());
     }
     // Phase 2: compute and attach the real initializers.
-    for (const auto &[var, type] : created) {
-        if (var->init == nullptr)
+    for (const auto &[def, type] : created) {
+        if (def.var == nullptr) {
+            module_.findGlobal(name(def))->setInit(relink(
+                library_->module->globals()[def.index]->init()));
+            continue;
+        }
+        if (def.var->init == nullptr)
             continue;
         try {
-            module_.findGlobal(var->name)->setInit(
-                constInitializer(var->init.get(), type));
+            module_.findGlobal(def.var->name)->setInit(
+                constInitializer(def.var->init.get(), type));
         } catch (const SemaAbort &) {
             // Diagnostic already recorded; keep the zero initializer.
         }
     }
+}
+
+void
+CodeGen::replayLibraryGlobals()
+{
+    const auto &globals = library_->module->globals();
+    for (size_t i = library_->globalTypes.size(); i < globals.size(); i++) {
+        const GlobalVariable *global = globals[i].get();
+        const CType *type =
+            library_->createdGlobalTypes[i - library_->globalTypes.size()];
+        if (type == nullptr) {
+            relinkGlobal(global); // a string literal, pooled as before
+            continue;
+        }
+        staticLocalCount_++;
+        libraryGlobals_[global] = module_.addGlobal(
+            types_.lower(type), global->name(), relink(global->init()));
+    }
+}
+
+GlobalVariable *
+CodeGen::relinkGlobal(const GlobalVariable *global)
+{
+    auto it = libraryGlobals_.find(global);
+    if (it != libraryGlobals_.end())
+        return it->second;
+    // Only string literals are created on first reference.
+    const std::string &bytes = global->init().bytes;
+    GlobalVariable *mine = stringLiteral(bytes.substr(0, bytes.size() - 1));
+    libraryGlobals_[global] = mine;
+    return mine;
+}
+
+Initializer
+CodeGen::relink(const Initializer &init)
+{
+    Initializer out = init;
+    if (init.global != nullptr)
+        out.global = relinkGlobal(init.global);
+    if (init.function != nullptr)
+        out.function = module_.functionById(init.function->id());
+    for (Initializer &elem : out.elems)
+        elem = relink(elem);
+    return out;
+}
+
+LibraryDecls
+CodeGen::exportDecls() const
+{
+    LibraryDecls decls;
+    decls.module = &module_;
+    for (const auto &fn : module_.functions())
+        decls.functionTypes.push_back(functionTypes_.at(fn->name()));
+    for (const auto &global : module_.globals()) {
+        auto it = globalTypes_.find(global->name());
+        if (it != globalTypes_.end() &&
+            decls.createdGlobalTypes.empty()) {
+            decls.globalTypes.push_back(it->second);
+            continue;
+        }
+        auto local = staticLocalTypes_.find(global.get());
+        decls.createdGlobalTypes.push_back(
+            local != staticLocalTypes_.end() ? local->second : nullptr);
+    }
+    return decls;
 }
 
 Initializer
@@ -395,7 +503,10 @@ void
 CodeGen::emitFunction(const FunctionDecl &decl)
 {
     Function *fn = module_.findFunction(decl.name);
-    if (!fn->blocks().empty()) {
+    bool libraryDefines = library_ != nullptr &&
+        fn->id() < library_->functionTypes.size() &&
+        !library_->module->functionById(fn->id())->isDeclaration();
+    if (!fn->blocks().empty() || libraryDefines) {
         diags_.error(decl.loc, "redefinition of function '" + decl.name + "'");
         return;
     }
@@ -768,6 +879,7 @@ CodeGen::emitLocalDecl(const VarDecl &var)
         Initializer init = constInitializer(var.init.get(), type);
         GlobalVariable *g =
             module_.addGlobal(types_.lower(type), name, std::move(init));
+        staticLocalTypes_[g] = type;
         scopes_.back()[var.name] = LocalVar{g, type};
         return;
     }

@@ -20,13 +20,50 @@
 namespace sulong
 {
 
+/**
+ * A precompiled library as the sources compiled after it see it. The IR
+ * objects are the library module's; the C types belong to whichever
+ * context the declarations were taken in or imported into.
+ */
+struct LibraryDecls
+{
+    const Module *module = nullptr;
+    /// C type of each library function, in id order.
+    std::vector<const CType *> functionTypes;
+    /// C types of the file-scope globals: the module's first globals.
+    std::vector<const CType *> globalTypes;
+    /// For each later global, which the library's initializers and
+    /// function bodies created: the C type of a static local, or null
+    /// for a string literal.
+    std::vector<const CType *> createdGlobalTypes;
+};
+
 class CodeGen
 {
   public:
-    CodeGen(Module &module, CTypeContext &types, DiagnosticEngine &diags);
+    /**
+     * With @p library, the module starts as if the library's sources had
+     * been lowered into it first: its function declarations (same ids),
+     * its file-scope globals, and, once the unit's file-scope globals
+     * exist, the globals its own initializers and bodies created, in the
+     * same order, names and string-literal sharing. Only its function
+     * bodies are missing; linkLibrary() supplies the reachable ones.
+     */
+    CodeGen(Module &module, CTypeContext &types, DiagnosticEngine &diags,
+            const LibraryDecls *library = nullptr);
 
     /** Lower a translation unit into the module. */
     void generate(const TranslationUnit &unit);
+
+    /** The declarations generate() produced, for units compiled later. */
+    LibraryDecls exportDecls() const;
+
+    /** Where each library global ended up (after generate()). */
+    const std::unordered_map<const GlobalVariable *, GlobalVariable *> &
+    libraryGlobals() const
+    {
+        return libraryGlobals_;
+    }
 
   private:
     /** An expression result: an IR value plus its C type. */
@@ -53,6 +90,12 @@ class CodeGen
     void declareFunctions(const TranslationUnit &unit);
     void emitGlobals(const TranslationUnit &unit);
     void emitFunction(const FunctionDecl &decl);
+    /** Create the library globals its bodies created (see the ctor). */
+    void replayLibraryGlobals();
+    /** @p init, a library global's initializer, in this module. */
+    Initializer relink(const Initializer &init);
+    /** This module's copy of library global @p global. */
+    GlobalVariable *relinkGlobal(const GlobalVariable *global);
     Initializer constInitializer(const Expr *init, const CType *type);
 
     // --- Statements ---------------------------------------------------
@@ -107,6 +150,12 @@ class CodeGen
     CTypeContext &types_;
     DiagnosticEngine &diags_;
     IRBuilder builder_;
+    const LibraryDecls *library_ = nullptr;
+    std::unordered_map<const GlobalVariable *, GlobalVariable *>
+        libraryGlobals_;
+    /// C type of each static local created, for exportDecls().
+    std::unordered_map<const GlobalVariable *, const CType *>
+        staticLocalTypes_;
 
     const TranslationUnit *unit_ = nullptr;
     Function *curFn_ = nullptr;

@@ -28,10 +28,16 @@ struct SourceFile
     std::string text;
 };
 
+class LibraryPrototype;
+
 struct CompileOptions
 {
     /// Prepend declarations of the engine intrinsics (__sys_*, malloc...).
+    /// With a library, its own compile decided this.
     bool injectBuiltins = true;
+    /// Compile the sources against this precompiled library and link in
+    /// the library bodies they reach (see LibraryPrototype).
+    const LibraryPrototype *library = nullptr;
 };
 
 struct CompileResult
@@ -48,9 +54,39 @@ struct CompileResult
  *
  * All sources share one type context and one symbol namespace, which is
  * how the paper's setup links the user program with its safe libc.
+ *
+ * With CompileOptions::library, the result equals what compiling the
+ * library's sources followed by @p sources gives — same function ids,
+ * same globals in the same order with the same names and initializers,
+ * same diagnostics — except that only the library functions the program
+ * reaches, from its own functions and from any global's initializer,
+ * keep their bodies; the others stay declarations.
  */
 CompileResult compileC(const std::vector<SourceFile> &sources,
                        const CompileOptions &options = {});
+
+/**
+ * A library compiled once and linked into many programs, as the paper's
+ * pipeline links each program against a libc compiled to IR ahead of
+ * time. It keeps its module — the prototype whose bodies every link
+ * clones — and the front-end state its compile ended in: typedefs,
+ * struct tags, enum constants, and the C types of its functions and
+ * globals, which a program compiled against it starts from. Immutable
+ * once built, so concurrent compiles share one instance.
+ */
+class LibraryPrototype
+{
+  public:
+    /** Compile @p sources; throws InternalError if they do not compile. */
+    explicit LibraryPrototype(const std::vector<SourceFile> &sources);
+    ~LibraryPrototype();
+
+  private:
+    friend CompileResult compileC(const std::vector<SourceFile> &,
+                                  const CompileOptions &);
+    struct State;
+    std::unique_ptr<State> state_;
+};
 
 /** Convenience wrapper for a single anonymous source. */
 CompileResult compileC(const std::string &source,

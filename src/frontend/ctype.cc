@@ -215,6 +215,71 @@ CTypeContext::lower(const CType *type)
     throw InternalError("lower(): bad type");
 }
 
+void
+CTypeContext::importAll(const CTypeContext &other)
+{
+    // Declare every tag first: fields may point at any struct.
+    for (const auto &[name, type] : other.structs_)
+        imported_[type] = declareStruct(name);
+    for (const auto &[name, type] : other.structs_) {
+        if (!type->isCompleteStruct())
+            continue;
+        std::vector<CField> fields;
+        fields.reserve(type->fields().size());
+        for (const CField &field : type->fields())
+            fields.push_back(CField{field.name, import(field.type)});
+        completeStruct(structs_.at(name), std::move(fields));
+    }
+    // Function types keep their interning keys, which are structural.
+    for (const auto &[key, type] : other.functions_) {
+        if (imported_.count(type) != 0)
+            continue; // a struct field's type, imported already
+        CType *mine = allocate();
+        mine->kind_ = CTypeKind::function;
+        mine->elem_ = import(type->returnType());
+        for (const CType *param : type->paramTypes())
+            mine->params_.push_back(import(param));
+        mine->varArg_ = type->isVarArg();
+        functions_.emplace(key, mine);
+        imported_[type] = mine;
+    }
+    anonStructCount_ = other.anonStructCount_;
+}
+
+const CType *
+CTypeContext::import(const CType *type)
+{
+    if (type->kind() < CTypeKind::pointer) {
+        // The basic types are laid out in CTypeKind order.
+        return &basics_[static_cast<int>(type->kind())];
+    }
+    auto it = imported_.find(type);
+    if (it != imported_.end())
+        return it->second;
+    const CType *mine = nullptr;
+    switch (type->kind()) {
+      case CTypeKind::pointer:
+        mine = pointerTo(import(type->pointee()));
+        break;
+      case CTypeKind::array:
+        mine = arrayOf(import(type->elemType()), type->arrayLength());
+        break;
+      case CTypeKind::structTy:
+        mine = structs_.at(type->structName());
+        break;
+      default: {
+        std::vector<const CType *> params;
+        for (const CType *param : type->paramTypes())
+            params.push_back(import(param));
+        mine = functionType(import(type->returnType()), std::move(params),
+                            type->isVarArg());
+        break;
+      }
+    }
+    imported_[type] = mine;
+    return mine;
+}
+
 const CType *
 CTypeContext::promote(const CType *type) const
 {

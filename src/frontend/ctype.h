@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/type.h"
@@ -169,6 +170,18 @@ class CTypeContext
      */
     const Type *lower(const CType *type);
 
+    /**
+     * Take over every type of @p other — struct tags, complete or not,
+     * function types, and the anonymous-struct numbering — as if this
+     * context had parsed the same sources first. Call once, on a fresh
+     * context; import() then maps @p other's types to this context's.
+     */
+    void importAll(const CTypeContext &other);
+
+    /** This context's type equal to @p type, a type of the context
+     *  importAll() took over. */
+    const CType *import(const CType *type);
+
     /** Result of the C integer promotions (char/short -> int). */
     const CType *promote(const CType *type) const;
 
@@ -189,6 +202,8 @@ class CTypeContext
     std::map<std::string, const CType *> functions_;
     std::map<const CType *, const Type *> loweredStructs_;
     unsigned anonStructCount_ = 0;
+    /// importAll()'s map from the other context's types to ours.
+    std::unordered_map<const CType *, const CType *> imported_;
 };
 
 } // namespace sulong

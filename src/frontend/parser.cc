@@ -1,5 +1,7 @@
 #include "frontend/parser.h"
 
+#include "frontend/lexer.h"
+
 namespace sulong
 {
 
@@ -56,6 +58,47 @@ Parser::parseError(const std::string &message)
 {
     diags_.error(peek().loc, message);
     throw ParseAbort{};
+}
+
+Parser::Nest::Nest(Parser &parser, unsigned levels) : parser_(parser)
+{
+    for (unsigned i = 0; i < levels; i++)
+        add();
+}
+
+void
+Parser::Nest::add()
+{
+    if (parser_.depth_ == kMaxNesting) {
+        parser_.diags_.error(parser_.peek().loc,
+                             "nesting deeper than " +
+                                 std::to_string(kMaxNesting) + " levels");
+        throw NestingAbort{};
+    }
+    parser_.depth_++;
+    levels_++;
+}
+
+bool
+bracketsNestTooDeep(const std::string &source)
+{
+    DiagnosticEngine diags;
+    unsigned depth = 0;
+    for (const Token &tok : Lexer("<input>", source, diags).lexAll()) {
+        switch (tok.kind) {
+          case Tok::lparen: case Tok::lbracket: case Tok::lbrace:
+            if (++depth > kMaxNesting)
+                return true;
+            break;
+          case Tok::rparen: case Tok::rbracket: case Tok::rbrace:
+            if (depth > 0)
+                depth--;
+            break;
+          default:
+            break;
+        }
+    }
+    return false;
 }
 
 // -----------------------------------------------------------------------
@@ -176,6 +219,7 @@ Parser::parseDeclSpecifiers()
 const CType *
 Parser::parseStructSpecifier()
 {
+    Nest nest(*this);
     expect(Tok::kwStruct, "'struct'");
     std::string tag;
     if (at(Tok::identifier))
@@ -230,8 +274,11 @@ Parser::parseEnumSpecifier()
 std::unique_ptr<Parser::Declarator>
 Parser::parseDeclarator(bool allow_abstract)
 {
+    // Each pointer level and suffix nests the declared type one deeper.
+    Nest nest(*this);
     auto decl = std::make_unique<Declarator>();
     while (accept(Tok::star)) {
+        nest.add();
         decl->pointerLevels++;
         while (accept(Tok::kwConst) || accept(Tok::kwVolatile) ||
                accept(Tok::kwRestrict)) {
@@ -250,6 +297,8 @@ Parser::parseDeclarator(bool allow_abstract)
         parseError("expected a name in declarator");
     }
     while (true) {
+        if (at(Tok::lbracket) || at(Tok::lparen))
+            nest.add();
         if (accept(Tok::lbracket)) {
             DeclSuffix suffix;
             suffix.isArray = true;
@@ -359,6 +408,8 @@ Parser::parseInto(TranslationUnit &unit)
     while (!at(Tok::eof)) {
         try {
             parseTopLevelDecl();
+        } catch (const NestingAbort &) {
+            return;
         } catch (const ParseAbort &) {
             // Skip to the next ';' or '}' at top level and continue.
             while (!at(Tok::eof) && !accept(Tok::semi) && !accept(Tok::rbrace))
@@ -437,6 +488,7 @@ Parser::parseFunctionDefinition(const DeclSpec &spec, const CType *type,
 ExprPtr
 Parser::parseInitializer()
 {
+    Nest nest(*this);
     if (at(Tok::lbrace)) {
         auto list = std::make_unique<InitListExpr>();
         list->loc = peek().loc;
@@ -507,6 +559,7 @@ Parser::parseDeclStmt()
 StmtPtr
 Parser::parseStmt()
 {
+    Nest nest(*this);
     SourceLoc loc = peek().loc;
     switch (peek().kind) {
       case Tok::lbrace:
@@ -644,8 +697,10 @@ Parser::parseStmt()
 ExprPtr
 Parser::parseExpr()
 {
+    Nest chain(*this, 0);
     ExprPtr lhs = parseAssign();
     while (at(Tok::comma)) {
+        chain.add();
         SourceLoc loc = advance().loc;
         auto comma = std::make_unique<CommaExpr>();
         comma->loc = std::move(loc);
@@ -721,6 +776,7 @@ Parser::parseAssign()
         assign->compound = compound;
         assign->op = op;
         assign->lhs = std::move(lhs);
+        Nest nest(*this);
         assign->rhs = parseAssign();
         return assign;
     }
@@ -733,6 +789,7 @@ Parser::parseConditional()
     ExprPtr cond = parseBinary(1);
     if (!at(Tok::question))
         return cond;
+    Nest nest(*this);
     SourceLoc loc = advance().loc;
     auto expr = std::make_unique<ConditionalExpr>();
     expr->loc = std::move(loc);
@@ -746,12 +803,14 @@ Parser::parseConditional()
 ExprPtr
 Parser::parseBinary(int min_prec)
 {
+    Nest chain(*this, 0);
     ExprPtr lhs = parseUnary();
     while (true) {
         BinaryOp op = BinaryOp::add;
         int prec = binaryPrec(peek().kind, op);
         if (prec == 0 || prec < min_prec)
             return lhs;
+        chain.add();
         SourceLoc loc = advance().loc;
         auto bin = std::make_unique<BinaryExpr>();
         bin->loc = std::move(loc);
@@ -765,6 +824,7 @@ Parser::parseBinary(int min_prec)
 ExprPtr
 Parser::parseUnary()
 {
+    Nest nest(*this);
     SourceLoc loc = peek().loc;
     auto makeUnary = [&](UnaryOp op) {
         advance();
@@ -819,10 +879,12 @@ Parser::parseUnary()
 ExprPtr
 Parser::parsePostfix(ExprPtr base)
 {
+    Nest chain(*this, 0);
     while (true) {
         SourceLoc loc = peek().loc;
         switch (peek().kind) {
           case Tok::lparen: {
+            chain.add();
             advance();
             auto call = std::make_unique<CallExpr>();
             call->loc = std::move(loc);
@@ -837,6 +899,7 @@ Parser::parsePostfix(ExprPtr base)
             break;
           }
           case Tok::lbracket: {
+            chain.add();
             advance();
             auto index = std::make_unique<IndexExpr>();
             index->loc = std::move(loc);
@@ -848,6 +911,7 @@ Parser::parsePostfix(ExprPtr base)
           }
           case Tok::dot:
           case Tok::arrow: {
+            chain.add();
             bool arrow = peek().kind == Tok::arrow;
             advance();
             auto member = std::make_unique<MemberExpr>();
@@ -860,6 +924,7 @@ Parser::parsePostfix(ExprPtr base)
           }
           case Tok::plusplus:
           case Tok::minusminus: {
+            chain.add();
             bool inc = peek().kind == Tok::plusplus;
             advance();
             auto expr = std::make_unique<UnaryExpr>();

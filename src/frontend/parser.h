@@ -22,6 +22,24 @@ namespace sulong
 /** Typedef table shared across all files of one compilation. */
 using TypedefMap = std::unordered_map<std::string, const CType *>;
 
+/**
+ * The deepest nesting the parser accepts. Each parenthesis, block,
+ * statement, declarator, initializer list and struct level counts, and
+ * so does each link of an operator, comma or postfix chain, so no tree
+ * it builds is deeper than this — which keeps every recursive pass over
+ * it (codegen, constant evaluation, destruction) within a bounded stack.
+ * Deeper input gets one error and ends the parse of its file. The C
+ * standard's minimums are 63 parenthesis and 127 block levels.
+ */
+constexpr unsigned kMaxNesting = 256;
+
+/**
+ * Whether @p source opens more than kMaxNesting parentheses, brackets or
+ * braces at once: input the parser is sure to refuse, found by lexing
+ * alone, so a service can turn it away before compiling it.
+ */
+bool bracketsNestTooDeep(const std::string &source);
+
 class Parser
 {
   public:
@@ -42,6 +60,22 @@ class Parser
     bool accept(Tok kind);
     const Token &expect(Tok kind, const char *what);
     [[noreturn]] void parseError(const std::string &message);
+
+    /** Holds @p levels of nesting (see kMaxNesting) for its lifetime. */
+    class Nest
+    {
+      public:
+        explicit Nest(Parser &parser, unsigned levels = 1);
+        ~Nest() { parser_.depth_ -= levels_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+        /** One more level, e.g. the next link of a chain. */
+        void add();
+
+      private:
+        Parser &parser_;
+        unsigned levels_ = 0;
+    };
 
     // --- Types and declarators --------------------------------------------
     struct DeclSpec
@@ -117,10 +151,16 @@ class Parser
     DiagnosticEngine &diags_;
     TranslationUnit *unit_ = nullptr;
     TypedefMap &typedefs_;
+    unsigned depth_ = 0;
 };
 
 /** Error used internally for parse-abort; carries no payload. */
 struct ParseAbort
+{
+};
+
+/** Ends the parse of a file that nests deeper than kMaxNesting. */
+struct NestingAbort
 {
 };
 

@@ -1,5 +1,8 @@
 #include "libc/libc_sources.h"
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace sulong
 {
 
@@ -1259,6 +1262,31 @@ libcSources(LibcVariant variant)
     sources.push_back(SourceFile{"libc/stdlib.c", STDLIB_C});
     sources.push_back(SourceFile{"libc/stdio.c", STDIO_C});
     return sources;
+}
+
+namespace
+{
+
+const LibraryPrototype *
+buildPrototype(LibcVariant variant)
+{
+    MS_TRACE_SPAN("frontend.libc_prototype");
+    obs::MetricsRegistry::global().counter("frontend.libc_prototypes").inc();
+    // Never destroyed: threads still running at exit may use it.
+    return new LibraryPrototype(libcSources(variant));
+}
+
+} // namespace
+
+const LibraryPrototype &
+libcPrototype(LibcVariant variant)
+{
+    if (variant == LibcVariant::safe) {
+        static const LibraryPrototype *safe = buildPrototype(variant);
+        return *safe;
+    }
+    static const LibraryPrototype *native = buildPrototype(variant);
+    return *native;
 }
 
 std::vector<std::string>

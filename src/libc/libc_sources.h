@@ -31,6 +31,13 @@ enum class LibcVariant : uint8_t
 /** The libc translation units for one compilation. */
 std::vector<SourceFile> libcSources(LibcVariant variant);
 
+/**
+ * The libc variant compiled once per process (built on first use, which
+ * concurrent callers share; counted by `frontend.libc_prototypes`). Pass
+ * it as CompileOptions::library to compile a program against it.
+ */
+const LibraryPrototype &libcPrototype(LibcVariant variant);
+
 /** Names of all public libc functions provided (for tests and docs). */
 std::vector<std::string> libcFunctionNames();
 

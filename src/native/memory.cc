@@ -1,13 +1,27 @@
 #include "native/memory.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <new>
 
 namespace sulong
 {
 
+void
+NativeMemory::Unmap::operator()(uint8_t *stack) const
+{
+    munmap(stack, NativeLayout::stackSize);
+}
+
 NativeMemory::NativeMemory()
 {
-    stack_.resize(NativeLayout::stackSize);
+    void *stack = mmap(nullptr, NativeLayout::stackSize,
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+    if (stack == MAP_FAILED)
+        throw std::bad_alloc();
+    stack_.reset(static_cast<uint8_t *>(stack));
     args_.resize(NativeLayout::argsSize);
 }
 
@@ -25,7 +39,7 @@ NativeMemory::resolve(uint64_t addr, uint64_t size, bool is_write)
         return heap_.data() + (addr - NativeLayout::heapBase);
     }
     if (addr >= NativeLayout::stackBase && addr + size <= NativeLayout::stackTop)
-        return stack_.data() + (addr - NativeLayout::stackBase);
+        return stack_.get() + (addr - NativeLayout::stackBase);
     if (addr >= NativeLayout::argsBase &&
         addr + size <= NativeLayout::argsBase + NativeLayout::argsSize) {
         return args_.data() + (addr - NativeLayout::argsBase);

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -158,9 +159,17 @@ class NativeMemory
   private:
     void applyInit(uint64_t addr, const Type *type, const Initializer &init);
 
+    /** Unmaps the stack mapping. */
+    struct Unmap
+    {
+        void operator()(uint8_t *stack) const;
+    };
+
     std::vector<uint8_t> globals_;
     std::vector<uint8_t> heap_;
-    std::vector<uint8_t> stack_;
+    /// Anonymous zero pages the OS backs on first touch: a run pays for
+    /// the stack it uses, not for all 8 MB of it.
+    std::unique_ptr<uint8_t, Unmap> stack_;
     std::vector<uint8_t> args_;
     uint64_t globalEnd_ = NativeLayout::globalBase;
     uint64_t heapEnd_ = NativeLayout::heapBase;

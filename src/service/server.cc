@@ -335,7 +335,8 @@ ServiceServer::handleJobRequest(const std::shared_ptr<Connection> &conn,
       default:
         sendError(conn, ErrorInfo{"bad-request",
                                   "request rejected (source exceeds the "
-                                  "configured size limit)", 0});
+                                  "configured size limit or nests deeper "
+                                  "than the front end accepts)", 0});
         break;
     }
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "frontend/parser.h"
 #include "obs/expo.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -108,7 +109,8 @@ AnalysisService::submit(JobRequest request, DoneFn done,
     MS_TRACE_SPAN("service.admission");
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     reg.counter("service.requests").inc();
-    if (request.source.size() > config_.maxSourceBytes) {
+    if (request.source.size() > config_.maxSourceBytes ||
+        bracketsNestTooDeep(request.source)) {
         reg.counter("service.rejected.invalid").inc();
         windowRejected_.record(nowMs());
         return AdmitStatus::invalid;

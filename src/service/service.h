@@ -99,7 +99,8 @@ enum class AdmitStatus : uint8_t
     overloadedTenant,
     /// The service is draining and accepts nothing new.
     draining,
-    /// The request itself is unacceptable (e.g. source too large).
+    /// The request itself is unacceptable: its source is too large, or
+    /// nests deeper than the front end accepts (bracketsNestTooDeep).
     invalid,
 };
 

@@ -80,11 +80,9 @@ CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
             return;
         }
 
-        std::vector<SourceFile> sources = libcSources(variant);
-        for (const SourceFile &src : user_sources)
-            sources.push_back(src);
-
-        CompileResult compiled = compileC(sources);
+        CompileOptions options;
+        options.library = &libcPrototype(variant);
+        CompileResult compiled = compileC(user_sources, options);
         if (!compiled.ok()) {
             entry->errors = compiled.errors;
         } else {

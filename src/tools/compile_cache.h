@@ -13,6 +13,13 @@
  * module per stage. It is the only code that compiles a program:
  * prepareProgram() without a cache uses a call-local one.
  *
+ * A stage's compile is user TU -> link -> O0/O3: the user sources are
+ * compiled alone against the libc variant's process-wide prototype
+ * (libcPrototype(), compiled once per process and shared by every
+ * cache), which links in only the libc bodies the program reaches; the
+ * pipeline then runs on that linked module. No cache holds a private
+ * copy of the whole libc.
+ *
  * ASan's compile-time instrumentation mutates modules, so its stages are
  * cached separately (the `instrumented` key bit — effectively the tool
  * kind): the pass runs once on a private *clone* of the matching

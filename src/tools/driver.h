@@ -168,7 +168,8 @@ ManagedOptions parseManagedFlags(int argc, char **argv,
  * `--no-refute` (skip the engine replay; nothing is demoted),
  * `--no-summaries` (havoc at every call instead of applying
  * interprocedural function summaries),
- * `--analyze-libc` (also analyze the linked libc functions),
+ * `--analyze-libc` (also analyze the linked libc: the libc bodies the
+ * program reaches),
  * `--summary-depth N` (recursive-SCC fixpoint rounds),
  * `--analysis-jobs N` (parallel SCC analysis; findings are identical
  * for every N), `--widen-after N`, and `--replay-steps N`.

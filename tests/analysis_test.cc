@@ -500,6 +500,16 @@ int main(void) {
     AnalysisReport report = analyzeModule(*module, options);
     EXPECT_EQ(report.definiteCount(), 0u) << report.toString();
     EXPECT_GT(report.functionsAnalyzed, 10u);
+
+    // "The libc" is the linked libc: the bodies the program reaches,
+    // each analyzed, and no other.
+    unsigned defined = 0;
+    for (const auto &fn : module->functions())
+        defined += fn->isDeclaration() ? 0 : 1;
+    EXPECT_EQ(report.functionsAnalyzed, defined);
+    for (const char *called : {"strcpy", "qsort", "snprintf", "strdup"})
+        EXPECT_FALSE(module->findFunction(called)->isDeclaration()) << called;
+    EXPECT_TRUE(module->findFunction("strtok")->isDeclaration());
 }
 
 // ---------------------------------------------------------------------

@@ -450,6 +450,9 @@ TEST(DeterminismTest, CounterTotalsMatchAcrossJobCounts)
             corpus[i].args, corpus[i].stdinData));
     }
 
+    // A process compiles its libc once; build it before either run so
+    // both start from the same process state.
+    libcPrototype(LibcVariant::safe);
     auto runWithJobs = [&](unsigned workers) {
         reg.reset();
         BatchOptions options;

@@ -8,6 +8,9 @@
 
 #include "test_util.h"
 
+#include "frontend/compiler.h"
+#include "frontend/parser.h"
+
 namespace sulong
 {
 namespace
@@ -320,6 +323,74 @@ int main(void) { return 0; })");
     size_t first = errors.find("expected");
     ASSERT_NE(first, std::string::npos);
     EXPECT_NE(errors.find("expected", first + 1), std::string::npos);
+}
+
+std::string
+repeat(const std::string &text, size_t times)
+{
+    std::string out;
+    out.reserve(text.size() * times);
+    for (size_t i = 0; i < times; i++)
+        out += text;
+    return out;
+}
+
+/** One nesting-budget error, reported without blowing the stack. */
+void
+expectNestingError(const std::string &source)
+{
+    CompileResult result = compileC(source);
+    ASSERT_FALSE(result.ok());
+    const std::string needle =
+        "nesting deeper than " + std::to_string(kMaxNesting) + " levels";
+    size_t at = result.errors.find(needle);
+    ASSERT_NE(at, std::string::npos) << result.errors.substr(0, 300);
+    EXPECT_EQ(result.errors.find(needle, at + 1), std::string::npos);
+    EXPECT_EQ(compileErrorsOf(source), result.errors);
+}
+
+TEST(ParserErrorTest, TwentyThousandNestedParenthesesAreOneError)
+{
+    expectNestingError("int main(void) { return " + repeat("(", 20000) +
+                       "1" + repeat(")", 20000) + "; }");
+}
+
+TEST(ParserErrorTest, FiftyThousandNestedBlocksAreOneError)
+{
+    expectNestingError("int main(void) " + repeat("{", 50000) +
+                       repeat("}", 50000));
+}
+
+TEST(ParserErrorTest, LongChainsAndDeclaratorsCountAsNesting)
+{
+    // Flat in the source but as deep as it is long once parsed.
+    expectNestingError("int main(void) { return 1" + repeat(" + 1", 50000) +
+                       "; }");
+    expectNestingError("int main(void) { int x = 0; return " +
+                       repeat("-", 50000) + "x; }");
+    expectNestingError("int main(void) { int x; " + repeat("x = ", 50000) +
+                       "1; return x; }");
+    expectNestingError("int " + repeat("*", 50000) +
+                       "p; int main(void) { return 0; }");
+    expectNestingError("int a[1] = " + repeat("{", 50000) + "0" +
+                       repeat("}", 50000) + "; int main(void) { return 0; }");
+}
+
+TEST(ParserErrorTest, NestingWithinTheBudgetCompiles)
+{
+    const size_t depth = 100; // corpus, benchmark and fuzz programs stay under 50
+    EXPECT_EQ(exitCodeOf("int main(void) { return " + repeat("(", depth) +
+                         "7" + repeat(")", depth) + "; }"),
+              7);
+    EXPECT_EQ(exitCodeOf("int main(void) " + repeat("{", depth) +
+                         "return 7;" + repeat("}", depth)),
+              7);
+    EXPECT_FALSE(bracketsNestTooDeep(repeat("(", kMaxNesting) +
+                                     repeat(")", kMaxNesting)));
+    EXPECT_TRUE(bracketsNestTooDeep(repeat("{", kMaxNesting + 1)));
+    // Brackets inside literals and comments do not count.
+    EXPECT_FALSE(bracketsNestTooDeep("char *s = \"" + repeat("(", 300) +
+                                     "\"; /* " + repeat("[", 300) + " */"));
 }
 
 } // namespace

@@ -401,6 +401,48 @@ TEST(ServiceServerTest, CompileErrorComesBackStructured)
     EXPECT_EQ(bug->stringAt("kind"), "engine-error");
 }
 
+TEST(ServiceServerTest, DeepNestingIsBadRequestAndDaemonKeepsServing)
+{
+    ServiceConfig config;
+    config.workers = 1;
+    ServerOptions options;
+    options.socketPath = makeSocketPath("deep");
+    ServiceServer server(config, options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ServiceClient hostile;
+    ServiceClient other;
+    ASSERT_TRUE(hostile.connect(options.socketPath, &error)) << error;
+    ASSERT_TRUE(other.connect(options.socketPath, &error)) << error;
+    const std::string sources[] = {
+        "int main(void) { return " + std::string(20000, '(') + "1" +
+            std::string(20000, ')') + "; }",
+        "int main(void) " + std::string(50000, '{') +
+            std::string(50000, '}'),
+    };
+    for (const std::string &source : sources) {
+        JobRequest request;
+        request.tenant = "hostile";
+        request.source = source;
+        Frame reply;
+        ASSERT_TRUE(hostile.submitJob(request, &reply, &error)) << error;
+        ASSERT_EQ(reply.type, FrameType::error);
+        obs::JsonValue doc;
+        ASSERT_TRUE(obs::parseJson(reply.payload, &doc, &error)) << error;
+        EXPECT_EQ(doc.stringAt("code"), "bad-request");
+
+        JobRequest clean = cleanRequest();
+        clean.tenant = "other";
+        ASSERT_TRUE(other.submitJob(clean, &reply, &error)) << error;
+        ASSERT_EQ(reply.type, FrameType::jobResponse);
+        ASSERT_TRUE(obs::parseJson(reply.payload, &doc, &error)) << error;
+        EXPECT_EQ(doc.stringAt("output"), "total=55\n");
+    }
+    server.requestDrain();
+    EXPECT_EQ(server.runUntilDrained(), 0);
+}
+
 TEST(ServiceServerTest, GarbageFrameEarnsErrorThenCloseDaemonSurvives)
 {
     ServiceConfig config;
