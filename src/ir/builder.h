@@ -1,7 +1,7 @@
 /**
  * @file
- * Convenience builder used by the front end, the optimizer, the
- * instrumentation passes, and tests to create IR.
+ * Convenience builder used by the front end, the optimizer and tests to
+ * create IR.
  */
 
 #ifndef MS_IR_BUILDER_H

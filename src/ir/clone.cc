@@ -9,10 +9,10 @@ namespace
 {
 
 /**
- * Maps values and types of the original module into the clone. Both
- * modules number their functions alike, so functions map by id; the
- * values of a function body map through its frame slots and block
- * indices, which every finalized module carries.
+ * Maps values and types of the original module (the library) into the
+ * clone (the program). Both modules number their functions alike, so
+ * functions map by id; the values of a function body map through its
+ * frame slots and block indices, which every finalized module carries.
  */
 class ModuleCloner
 {
@@ -24,10 +24,7 @@ class ModuleCloner
         typeMap_.reserve(64);
     }
 
-    /** Copy all of the original into the (empty) clone. */
-    void cloneAll();
-
-    /** The linkLibrary() step: the original is the library. */
+    /** The linkLibrary() step. */
     void linkReachable(
         const std::unordered_map<const GlobalVariable *, GlobalVariable *>
             &globals);
@@ -35,9 +32,6 @@ class ModuleCloner
   private:
     const Type *mapType(const Type *type);
     Value *mapValue(const Value *value);
-    void cloneGlobals();
-    Initializer mapInitializer(const Initializer &init);
-    void cloneFunctionShells();
     void cloneBody(const Function &fn);
     std::unique_ptr<Instruction> cloneInstruction(const Instruction &inst);
 
@@ -144,55 +138,6 @@ ModuleCloner::mapValue(const Value *value)
     return mapped;
 }
 
-Initializer
-ModuleCloner::mapInitializer(const Initializer &init)
-{
-    Initializer mapped;
-    mapped.kind = init.kind;
-    mapped.intValue = init.intValue;
-    mapped.fpValue = init.fpValue;
-    mapped.bytes = init.bytes;
-    mapped.addend = init.addend;
-    if (init.global != nullptr) {
-        mapped.global =
-            static_cast<const GlobalVariable *>(valueMap_.at(init.global));
-    }
-    if (init.function != nullptr)
-        mapped.function = clone_.functionById(init.function->id());
-    mapped.elems.reserve(init.elems.size());
-    for (const Initializer &elem : init.elems)
-        mapped.elems.push_back(mapInitializer(elem));
-    return mapped;
-}
-
-void
-ModuleCloner::cloneGlobals()
-{
-    // Two phases, like the front end: create every global zeroed first so
-    // initializers can reference globals defined later.
-    for (const auto &global : original_.globals()) {
-        GlobalVariable *copy =
-            clone_.addGlobal(mapType(global->valueType()), global->name(),
-                              Initializer::makeZero(), global->isConst());
-        valueMap_[global.get()] = copy;
-    }
-}
-
-void
-ModuleCloner::cloneFunctionShells()
-{
-    for (const auto &fn : original_.functions()) {
-        // addFunction assigns ids sequentially, so cloning in module
-        // order preserves ids (and with them function-pointer encodings).
-        Function *copy =
-            clone_.addFunction(mapType(fn->fnType()), fn->name());
-        copy->setIntrinsic(fn->isIntrinsic());
-        copy->setSourceFile(fn->sourceFile());
-        for (unsigned i = 0; i < fn->numArgs(); i++)
-            copy->arg(i)->setName(fn->arg(i)->name());
-    }
-}
-
 std::unique_ptr<Instruction>
 ModuleCloner::cloneInstruction(const Instruction &inst)
 {
@@ -253,23 +198,6 @@ ModuleCloner::cloneBody(const Function &fn)
 }
 
 void
-ModuleCloner::cloneAll()
-{
-    cloneGlobals();
-    cloneFunctionShells();
-    for (const auto &global : original_.globals()) {
-        auto *copy = static_cast<GlobalVariable *>(valueMap_.at(global.get()));
-        copy->setInit(mapInitializer(global->init()));
-    }
-    for (const auto &fn : original_.functions())
-        cloneBody(*fn);
-    // Recomputes the same dense slot numbering the original carries
-    // (cloneInstruction copied the slots already; finalize also restores
-    // numSlots(), which has no direct setter).
-    clone_.finalize();
-}
-
-void
 ModuleCloner::linkReachable(
     const std::unordered_map<const GlobalVariable *, GlobalVariable *>
         &globals)
@@ -319,14 +247,6 @@ ModuleCloner::linkReachable(
 }
 
 } // namespace
-
-std::unique_ptr<Module>
-cloneModule(const Module &original)
-{
-    auto clone = std::make_unique<Module>();
-    ModuleCloner(original, *clone).cloneAll();
-    return clone;
-}
 
 void
 linkLibrary(Module &program, const Module &library,

@@ -1,35 +1,28 @@
 /**
  * @file
- * Deep copy of IR modules.
+ * Linking a precompiled library into a program by cloning its bodies.
  *
- * The compile cache (src/tools/compile_cache.h) keeps one immutable
- * prototype module per pipeline stage and hands every evaluation job its
- * own clone, so instrumentation passes (ASan) and engines that intern
- * types during execution (the managed engine) never mutate shared state.
+ * A program compiled against a library (see LibraryPrototype in
+ * frontend/compiler.h) declares every library function and holds its
+ * own copy of every library global; linkLibrary() then copies in only
+ * the library bodies the program reaches. The library module itself is
+ * never changed, so one immutable prototype serves every program.
  *
- * Unlike the print/parse round trip (ir/parser.h), cloning supports the
- * full IR — including named struct types — and preserves function ids,
- * frame-slot numbering and source locations exactly, so a cloned module
- * executes bit-identically to its original under every engine.
- *
- * The same cloner links a precompiled library into a program compiled
- * against it (see LibraryPrototype in frontend/compiler.h): it copies
- * only the library bodies the program reaches.
+ * The copy supports the full IR — including named struct types — and
+ * preserves function ids, frame-slot numbering and source locations
+ * exactly, so a linked body executes bit-identically to the library's
+ * own under every engine.
  */
 
 #ifndef MS_IR_CLONE_H
 #define MS_IR_CLONE_H
 
-#include <memory>
 #include <unordered_map>
 
 #include "ir/module.h"
 
 namespace sulong
 {
-
-/** Deep-copy @p original into a fresh module with its own TypeContext. */
-std::unique_ptr<Module> cloneModule(const Module &original);
 
 /**
  * Link @p library into @p program, which declares every library function

@@ -186,7 +186,7 @@ class BasicBlock
         return insts_;
     }
 
-    /** Mutable access for optimizer and instrumentation passes. */
+    /** Mutable access for optimizer passes. */
     std::vector<std::unique_ptr<Instruction>> &mutableInsts()
     {
         return insts_;
@@ -201,15 +201,6 @@ class BasicBlock
 
     /** Remove the instruction at position @p i (optimizer use). */
     void erase(size_t i) { insts_.erase(insts_.begin() + i); }
-
-    /** Replace the whole instruction list (optimizer use). */
-    void
-    replaceInsts(std::vector<std::unique_ptr<Instruction>> insts)
-    {
-        insts_ = std::move(insts);
-        for (auto &inst : insts_)
-            inst->setParent(this);
-    }
 
     bool empty() const { return insts_.empty(); }
     Instruction *terminator() const

@@ -93,7 +93,7 @@ class Function : public Value
     void setId(unsigned id) { id_ = id; }
 
     /// Logical source file of the definition ("libc/...", "<input>", ...);
-    /// instrumentation passes use this to tell user code from libc.
+    /// ASan uses this to tell instrumented user code from libc.
     const std::string &sourceFile() const { return sourceFile_; }
     void setSourceFile(std::string file) { sourceFile_ = std::move(file); }
 

@@ -2,12 +2,14 @@
  * @file
  * Instrumentation hook interface for the native engine.
  *
- * The plain engine runs with no hooks ("Clang" baseline). The ASan-style
- * tool plugs in allocator interposition, redzone sizing, interceptors,
- * and the __asan_check intrinsic (compile-time instrumentation). The
- * Memcheck-style tool plugs in per-access checking and definedness
- * tracking (runtime instrumentation). Hook implementations report bugs
- * by throwing MemoryErrorException.
+ * The plain engine runs with no hooks ("Clang" baseline). Both tools
+ * check loads and stores through onLoad/onStore, in the frames of the
+ * functions checksAccessesIn() selects: the ASan-style tool in its
+ * instrumented (non-libc) functions, plus allocator interposition,
+ * stack redzones and interceptors (compile-time instrumentation); the
+ * Memcheck-style tool in every function, plus definedness tracking
+ * (runtime instrumentation). Hook implementations report bugs by
+ * throwing MemoryErrorException.
  */
 
 #ifndef MS_NATIVE_HOOKS_H
@@ -42,10 +44,25 @@ class NativeHooks
     /** Padding between globals (ASan global redzones). */
     virtual uint64_t globalGap() const { return 0; }
 
-    // --- Runtime instrumentation (Memcheck) ------------------------------
+    // --- Access checks ----------------------------------------------------
 
-    /** When true, the engine calls onLoad/onStore for every access. */
-    virtual bool checksEveryAccess() const { return false; }
+    /**
+     * True when the loads and stores executed in a frame of @p fn go
+     * through onLoad/onStore, and its allocas get allocaRedzone() bytes
+     * on each side. Asked once per call frame.
+     */
+    virtual bool
+    checksAccessesIn(const Function &fn) const
+    {
+        (void)fn;
+        return false;
+    }
+    /**
+     * True when each checked load or store retires one step between its
+     * check and the access: the check is code compiled into the program
+     * (ASan's inserted call), not work of the tool around it (Memcheck).
+     */
+    virtual bool chargesAccessChecks() const { return false; }
     virtual void
     onLoad(NativeMemory &mem, uint64_t addr, unsigned size,
            const SourceLoc &loc)
@@ -81,13 +98,7 @@ class NativeHooks
 
     // --- Stack instrumentation (ASan) --------------------------------------
 
-    /** True when @p fn was compiled with instrumentation. */
-    virtual bool instruments(const Function &fn) const
-    {
-        (void)fn;
-        return false;
-    }
-    /** Redzone bytes placed on each side of an instrumented alloca. */
+    /** Redzone bytes placed on each side of an alloca in a checked frame. */
     virtual uint64_t allocaRedzone() const { return 0; }
     virtual void
     onAlloca(NativeMemory &mem, uint64_t base, uint64_t var_addr,
@@ -108,15 +119,6 @@ class NativeHooks
     onStackAlloc(NativeMemory &mem, uint64_t addr, uint64_t size)
     {
         (void)mem; (void)addr; (void)size;
-    }
-
-    // --- Compile-time check intrinsic (ASan) -------------------------------
-
-    virtual void
-    check(NativeMemory &mem, uint64_t addr, unsigned size, bool is_write,
-          const SourceLoc &loc)
-    {
-        (void)mem; (void)addr; (void)size; (void)is_write; (void)loc;
     }
 
     // --- libc interceptors (ASan) -------------------------------------------

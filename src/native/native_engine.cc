@@ -78,7 +78,7 @@ NativeEngine::run(const Module &module, const std::vector<std::string> &args,
     io_ = GuestIO{};
     io_.input = stdin_data;
     io_.guard = &guard_;
-    checkAccesses_ = hooks_ != nullptr && hooks_->checksEveryAccess();
+    chargeChecks_ = hooks_ != nullptr && hooks_->chargesAccessChecks();
     trackDefined_ = hooks_ != nullptr && hooks_->tracksDefinedness();
 
     ExecutionResult result;
@@ -163,6 +163,7 @@ NativeEngine::callFunction(const Function *fn, std::vector<NValue> args,
     guard_.enterCall();
 
     Frame frame;
+    frame.checked = hooks_ != nullptr && hooks_->checksAccessesIn(*fn);
     frame.savedSp = mem_->stackPointer();
     frame.slots.resize(fn->numSlots());
     for (size_t i = 0; i < args.size() && i < frame.slots.size(); i++)
@@ -278,11 +279,14 @@ NativeEngine::interpret(const Function *fn, Frame &frame)
 
 NValue
 NativeEngine::loadFrom(uint64_t addr, const Type *type,
-                       const SourceLoc &loc)
+                       const SourceLoc &loc, bool checked)
 {
     unsigned size = static_cast<unsigned>(type->size());
-    if (checkAccesses_)
+    if (checked) {
         hooks_->onLoad(*mem_, addr, size, loc);
+        if (chargeChecks_)
+            step();
+    }
     uint64_t bits = mem_->readInt(addr, size);
     NValue out;
     if (type->kind() == TypeKind::f32) {
@@ -303,11 +307,14 @@ NativeEngine::loadFrom(uint64_t addr, const Type *type,
 
 void
 NativeEngine::storeTo(uint64_t addr, const Type *type, const NValue &v,
-                      const SourceLoc &loc)
+                      const SourceLoc &loc, bool checked)
 {
     unsigned size = static_cast<unsigned>(type->size());
-    if (checkAccesses_)
+    if (checked) {
         hooks_->onStore(*mem_, addr, size, loc);
+        if (chargeChecks_)
+            step();
+    }
     uint64_t bits;
     if (type->kind() == TypeKind::f32) {
         float f = static_cast<float>(v.f);
@@ -330,11 +337,7 @@ NativeEngine::execInstruction(const Instruction &inst, Frame &frame)
     switch (inst.op()) {
       case Opcode::alloca_: {
         uint64_t size = inst.accessType()->size();
-        uint64_t rz = 0;
-        if (hooks_ != nullptr &&
-            hooks_->instruments(*inst.parent()->parent())) {
-            rz = hooks_->allocaRedzone();
-        }
+        uint64_t rz = frame.checked ? hooks_->allocaRedzone() : 0;
         // Real frames are not tightly packed: keep 8 slack bytes above
         // each object (spill/padding space a compiler would leave).
         uint64_t total = size + 2 * rz + 8;
@@ -350,13 +353,13 @@ NativeEngine::execInstruction(const Instruction &inst, Frame &frame)
       case Opcode::load: {
         NValue addr = evalOperand(inst.operand(0), frame);
         return loadFrom(static_cast<uint64_t>(addr.i), inst.accessType(),
-                        inst.loc());
+                        inst.loc(), frame.checked);
       }
       case Opcode::store: {
         NValue value = evalOperand(inst.operand(0), frame);
         NValue addr = evalOperand(inst.operand(1), frame);
         storeTo(static_cast<uint64_t>(addr.i), inst.accessType(), value,
-                inst.loc());
+                inst.loc(), frame.checked);
         return NValue{};
       }
       case Opcode::gep: {
@@ -589,21 +592,6 @@ NativeEngine::execCall(const Instruction &inst, Frame &frame)
     const Value *callee_v = inst.operand(0);
     if (callee_v->valueKind() == ValueKind::function) {
         callee = static_cast<const Function *>(callee_v);
-        // Fast path for the instrumentation intrinsic: it runs before
-        // every load/store of instrumented code, so skip the generic
-        // call machinery.
-        if (callee->isIntrinsic() &&
-            intrinsicId(callee) == Intr::asanCheck) {
-            if (hooks_ != nullptr) {
-                NValue ptr = evalOperand(inst.operand(1), frame);
-                NValue size = evalOperand(inst.operand(2), frame);
-                NValue is_write = evalOperand(inst.operand(3), frame);
-                hooks_->check(*mem_, static_cast<uint64_t>(ptr.i),
-                              static_cast<unsigned>(size.i),
-                              is_write.i != 0, inst.loc());
-            }
-            return NValue{};
-        }
     } else {
         NValue target = evalOperand(callee_v, frame);
         uint64_t addr = static_cast<uint64_t>(target.i);
@@ -663,7 +651,6 @@ NativeEngine::intrinsicId(const Function *fn)
     if (it != intrCache_.end())
         return it->second;
     static const std::map<std::string, Intr> table = {
-        {"__asan_check", Intr::asanCheck},
         {"malloc", Intr::mallocFn}, {"free", Intr::freeFn},
         {"calloc", Intr::callocFn}, {"realloc", Intr::reallocFn},
         {"__sys_exit", Intr::sysExit}, {"__sys_write", Intr::sysWrite},
@@ -689,14 +676,6 @@ NativeEngine::callIntrinsic(const Function *fn, const Instruction *site,
                             std::vector<NValue> &args, Frame &frame)
 {
     switch (intrinsicId(fn)) {
-      case Intr::asanCheck:
-        if (hooks_ != nullptr) {
-            hooks_->check(*mem_, static_cast<uint64_t>(args[0].i),
-                          static_cast<unsigned>(args[1].i),
-                          args[2].i != 0,
-                          site != nullptr ? site->loc() : SourceLoc{});
-        }
-        return NValue{};
       case Intr::mallocFn:
         return NValue::makeInt(static_cast<int64_t>(
             hooks_ != nullptr
@@ -736,7 +715,7 @@ NativeEngine::callIntrinsic(const Function *fn, const Instruction *site,
         int fd = static_cast<int>(args[0].i);
         uint64_t buf = static_cast<uint64_t>(args[1].i);
         uint64_t len = static_cast<uint64_t>(args[2].i);
-        if (checkAccesses_ && len > 0) {
+        if (frame.checked && len > 0) {
             hooks_->onLoad(*mem_, buf, static_cast<unsigned>(len),
                            site != nullptr ? site->loc() : SourceLoc{});
         }

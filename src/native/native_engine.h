@@ -46,12 +46,14 @@ class NativeEngine : public Engine
         uint64_t savedSp = 0;
         uint64_t vaSpill = 0;
         uint64_t vaCount = 0;
+        /// hooks_->checksAccessesIn(function), asked once per frame.
+        bool checked = false;
     };
 
     /// Cached intrinsic ids (avoids name comparisons on hot paths).
     enum class Intr : uint8_t
     {
-        unknown, asanCheck, mallocFn, freeFn, callocFn, reallocFn,
+        unknown, mallocFn, freeFn, callocFn, reallocFn,
         sysExit, sysWrite, sysGetchar, sysAllocSize,
         vaStart, vaArgPtr, vaEnd, vaCount,
         mSqrt, mSin, mCos, mTan, mAtan, mAtan2, mExp, mLog, mPow,
@@ -67,14 +69,15 @@ class NativeEngine : public Engine
     NValue execCall(const Instruction &inst, Frame &frame);
     NValue callIntrinsic(const Function *fn, const Instruction *site,
                          std::vector<NValue> &args, Frame &frame);
-    NValue loadFrom(uint64_t addr, const Type *type, const SourceLoc &loc);
+    NValue loadFrom(uint64_t addr, const Type *type, const SourceLoc &loc,
+                    bool checked);
     void storeTo(uint64_t addr, const Type *type, const NValue &v,
-                 const SourceLoc &loc);
+                 const SourceLoc &loc, bool checked);
     void step();
 
     std::string name_;
     std::shared_ptr<NativeHooks> hooks_;
-    bool checkAccesses_ = false;
+    bool chargeChecks_ = false;
     bool trackDefined_ = false;
     const Module *module_ = nullptr;
     std::unique_ptr<NativeMemory> mem_;

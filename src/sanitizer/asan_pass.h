@@ -1,13 +1,8 @@
 /**
  * @file
- * Compile-time instrumentation pass of the ASan-style tool.
- *
- * Inserts `__asan_check(ptr, size, is_write)` calls before every load and
- * store of *user* functions. Library code (sourceFile starting with
- * "libc/") stays uninstrumented, like precompiled libc in real setups —
- * the uninstrumented gap of paper problem P4. Must run after any
- * optimization pipeline (like real ASan instruments optimized IR), so
- * accesses the optimizer deleted are never checked (P2).
+ * Which functions the ASan-style tool treats as instrumented. Its
+ * checks are made at run time by the native engine (see
+ * sanitizer/asan_runtime.h); no pass rewrites the IR.
  */
 
 #ifndef MS_SANITIZER_ASAN_PASS_H
@@ -18,20 +13,18 @@
 namespace sulong
 {
 
-/** Instrumentation statistics, mostly for tests. */
+/** Kept only because perfbench/ reads this name; nothing fills it. */
 struct AsanPassStats
 {
     unsigned instrumentedFunctions = 0;
     unsigned insertedChecks = 0;
 };
 
-/** @return true when @p fn belongs to the shipped libc. */
-bool isLibcFunction(const Function &fn);
-
 /**
- * Instrument @p module in place and re-finalize it.
+ * @return true when @p fn belongs to the shipped libc, which ASan treats
+ *         as precompiled without instrumentation (P4).
  */
-AsanPassStats runAsanPass(Module &module);
+bool isLibcFunction(const Function &fn);
 
 } // namespace sulong
 

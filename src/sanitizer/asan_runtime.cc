@@ -28,7 +28,13 @@ AsanRuntime::onStartup(NativeMemory &mem, const Module &module,
 }
 
 bool
-AsanRuntime::instruments(const Function &fn) const
+isLibcFunction(const Function &fn)
+{
+    return fn.sourceFile().rfind("libc/", 0) == 0;
+}
+
+bool
+AsanRuntime::checksAccessesIn(const Function &fn) const
 {
     return !isLibcFunction(fn);
 }
@@ -167,10 +173,9 @@ AsanRuntime::report(Poison kind, uint64_t addr, unsigned size,
 }
 
 void
-AsanRuntime::check(NativeMemory &mem, uint64_t addr, unsigned size,
-                   bool is_write, const SourceLoc &loc)
+AsanRuntime::checkAccess(uint64_t addr, unsigned size, bool is_write,
+                         const SourceLoc &loc)
 {
-    (void)mem;
     uint64_t bad = shadow_.firstPoisoned(addr, size);
     if (bad != UINT64_MAX) {
         report(static_cast<Poison>(shadow_.get(bad)), addr, size, is_write,

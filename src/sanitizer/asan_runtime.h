@@ -3,6 +3,15 @@
  * The ASan-style runtime: shadow memory + redzones + quarantine +
  * interceptors (paper Section 2.2, "compile-time instrumentation").
  *
+ * The compile-time part is modelled per function: the native engine
+ * checks every load and store that executes in a frame of an
+ * instrumented function (checksAccessesIn) against the shadow map, on
+ * the module the O0/O3 pipeline produced. So accesses the optimizer
+ * deleted are never checked (P2), and libc bodies, precompiled without
+ * instrumentation, are not checked either (P4) — unless O3 inlined them
+ * into user code. Each check retires one step, the cost of the call
+ * the compiler would have inserted.
+ *
  * Deliberately faithful to the gaps the paper exploits in Section 4.1:
  *  - the argv/envp region is never poisoned or checked (Fig. 10);
  *  - there is no strtok interceptor by default (Fig. 11);
@@ -70,14 +79,27 @@ class AsanRuntime : public NativeHooks
     uint64_t onRealloc(NativeMemory &mem, uint64_t addr,
                        uint64_t size) override;
 
-    bool instruments(const Function &fn) const override;
+    bool checksAccessesIn(const Function &fn) const override;
+    bool chargesAccessChecks() const override { return true; }
+    void
+    onLoad(NativeMemory &mem, uint64_t addr, unsigned size,
+           const SourceLoc &loc) override
+    {
+        (void)mem;
+        checkAccess(addr, size, false, loc);
+    }
+    void
+    onStore(NativeMemory &mem, uint64_t addr, unsigned size,
+            const SourceLoc &loc) override
+    {
+        (void)mem;
+        checkAccess(addr, size, true, loc);
+    }
+
     uint64_t allocaRedzone() const override { return options_.redzone; }
     void onAlloca(NativeMemory &mem, uint64_t base, uint64_t var_addr,
                   uint64_t var_size, uint64_t total) override;
     void onFrameExit(NativeMemory &mem, uint64_t lo, uint64_t hi) override;
-
-    void check(NativeMemory &mem, uint64_t addr, unsigned size,
-               bool is_write, const SourceLoc &loc) override;
 
     bool
     reportLeaks(BugReport &report) override
@@ -110,6 +132,8 @@ class AsanRuntime : public NativeHooks
 
     [[noreturn]] void report(Poison kind, uint64_t addr, unsigned size,
                              bool is_write, const SourceLoc &loc);
+    void checkAccess(uint64_t addr, unsigned size, bool is_write,
+                     const SourceLoc &loc);
     /** Walk a guest string checking shadow per byte (interceptors). */
     void checkString(NativeMemory &mem, uint64_t addr,
                      const SourceLoc &loc);

@@ -4,11 +4,9 @@
 #include <tuple>
 
 #include "frontend/compiler.h"
-#include "ir/clone.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/passes.h"
-#include "sanitizer/asan_pass.h"
 
 namespace sulong
 {
@@ -17,7 +15,7 @@ bool
 CompileCache::Key::operator<(const Key &other) const
 {
     auto stage = [](const Key &key) {
-        return std::tie(key.variant, key.optLevel, key.instrumented);
+        return std::tie(key.variant, key.optLevel);
     };
     if (stage(*this) != stage(other))
         return stage(*this) < stage(other);
@@ -30,10 +28,9 @@ CompileCache::Key::operator<(const Key &other) const
 
 std::shared_ptr<const CompileCache::Entry>
 CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
-                           LibcVariant variant, int opt_level,
-                           bool instrumented)
+                           LibcVariant variant, int opt_level)
 {
-    Key key{user_sources, variant, opt_level, instrumented};
+    Key key{user_sources, variant, opt_level};
 
     std::shared_ptr<Slot> slot;
     bool created = false;
@@ -62,24 +59,6 @@ CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
     std::call_once(slot->once, [&]() {
         MS_TRACE_SPAN("compile_cache.compile");
         auto entry = std::make_shared<Entry>();
-        if (instrumented) {
-            // Copy-on-instrument: the pass runs on a private clone of the
-            // plain stage, never on a module other keys hand out. Like
-            // real ASan it runs after optimization: what the optimizer
-            // deleted can no longer be checked (P2).
-            auto base = getOrCompile(user_sources, variant, opt_level,
-                                     /*instrumented=*/false);
-            if (!base->ok()) {
-                entry->errors = base->errors;
-            } else {
-                std::unique_ptr<Module> module = cloneModule(*base->prototype);
-                runAsanPass(*module);
-                entry->prototype = std::move(module);
-            }
-            slot->entry = std::move(entry);
-            return;
-        }
-
         CompileOptions options;
         options.library = &libcPrototype(variant);
         CompileResult compiled = compileC(user_sources, options);

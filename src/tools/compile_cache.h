@@ -20,12 +20,10 @@
  * pipeline then runs on that linked module. No cache holds a private
  * copy of the whole libc.
  *
- * ASan's compile-time instrumentation mutates modules, so its stages are
- * cached separately (the `instrumented` key bit — effectively the tool
- * kind): the pass runs once on a private *clone* of the matching
- * uninstrumented stage (copy-on-instrument; see ir/clone.h), never on a
- * cached module. Engines treat modules as strictly read-only, so batch
- * jobs execute the shared prototypes directly, and a shared cache's runs
+ * No tool rewrites a stage: ASan checks accesses at run time through the
+ * native engine's access hook, like Memcheck, so it shares the plain
+ * stage. Engines treat modules as strictly read-only, so batch jobs
+ * execute the shared prototypes directly, and a shared cache's runs
  * stay bit-identical to cold ones.
  *
  * Thread safe: concurrent lookups of the same key compile once and
@@ -71,14 +69,11 @@ class CompileCache
     /**
      * Return the stage for @p user_sources linked against @p variant and
      * run through the given pipeline (@p opt_level: -1 none, 0, or 3),
-     * compiling it on first use. With @p instrumented, the stage is the
-     * ASan-instrumented clone of the corresponding plain stage. Never
-     * returns null.
+     * compiling it on first use. Never returns null.
      */
     std::shared_ptr<const Entry>
     getOrCompile(const std::vector<SourceFile> &user_sources,
-                 LibcVariant variant, int opt_level,
-                 bool instrumented = false);
+                 LibcVariant variant, int opt_level);
 
     CompileCacheStats stats() const;
 
@@ -97,7 +92,6 @@ class CompileCache
         std::vector<SourceFile> sources;
         LibcVariant variant;
         int optLevel;
-        bool instrumented;
 
         bool operator<(const Key &other) const;
     };

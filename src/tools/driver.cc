@@ -35,10 +35,9 @@ prepareProgram(const std::vector<SourceFile> &user_sources,
                const ToolConfig &config, CompileCache *cache)
 {
     // One compile path: without a shared cache, a call-local one runs
-    // the same compile -> optimize -> instrument steps. Tool kinds that
-    // share a pipeline stage reuse one cached prototype directly —
-    // engines treat modules as read-only, and the ASan pass ran on the
-    // cache's private clone, so nothing this job does can touch another
+    // the same compile -> optimize steps. Tool kinds that share a
+    // pipeline stage reuse one cached prototype directly — engines treat
+    // modules as read-only, so nothing this job does can touch another
     // job's module.
     CompileCache local_cache;
     if (cache == nullptr)
@@ -49,8 +48,7 @@ prepareProgram(const std::vector<SourceFile> &user_sources,
     bool safe = config.kind == ToolKind::safeSulong;
     auto entry = cache->getOrCompile(
         user_sources, safe ? LibcVariant::safe : LibcVariant::nativeOptimized,
-        safe ? -1 : (config.optLevel >= 3 ? 3 : 0),
-        config.kind == ToolKind::asan);
+        safe ? -1 : (config.optLevel >= 3 ? 3 : 0));
     PreparedProgram prepared;
     if (!entry->ok()) {
         prepared.compileErrors = entry->errors;

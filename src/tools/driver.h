@@ -63,7 +63,7 @@ struct ToolConfig
 
 class CompileCache;
 
-/** A compiled-and-instrumented program bound to its engine. */
+/** A compiled program bound to its engine. */
 struct PreparedProgram
 {
     /// Const and shared: cache-backed preparation hands out the cached
@@ -96,9 +96,9 @@ struct PreparedProgram
  *
  * Every compile goes through a CompileCache: the front-end/optimizer
  * stage shared by tool kinds is compiled once per (sources, libc
- * variant, opt level), and ASan instruments a private clone of it
- * (copy-on-instrument). Without a @p cache, a cache local to this call
- * is used, so results never depend on whether one was passed.
+ * variant, opt level), and every tool kind of that stage runs it as is.
+ * Without a @p cache, a cache local to this call is used, so results
+ * never depend on whether one was passed.
  */
 PreparedProgram prepareProgram(const std::vector<SourceFile> &user_sources,
                                const ToolConfig &config,

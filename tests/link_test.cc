@@ -5,7 +5,9 @@
  * sources followed by the program — same function ids, same globals in
  * the same order with the same names, types and initializers, same IR
  * for every function the program reaches, same diagnostics — except
- * that the libc functions it does not reach keep no body.
+ * that the libc functions it does not reach keep no body. A linked
+ * module also verifies, survives the O3 pipeline and runs like the
+ * whole compile.
  */
 
 #include "test_util.h"
@@ -16,8 +18,10 @@
 #include "frontend/compiler.h"
 #include "fuzz/generator.h"
 #include "ir/printer.h"
+#include "ir/verifier.h"
 #include "libc/libc_sources.h"
 #include "obs/metrics.h"
+#include "opt/passes.h"
 #include "tools/benchmark_programs.h"
 
 namespace sulong
@@ -231,6 +235,91 @@ const char *p = "late";
 int strcpy(char *d, const char *s) { return 0; }
 int main(void) { return undeclared; }
 )C");
+}
+
+// A named struct, a global and a stack buffer handed to libc bodies:
+// the linked module mixes the program's types with the library's.
+const char *kStructProgram = R"C(
+struct point { int x; int y; };
+
+int scale = 3;
+
+int area(struct point *p) { return p->x * p->y * scale; }
+
+int main(void) {
+    struct point p;
+    p.x = 6;
+    p.y = 7;
+    char buf[32];
+    sprintf(buf, "area=%d", area(&p));
+    puts(buf);
+    return area(&p) % 100;
+}
+)C";
+
+TEST(LinkedModule, VerifiesCleanly)
+{
+    for (LibcVariant variant : kVariants) {
+        CompileResult linked = compileLinked(kStructProgram, variant);
+        ASSERT_TRUE(linked.ok()) << linked.errors;
+        auto issues = verifyModule(*linked.module);
+        EXPECT_TRUE(issues.empty()) << formatIssues(issues);
+    }
+}
+
+TEST(LinkedModule, OptimizedWithStructsVerifiesAndPrintsStably)
+{
+    CompileResult first =
+        compileLinked(kStructProgram, LibcVariant::nativeOptimized);
+    CompileResult second =
+        compileLinked(kStructProgram, LibcVariant::nativeOptimized);
+    ASSERT_TRUE(first.ok()) << first.errors;
+    ASSERT_TRUE(second.ok()) << second.errors;
+    runO3Pipeline(*first.module);
+    runO3Pipeline(*second.module);
+    auto issues = verifyModule(*first.module);
+    EXPECT_TRUE(issues.empty()) << formatIssues(issues);
+    EXPECT_EQ(printModule(*first.module), printModule(*second.module));
+}
+
+TEST(LinkedModule, ExecutesLikeTheWholeCompile)
+{
+    for (LibcVariant variant : kVariants) {
+        CompileResult whole = compileWhole(kStructProgram, variant);
+        CompileResult linked = compileLinked(kStructProgram, variant);
+        ASSERT_TRUE(whole.ok()) << whole.errors;
+        ASSERT_TRUE(linked.ok()) << linked.errors;
+        ManagedEngine on_whole{ManagedOptions{}};
+        ManagedEngine on_linked{ManagedOptions{}};
+        ExecutionResult a = on_whole.run(*whole.module, {}, "");
+        ExecutionResult b = on_linked.run(*linked.module, {}, "");
+        EXPECT_EQ(a.exitCode, 26);
+        EXPECT_EQ(a.output, "area=126\n");
+        EXPECT_EQ(a.exitCode, b.exitCode);
+        EXPECT_EQ(a.output, b.output);
+        EXPECT_EQ(a.bug.kind, b.bug.kind);
+    }
+}
+
+TEST(LinkedModule, OptimizingOneLinkLeavesTheNextUnchanged)
+{
+    // The link copies library bodies: running the pipeline on one
+    // linked module must not reach back into the shared prototype.
+    CompileResult before =
+        compileLinked(kStructProgram, LibcVariant::nativeOptimized);
+    ASSERT_TRUE(before.ok()) << before.errors;
+    runO3Pipeline(*before.module);
+    CompileResult after =
+        compileLinked(kStructProgram, LibcVariant::nativeOptimized);
+    ASSERT_TRUE(after.ok()) << after.errors;
+    // The same link against a prototype no other module ever touched.
+    LibraryPrototype untouched(libcSources(LibcVariant::nativeOptimized));
+    CompileOptions options;
+    options.library = &untouched;
+    CompileResult fresh =
+        compileC({SourceFile{"<input>", kStructProgram}}, options);
+    ASSERT_TRUE(fresh.ok()) << fresh.errors;
+    EXPECT_EQ(printModule(*after.module), printModule(*fresh.module));
 }
 
 TEST(LibcPrototype, EachVariantCompilesOncePerProcessUnderConcurrentUse)
