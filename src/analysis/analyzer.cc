@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <future>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -84,16 +85,56 @@ zeroOfKind(const AbstractValue &like)
     return AbstractValue::top();
 }
 
-/** The whole abstract state at one program point. */
+/// The value behind a copy-on-write @p handle, cloned first if another
+/// state shares it.
+template <typename T>
+T &
+cow(std::shared_ptr<T> &handle)
+{
+    if (handle.use_count() != 1)
+        handle = std::make_shared<T>(*handle);
+    return *handle;
+}
+
+/** The frame slots one block defines (chunk 0: the arguments). */
+using SlotChunk = std::vector<AbstractValue>;
+
+/** Where each frame slot lives: a chunk and an index within it. */
+struct SlotLayout
+{
+    std::vector<unsigned> chunkOf;
+    std::vector<unsigned> indexOf;
+    std::vector<unsigned> chunkSize;
+};
+
+/**
+ * The whole abstract state at one program point. Its parts are shared
+ * copy-on-write between the states of different program points: a
+ * state is a vector of handles to slot chunks (one per defining block,
+ * so a block's transfer writes only its own chunk) and to object states,
+ * and a transfer clones only the parts it writes (mutSlot(), mutObj()).
+ * Most objects (every untouched global) are never written by a
+ * function, so they stay one allocation per analysis.
+ */
 struct AbsState
 {
-    std::vector<AbstractValue> slots;
-    std::vector<ObjState> objects;
+    const SlotLayout *layout = nullptr;
+    /// Write only through mutSlot()/mutObj(): a handle may be shared.
+    std::vector<std::shared_ptr<SlotChunk>> slots;
+    std::vector<std::shared_ptr<ObjState>> objects;
 
-    bool operator==(const AbsState &o) const
+    const AbstractValue &
+    slot(unsigned s) const
     {
-        return slots == o.slots && objects == o.objects;
+        return (*slots[layout->chunkOf[s]])[layout->indexOf[s]];
     }
+    AbstractValue &
+    mutSlot(unsigned s)
+    {
+        return cow(slots[layout->chunkOf[s]])[layout->indexOf[s]];
+    }
+    const ObjState &obj(unsigned i) const { return *objects[i]; }
+    ObjState &mutObj(unsigned i) { return cow(objects[i]); }
 };
 
 ObjState::Liveness
@@ -161,20 +202,18 @@ freshVersion()
 }
 
 /**
- * Join object @p b into @p a, or widen it with the thresholds @p widen
+ * Join objects @p a and @p b, or widen them with the thresholds @p widen
  * points to. The contents merge is the subtle part: an entry surviving
  * the merge claims to describe its bytes on BOTH paths, so any shape
  * mismatch degrades to a top-valued entry (never silently to the
  * default, which could falsely promise zero or uninit bytes).
  */
-void
-mergeObjInto(ObjState &a, const ObjState &b,
-             const std::vector<int64_t> *widen)
+ObjState
+mergeObjs(const ObjState &a, const ObjState &b,
+          const std::vector<int64_t> *widen)
 {
-    ContentsDefault dfltA = a.dflt;
-    ContentsDefault dfltB = b.dflt;
-
-    std::map<int64_t, MemEntry> merged;
+    ObjState out;
+    std::map<int64_t, MemEntry> &merged = out.contents;
     auto topEntry = [](unsigned width, bool mayBeUninit) {
         MemEntry e;
         e.width = static_cast<uint8_t>(width);
@@ -186,16 +225,17 @@ mergeObjInto(ObjState &a, const ObjState &b,
     // Entries present only on one side: bytes on the other side read as
     // that side's default.
     auto mergeOneSided = [&](const MemEntry &e, int64_t off,
-                             const ObjState &other, ContentsDefault otherDflt) {
+                             const ObjState &other) {
         if (anyOverlap(other.contents, off, e.width)) {
             // Mismatched shapes across the join: value unknown.
-            merged[off] = topEntry(e.width,
-                                   e.mayBeUninit ||
-                                       defaultMayBeUninit(otherDflt));
+            merged.emplace_hint(merged.end(), off,
+                                topEntry(e.width,
+                                         e.mayBeUninit ||
+                                             defaultMayBeUninit(other.dflt)));
             return;
         }
         MemEntry out = e;
-        switch (otherDflt) {
+        switch (other.dflt) {
           case ContentsDefault::zero:
             out.val = joinValues(out.val, zeroOfKind(out.val));
             break;
@@ -213,51 +253,96 @@ mergeObjInto(ObjState &a, const ObjState &b,
         if (other.weaklyWritten)
             out.val = AbstractValue::top();
         out.version = freshVersion();
-        merged[off] = out;
+        merged.emplace_hint(merged.end(), off, std::move(out));
     };
 
-    for (const auto &[off, ea] : a.contents) {
-        auto itB = b.contents.find(off);
-        if (itB != b.contents.end() && itB->second.width == ea.width) {
-            MemEntry out;
-            out.width = ea.width;
-            out.val = widen ? widenValues(ea.val, itB->second.val, *widen)
-                            : joinValues(ea.val, itB->second.val);
-            out.mayBeUninit = ea.mayBeUninit || itB->second.mayBeUninit;
-            out.version = ea.version == itB->second.version
-                ? ea.version
-                : freshVersion();
-            merged[off] = out;
-        } else if (itB != b.contents.end()) {
-            merged[off] = topEntry(std::max<unsigned>(ea.width,
-                                                      itB->second.width),
-                                   ea.mayBeUninit || itB->second.mayBeUninit);
+    // One ordered walk over both maps.
+    auto itA = a.contents.begin();
+    auto itB = b.contents.begin();
+    while (itA != a.contents.end() || itB != b.contents.end()) {
+        if (itB == b.contents.end() ||
+            (itA != a.contents.end() && itA->first < itB->first)) {
+            mergeOneSided(itA->second, itA->first, b);
+            ++itA;
+        } else if (itA == a.contents.end() || itB->first < itA->first) {
+            mergeOneSided(itB->second, itB->first, a);
+            ++itB;
         } else {
-            mergeOneSided(ea, off, b, dfltB);
+            const MemEntry &ea = itA->second;
+            const MemEntry &eb = itB->second;
+            if (ea.width == eb.width) {
+                MemEntry out;
+                out.width = ea.width;
+                out.val = widen ? widenValues(ea.val, eb.val, *widen)
+                                : joinValues(ea.val, eb.val);
+                out.mayBeUninit = ea.mayBeUninit || eb.mayBeUninit;
+                out.version =
+                    ea.version == eb.version ? ea.version : freshVersion();
+                merged.emplace_hint(merged.end(), itA->first,
+                                    std::move(out));
+            } else {
+                merged.emplace_hint(
+                    merged.end(), itA->first,
+                    topEntry(std::max<unsigned>(ea.width, eb.width),
+                             ea.mayBeUninit || eb.mayBeUninit));
+            }
+            ++itA;
+            ++itB;
         }
     }
-    for (const auto &[off, eb] : b.contents) {
-        if (a.contents.count(off))
-            continue;
-        mergeOneSided(eb, off, a, dfltA);
-    }
 
-    a.live = joinLiveness(a.live, b.live);
-    a.dflt = joinDefault(dfltA, dfltB);
-    a.weaklyWritten = a.weaklyWritten || b.weaklyWritten;
-    a.escaped = a.escaped || b.escaped;
-    a.contents = std::move(merged);
+    out.live = joinLiveness(a.live, b.live);
+    out.dflt = joinDefault(a.dflt, b.dflt);
+    out.weaklyWritten = a.weaklyWritten || b.weaklyWritten;
+    out.escaped = a.escaped || b.escaped;
+    return out;
 }
 
-void
-mergeStateInto(AbsState &a, const AbsState &b,
-               const std::vector<int64_t> *widen)
+/**
+ * Joins (or widens) @p in into the stored block state @p into in place,
+ * one slot and one object at a time; returns whether anything changed.
+ * Chunks and objects whose handle both sides share are skipped, and so
+ * are slots and objects equal on both sides (join is idempotent). A
+ * merged object replaces the stored one only when it differs from it,
+ * so an unchanged object keeps its handle and its entries' versions.
+ * Versions are compared only within one block transfer (origins_ are
+ * reset per block), so which side's version survives does not matter.
+ */
+bool
+joinStateInto(AbsState &into, const AbsState &in,
+              const std::vector<int64_t> *widen)
 {
-    for (size_t i = 0; i < a.slots.size(); i++)
-        a.slots[i] = widen ? widenValues(a.slots[i], b.slots[i], *widen)
-                           : joinValues(a.slots[i], b.slots[i]);
-    for (size_t i = 0; i < a.objects.size(); i++)
-        mergeObjInto(a.objects[i], b.objects[i], widen);
+    bool changed = false;
+    for (size_t c = 0; c < into.slots.size(); c++) {
+        if (into.slots[c] == in.slots[c])
+            continue;
+        const SlotChunk &b = *in.slots[c];
+        for (size_t i = 0; i < b.size(); i++) {
+            const AbstractValue &a = (*into.slots[c])[i];
+            if (a == b[i])
+                continue;
+            AbstractValue merged =
+                widen ? widenValues(a, b[i], *widen) : joinValues(a, b[i]);
+            if (merged != a) {
+                cow(into.slots[c])[i] = std::move(merged);
+                changed = true;
+            }
+        }
+    }
+    for (size_t i = 0; i < into.objects.size(); i++) {
+        if (into.objects[i] == in.objects[i])
+            continue;
+        const ObjState &a = into.obj(static_cast<unsigned>(i));
+        const ObjState &b = in.obj(static_cast<unsigned>(i));
+        if (a == b)
+            continue;
+        ObjState merged = mergeObjs(a, b, widen);
+        if (!(merged == a)) {
+            into.objects[i] = std::make_shared<ObjState>(std::move(merged));
+            changed = true;
+        }
+    }
+    return changed;
 }
 
 /// Load provenance for sound refinement write-back (reset per block).
@@ -303,6 +388,7 @@ class FunctionAnalyzer
           summaryOut_(summaryOut), cfg_(fn)
     {
         enumerateObjects();
+        layOutSlots();
     }
 
     /// Appends this function's candidates to @p findings; returns false
@@ -329,6 +415,7 @@ class FunctionAnalyzer
 
     void enumerateObjects();
     void computeMultiInstance();
+    void layOutSlots();
 
     // --- States ----------------------------------------------------------
 
@@ -368,6 +455,9 @@ class FunctionAnalyzer
     void havocUnknownCall(const Instruction &inst, AbsState &st);
     void havocReachableFrom(std::vector<unsigned> seeds, AbsState &st);
     void havocObject(unsigned obj, AbsState &st, bool escape);
+    /// Site @p id allocates @p fresh: a single-instance site starts
+    /// over, a multi-instance one keeps its older instances joined in.
+    void enterAllocation(AbsState &st, unsigned id, ObjState fresh);
     void freePointer(const Instruction &inst, const AbstractValue &ptr,
                      AbsState &st, bool viaRealloc);
 
@@ -390,6 +480,12 @@ class FunctionAnalyzer
                          const Interval &refined);
     void writeRefinedPointer(AbsState &st, const Value *v,
                              const AbstractValue &refined);
+    /// The entry @p load read, if it still holds what the load saw
+    /// (same width and version); null otherwise.
+    const MemEntry *loadedEntry(const AbsState &st,
+                                const Instruction &load) const;
+    /// That entry, in an object cloned for writing if shared.
+    MemEntry &loadedEntryToWrite(AbsState &st, const Instruction &load);
 
     // --- Findings --------------------------------------------------------
 
@@ -404,7 +500,7 @@ class FunctionAnalyzer
 
     // --- Fixpoint driver -------------------------------------------------
 
-    void joinInto(unsigned block, const AbsState &state);
+    void joinInto(unsigned block, AbsState &&state);
 
     const Module &module_;
     const Function &fn_;
@@ -415,6 +511,7 @@ class FunctionAnalyzer
     Cfg cfg_;
 
     std::vector<ObjectInfo> objInfo_;
+    SlotLayout slotLayout_;
     std::map<const GlobalVariable *, unsigned> globalObj_;
     std::map<const Instruction *, unsigned> siteObj_;
     /// Parameter index -> pseudo-object id (-1 when not a pointer param).
@@ -562,6 +659,32 @@ FunctionAnalyzer::computeMultiInstance()
         objInfo_[id].multiInstance = selfReach[inst->parent()->index()];
 }
 
+void
+FunctionAnalyzer::layOutSlots()
+{
+    // Chunk 0 holds the arguments (and any slot no instruction defines),
+    // chunk b + 1 the values block b defines.
+    SlotLayout &layout = slotLayout_;
+    layout.chunkOf.assign(fn_.numSlots(), 0);
+    layout.indexOf.assign(fn_.numSlots(), 0);
+    layout.chunkSize.assign(fn_.blocks().size() + 1, 0);
+    std::vector<bool> defined(fn_.numSlots(), false);
+    for (const auto &bb : fn_.blocks()) {
+        for (const auto &inst : bb->insts()) {
+            if (inst->slot() < 0)
+                continue;
+            unsigned s = static_cast<unsigned>(inst->slot());
+            unsigned chunk = bb->index() + 1;
+            layout.chunkOf[s] = chunk;
+            layout.indexOf[s] = layout.chunkSize[chunk]++;
+            defined[s] = true;
+        }
+    }
+    for (unsigned s = 0; s < fn_.numSlots(); s++)
+        if (!defined[s])
+            layout.indexOf[s] = layout.chunkSize[0]++;
+}
+
 // --- Entry state ---------------------------------------------------------
 
 bool
@@ -669,7 +792,10 @@ AbsState
 FunctionAnalyzer::entryState() const
 {
     AbsState st;
-    st.slots.assign(fn_.numSlots(), AbstractValue::top());
+    st.layout = &slotLayout_;
+    for (unsigned size : slotLayout_.chunkSize)
+        st.slots.push_back(std::make_shared<SlotChunk>(
+            size, AbstractValue::top()));
     bool isMain = fn_.name() == "main";
     for (const auto &arg : fn_.args()) {
         AbstractValue v = typedTop(arg->type());
@@ -687,13 +813,15 @@ FunctionAnalyzer::entryState() const
                 static_cast<unsigned>(paramObj_[arg->index()]));
             v.canBeNull = true;
         }
-        st.slots[arg->index()] = v;
+        st.mutSlot(arg->index()) = v;
     }
-    st.objects.resize(objInfo_.size());
+    // Every object starts from one shared blank state (live, never
+    // written); the first write to one clones it.
+    st.objects.assign(objInfo_.size(), std::make_shared<ObjState>());
     for (int id : paramObj_) {
         if (id < 0)
             continue;
-        ObjState &obj = st.objects[static_cast<unsigned>(id)];
+        ObjState &obj = st.mutObj(static_cast<unsigned>(id));
         // Caller memory: initialized-but-unknown bytes, and externally
         // aliased (the caller holds the address), so unknown calls
         // clobber it.
@@ -702,7 +830,7 @@ FunctionAnalyzer::entryState() const
     }
     for (const auto &g : module_.globals()) {
         unsigned id = globalObj_.at(g.get());
-        ObjState &obj = st.objects[id];
+        ObjState &obj = st.mutObj(id);
         if (g->isConst() || isMain) {
             seedGlobalContents(obj, *g);
         } else {
@@ -722,10 +850,10 @@ FunctionAnalyzer::evalValue(const Value *v, const AbsState &st) const
 {
     switch (v->valueKind()) {
       case ValueKind::argument:
-        return st.slots[static_cast<const Argument *>(v)->index()];
+        return st.slot(static_cast<const Argument *>(v)->index());
       case ValueKind::instruction: {
         int slot = static_cast<const Instruction *>(v)->slot();
-        return slot >= 0 ? st.slots[slot] : AbstractValue::top();
+        return slot >= 0 ? st.slot(slot) : AbstractValue::top();
       }
       case ValueKind::constantInt:
         return AbstractValue::ofInt(
@@ -755,7 +883,7 @@ FunctionAnalyzer::setSlot(AbsState &st, const Instruction &inst,
                           const AbstractValue &val)
 {
     if (inst.slot() >= 0)
-        st.slots[inst.slot()] = val;
+        st.mutSlot(inst.slot()) = val;
 }
 
 // --- Memory --------------------------------------------------------------
@@ -778,7 +906,8 @@ FunctionAnalyzer::markPointerEntriesEscaped(const MemEntry &entry,
     if (entry.val.kind != AbstractValue::Kind::pointer)
         return;
     for (const PointerTarget &t : entry.val.targets) {
-        st.objects[t.obj].escaped = true;
+        if (!st.obj(t.obj).escaped)
+            st.mutObj(t.obj).escaped = true;
         if (ParamEffect *pe = paramEffectOf(t.obj))
             pe->escapes = true;
     }
@@ -811,23 +940,26 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
                              AbsState &st, bool &possibilityFaults)
 {
     const ObjectInfo &info = objInfo_[t.obj];
-    ObjState &obj = st.objects[t.obj];
+    const ObjState &obj = st.obj(t.obj);
     AccessKind access = AccessKind::read;
     // Parameter pseudo objects: accesses are judged at call sites.
-    const bool silent = info.silent;
+    const bool report = collect_ && !info.silent;
 
-    std::string where = describeObject(t.obj);
-    std::string pathCond = "offset " + t.offset.toString() + " of " + where;
+    // Finding text is built only for a finding the collect pass emits.
+    auto where = [&] { return describeObject(t.obj); };
+    auto pathCond = [&] {
+        return "offset " + t.offset.toString() + " of " + where();
+    };
 
     // Temporal first, like the dynamic engine.
     if (obj.live == ObjState::Liveness::freed) {
         bool definite = !info.multiInstance;
-        if (!silent)
+        if (report)
             emitFinding(inst, ErrorKind::useAfterFree, access, info.storage,
                         BoundsDirection::unknown, definite,
                         std::to_string(width) + "-byte read of freed " +
-                            where,
-                        pathCond,
+                            where(),
+                        pathCond(),
                         t.offset.isSingleton()
                             ? std::optional<int64_t>(t.offset.lo)
                             : std::nullopt,
@@ -837,12 +969,12 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
         possibilityFaults = true;
         return AbstractValue::top();
     }
-    if (obj.live == ObjState::Liveness::maybeFreed && !silent) {
+    if (obj.live == ObjState::Liveness::maybeFreed && report) {
         emitFinding(inst, ErrorKind::useAfterFree, access, info.storage,
                     BoundsDirection::unknown, false,
                     std::to_string(width) + "-byte read of possibly freed " +
-                        where,
-                    pathCond);
+                        where(),
+                    pathCond());
     }
 
     // Bounds: fault iff off < 0 || off + width > size.
@@ -861,12 +993,12 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
             dir = BoundsDirection::underflow;
         else if (over && !under)
             dir = BoundsDirection::overflow;
-        if (!silent)
+        if (report)
             emitFinding(inst, ErrorKind::outOfBounds, access, info.storage,
                         dir, mustOob,
                         std::to_string(width) + "-byte read at offset " +
-                            off.toString() + " of " + where,
-                        pathCond,
+                            off.toString() + " of " + where(),
+                        pathCond(),
                         off.isSingleton() ? std::optional<int64_t>(off.lo)
                                           : std::nullopt,
                         size.isSingleton() ? std::optional<int64_t>(size.lo)
@@ -881,19 +1013,22 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
     // (globals and argv are zero-backed in the managed engine).
     bool tracked = info.storage == StorageKind::stack ||
         info.storage == StorageKind::heap;
+    auto maybeUninitFinding = [&](auto what) {
+        if (collect_ && tracked)
+            emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
+                        BoundsDirection::unknown, false,
+                        std::to_string(width) +
+                            "-byte read of possibly uninitialized bytes" +
+                            what() + where(),
+                        pathCond());
+    };
     if (off.isSingleton()) {
         int64_t k = off.lo;
+        auto at = [&] { return " at offset " + std::to_string(k) + " of "; };
         auto it = obj.contents.find(k);
         if (it != obj.contents.end() && it->second.width == width) {
-            if (tracked && it->second.mayBeUninit) {
-                emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
-                            BoundsDirection::unknown, false,
-                            std::to_string(width) +
-                                "-byte read of possibly uninitialized bytes"
-                                " at offset " + std::to_string(k) + " of " +
-                                where,
-                            pathCond);
-            }
+            if (it->second.mayBeUninit)
+                maybeUninitFinding(at);
             if (inst.op() == Opcode::load && inst.slot() >= 0) {
                 origins_[inst.slot()] = {static_cast<int>(t.obj), k,
                                          static_cast<uint8_t>(width),
@@ -917,15 +1052,8 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
                      }
                      return false;
                  }());
-            if (maybeUninit) {
-                emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
-                            BoundsDirection::unknown, false,
-                            std::to_string(width) +
-                                "-byte read of possibly uninitialized bytes"
-                                " at offset " + std::to_string(k) + " of " +
-                                where,
-                            pathCond);
-            }
+            if (maybeUninit)
+                maybeUninitFinding(at);
             return typedTop(readType);
         }
         // No entry: fall back to the default.
@@ -933,41 +1061,28 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
           case ContentsDefault::uninit:
             if (tracked && !obj.weaklyWritten && !obj.escaped) {
                 bool definite = !info.multiInstance;
-                emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
-                            BoundsDirection::unknown, definite,
-                            std::to_string(width) +
-                                "-byte read of uninitialized bytes at"
-                                " offset " + std::to_string(k) + " of " +
-                                where,
-                            pathCond,
-                            k,
-                            size.isSingleton()
-                                ? std::optional<int64_t>(size.lo)
-                                : std::nullopt);
+                if (collect_)
+                    emitFinding(inst, ErrorKind::uninitRead, access,
+                                info.storage, BoundsDirection::unknown,
+                                definite,
+                                std::to_string(width) +
+                                    "-byte read of uninitialized bytes" +
+                                    at() + where(),
+                                pathCond(),
+                                k,
+                                size.isSingleton()
+                                    ? std::optional<int64_t>(size.lo)
+                                    : std::nullopt);
                 if (definite) {
                     possibilityFaults = true;
                     return AbstractValue::top();
                 }
-            } else if (tracked) {
-                emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
-                            BoundsDirection::unknown, false,
-                            std::to_string(width) +
-                                "-byte read of possibly uninitialized bytes"
-                                " at offset " + std::to_string(k) + " of " +
-                                where,
-                            pathCond);
+            } else {
+                maybeUninitFinding(at);
             }
             return typedTop(readType);
           case ContentsDefault::maybeUninit:
-            if (tracked) {
-                emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
-                            BoundsDirection::unknown, false,
-                            std::to_string(width) +
-                                "-byte read of possibly uninitialized bytes"
-                                " at offset " + std::to_string(k) + " of " +
-                                where,
-                            pathCond);
-            }
+            maybeUninitFinding(at);
             return typedTop(readType);
           case ContentsDefault::zero: {
             // Materialize an entry so branch refinement can write back.
@@ -975,7 +1090,7 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
             e.width = static_cast<uint8_t>(width);
             e.val = typedZero(readType);
             e.version = freshVersion();
-            auto [slotIt, unused] = obj.contents.emplace(k, e);
+            auto [slotIt, unused] = st.mutObj(t.obj).contents.emplace(k, e);
             (void)unused;
             if (inst.op() == Opcode::load && inst.slot() >= 0) {
                 origins_[inst.slot()] = {static_cast<int>(t.obj), k,
@@ -996,28 +1111,24 @@ FunctionAnalyzer::readTarget(const Instruction &inst, const PointerTarget &t,
         bool allUninit = obj.dflt == ContentsDefault::uninit &&
             obj.contents.empty() && !obj.weaklyWritten && !obj.escaped &&
             !info.multiInstance;
+        if (allUninit) {
+            if (collect_)
+                emitFinding(inst, ErrorKind::uninitRead, access,
+                            info.storage, BoundsDirection::unknown, true,
+                            std::to_string(width) +
+                                "-byte read of entirely uninitialized " +
+                                where(),
+                            pathCond());
+            possibilityFaults = true;
+            return AbstractValue::top();
+        }
         bool someUninit = defaultMayBeUninit(obj.dflt) ||
             std::any_of(obj.contents.begin(), obj.contents.end(),
                         [](const auto &kv) {
                             return kv.second.mayBeUninit;
                         });
-        if (allUninit) {
-            emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
-                        BoundsDirection::unknown, true,
-                        std::to_string(width) +
-                            "-byte read of entirely uninitialized " + where,
-                        pathCond);
-            possibilityFaults = true;
-            return AbstractValue::top();
-        }
-        if (someUninit) {
-            emitFinding(inst, ErrorKind::uninitRead, access, info.storage,
-                        BoundsDirection::unknown, false,
-                        std::to_string(width) +
-                            "-byte read of possibly uninitialized bytes of " +
-                            where,
-                        pathCond);
-        }
+        if (someUninit)
+            maybeUninitFinding([] { return std::string(" of "); });
     }
     return typedTop(readType);
 }
@@ -1053,13 +1164,16 @@ FunctionAnalyzer::checkAccess(const Instruction &inst, AccessKind access,
 
     unsigned faulting = 0;
     if (ptr.canBeNull) {
-        emitFinding(inst, ErrorKind::nullDeref, access, StorageKind::unknown,
-                    BoundsDirection::unknown, exclusive,
-                    std::to_string(width) + "-byte " +
-                        (access == AccessKind::write ? "write" : "read") +
-                        " through a NULL pointer",
-                    exclusive ? "pointer is null on every path"
-                              : "pointer may be null");
+        if (collect_)
+            emitFinding(inst, ErrorKind::nullDeref, access,
+                        StorageKind::unknown, BoundsDirection::unknown,
+                        exclusive,
+                        std::to_string(width) + "-byte " +
+                            (access == AccessKind::write ? "write"
+                                                         : "read") +
+                            " through a NULL pointer",
+                        exclusive ? "pointer is null on every path"
+                                  : "pointer may be null");
         faulting++;
     }
 
@@ -1077,27 +1191,28 @@ FunctionAnalyzer::checkAccess(const Instruction &inst, AccessKind access,
             v = AbstractValue::top();
             possibilityFaults = false;
             const ObjectInfo &info = objInfo_[t.obj];
-            ObjState &obj = st.objects[t.obj];
-            const bool silent = info.silent;
-            std::string where = describeObject(t.obj);
-            std::string pathCond =
-                "offset " + t.offset.toString() + " of " + where;
+            const ObjState &obj = st.obj(t.obj);
+            const bool report = collect_ && !info.silent;
+            auto where = [&] { return describeObject(t.obj); };
+            auto pathCond = [&] {
+                return "offset " + t.offset.toString() + " of " + where();
+            };
             if (obj.live == ObjState::Liveness::freed) {
-                if (!silent)
+                if (report)
                     emitFinding(inst, ErrorKind::useAfterFree, access,
                                 info.storage, BoundsDirection::unknown,
                                 exclusive && !info.multiInstance,
                                 std::to_string(width) +
-                                    "-byte write to freed " + where,
-                                pathCond);
+                                    "-byte write to freed " + where(),
+                                pathCond());
                 possibilityFaults = true;
             } else {
-                if (obj.live == ObjState::Liveness::maybeFreed && !silent) {
+                if (obj.live == ObjState::Liveness::maybeFreed && report) {
                     emitFinding(inst, ErrorKind::useAfterFree, access,
                                 info.storage, BoundsDirection::unknown, false,
                                 std::to_string(width) +
-                                    "-byte write to possibly freed " + where,
-                                pathCond);
+                                    "-byte write to possibly freed " + where(),
+                                pathCond());
                 }
                 const Interval &off = t.offset;
                 const Interval &size = info.size;
@@ -1114,13 +1229,13 @@ FunctionAnalyzer::checkAccess(const Instruction &inst, AccessKind access,
                         dir = BoundsDirection::underflow;
                     else if (over && !under)
                         dir = BoundsDirection::overflow;
-                    if (!silent)
+                    if (report)
                         emitFinding(inst, ErrorKind::outOfBounds, access,
                                     info.storage, dir, mustOob && exclusive,
                                     std::to_string(width) +
                                         "-byte write at offset " +
-                                        off.toString() + " of " + where,
-                                    pathCond,
+                                        off.toString() + " of " + where(),
+                                    pathCond(),
                                     off.isSingleton()
                                         ? std::optional<int64_t>(off.lo)
                                         : std::nullopt,
@@ -1167,16 +1282,16 @@ FunctionAnalyzer::writeTarget(const PointerTarget &t, unsigned width,
         // later, markPointerEntriesEscaped records it then.
         bool shared = dst.storage == StorageKind::global ||
             dst.storage == StorageKind::heap || dst.silent ||
-            st.objects[t.obj].escaped;
+            st.obj(t.obj).escaped;
         if (shared && val.kind == AbstractValue::Kind::pointer) {
             for (const PointerTarget &vt : val.targets)
                 if (ParamEffect *pe = paramEffectOf(vt.obj))
                     pe->escapes = true;
         }
     }
-    ObjState &obj = st.objects[t.obj];
-    if (obj.live == ObjState::Liveness::freed)
+    if (st.obj(t.obj).live == ObjState::Liveness::freed)
         return;
+    ObjState &obj = st.mutObj(t.obj);
     if (t.offset.isSingleton()) {
         int64_t k = t.offset.lo;
         if (strong) {
@@ -1262,15 +1377,29 @@ FunctionAnalyzer::havocObject(unsigned obj, AbsState &st, bool escape)
         if (objInfo_[obj].storage == StorageKind::global)
             summaryOut_->writesGlobals = true;
     }
-    ObjState &o = st.objects[obj];
+    const ObjState &before = st.obj(obj);
+    ContentsDefault dflt = defaultMayBeUninit(before.dflt)
+        ? ContentsDefault::maybeUninit
+        : ContentsDefault::unknown;
+    if (before.contents.empty() && before.dflt == dflt &&
+        before.weaklyWritten && (before.escaped || !escape))
+        return; // already havocked: nothing to clone
+    ObjState &o = st.mutObj(obj);
     for (auto &[off, entry] : o.contents)
         markPointerEntriesEscaped(entry, st);
     o.contents.clear();
-    o.dflt = defaultMayBeUninit(o.dflt) ? ContentsDefault::maybeUninit
-                                        : ContentsDefault::unknown;
+    o.dflt = dflt;
     o.weaklyWritten = true;
     if (escape)
         o.escaped = true;
+}
+
+void
+FunctionAnalyzer::enterAllocation(AbsState &st, unsigned id, ObjState fresh)
+{
+    if (objInfo_[id].multiInstance)
+        fresh = mergeObjs(st.obj(id), fresh, nullptr);
+    st.objects[id] = std::make_shared<ObjState>(std::move(fresh));
 }
 
 /**
@@ -1295,7 +1424,7 @@ FunctionAnalyzer::havocReachableFrom(std::vector<unsigned> seeds,
         unsigned obj = work.back();
         work.pop_back();
         // Walk pointers stored inside before clobbering.
-        for (const auto &[off, entry] : st.objects[obj].contents)
+        for (const auto &[off, entry] : st.obj(obj).contents)
             if (entry.val.kind == AbstractValue::Kind::pointer)
                 for (const PointerTarget &t : entry.val.targets)
                     seed(t.obj);
@@ -1330,7 +1459,7 @@ FunctionAnalyzer::havocUnknownCall(const Instruction &inst, AbsState &st)
         if (!g->isConst())
             seeds.push_back(id);
     for (unsigned i = 0; i < st.objects.size(); i++)
-        if (st.objects[i].escaped)
+        if (st.obj(i).escaped)
             seeds.push_back(i);
     havocReachableFrom(std::move(seeds), st);
 }
@@ -1351,24 +1480,32 @@ FunctionAnalyzer::freePointer(const Instruction &inst,
 
     for (const PointerTarget &t : ptr.targets) {
         const ObjectInfo &info = objInfo_[t.obj];
-        ObjState &obj = st.objects[t.obj];
+        const ObjState &obj = st.obj(t.obj);
         if (info.silent) {
             // A parameter pseudo object: whether the free is valid
             // depends on the caller's argument. Record the effect and
             // judge nothing here.
             if (ParamEffect *pe = paramEffectOf(t.obj))
                 pe->mayFree = true;
-            obj.live = joinLiveness(obj.live, ObjState::Liveness::maybeFreed);
+            ObjState::Liveness live =
+                joinLiveness(obj.live, ObjState::Liveness::maybeFreed);
+            if (live != obj.live)
+                st.mutObj(t.obj).live = live;
             continue;
         }
-        std::string where = describeObject(t.obj);
-        std::string pathCond = "offset " + t.offset.toString() + " of " +
-            where;
+        // Finding text is built only for a finding the collect pass
+        // emits.
+        auto where = [&] { return describeObject(t.obj); };
+        auto pathCond = [&] {
+            return "offset " + t.offset.toString() + " of " + where();
+        };
         if (info.storage != StorageKind::heap) {
-            emitFinding(inst, ErrorKind::invalidFree, AccessKind::free,
-                        info.storage, BoundsDirection::unknown, exclusive,
-                        std::string(what) + "() of non-heap " + where,
-                        pathCond);
+            if (collect_)
+                emitFinding(inst, ErrorKind::invalidFree, AccessKind::free,
+                            info.storage, BoundsDirection::unknown,
+                            exclusive,
+                            std::string(what) + "() of non-heap " + where(),
+                            pathCond());
             continue;
         }
         // The managed heap checks the interior-pointer case before the
@@ -1376,42 +1513,49 @@ FunctionAnalyzer::freePointer(const Instruction &inst,
         // use-after-free rather than a double free; mirror both so the
         // replay and the dynamic oracle confirm the same kind.
         if (!t.offset.contains(0)) {
-            emitFinding(inst, ErrorKind::invalidFree, AccessKind::free,
-                        info.storage, BoundsDirection::unknown, exclusive,
-                        std::string(what) + "() of interior pointer (offset " +
-                            t.offset.toString() + ") into " + where,
-                        pathCond);
+            if (collect_)
+                emitFinding(inst, ErrorKind::invalidFree, AccessKind::free,
+                            info.storage, BoundsDirection::unknown,
+                            exclusive,
+                            std::string(what) +
+                                "() of interior pointer (offset " +
+                                t.offset.toString() + ") into " + where(),
+                            pathCond());
             continue;
         }
         ErrorKind freedKind = viaRealloc ? ErrorKind::useAfterFree
                                          : ErrorKind::doubleFree;
         if (obj.live == ObjState::Liveness::freed) {
-            emitFinding(inst, freedKind, AccessKind::free, info.storage,
-                        BoundsDirection::unknown,
-                        exclusive && !info.multiInstance &&
-                            t.offset.isSingleton(),
-                        std::string(what) + "() of already freed " + where,
-                        pathCond);
+            if (collect_)
+                emitFinding(inst, freedKind, AccessKind::free, info.storage,
+                            BoundsDirection::unknown,
+                            exclusive && !info.multiInstance &&
+                                t.offset.isSingleton(),
+                            std::string(what) + "() of already freed " +
+                                where(),
+                            pathCond());
             continue;
         }
-        if (obj.live == ObjState::Liveness::maybeFreed) {
+        if (obj.live == ObjState::Liveness::maybeFreed && collect_) {
             emitFinding(inst, freedKind, AccessKind::free, info.storage,
                         BoundsDirection::unknown, false,
-                        std::string(what) + "() of possibly freed " + where,
-                        pathCond);
+                        std::string(what) + "() of possibly freed " + where(),
+                        pathCond());
         }
-        if (!t.offset.isSingleton() || t.offset.lo != 0) {
+        if ((!t.offset.isSingleton() || t.offset.lo != 0) && collect_) {
             emitFinding(inst, ErrorKind::invalidFree, AccessKind::free,
                         info.storage, BoundsDirection::unknown, false,
                         std::string(what) +
-                            "() of possibly interior pointer into " + where,
-                        pathCond);
+                            "() of possibly interior pointer into " + where(),
+                        pathCond());
         }
         bool strong = exclusive && t.offset.isSingleton() &&
             t.offset.lo == 0 && !info.multiInstance &&
             obj.live == ObjState::Liveness::live;
-        obj.live = strong ? ObjState::Liveness::freed
-                          : ObjState::Liveness::maybeFreed;
+        ObjState::Liveness live = strong ? ObjState::Liveness::freed
+                                         : ObjState::Liveness::maybeFreed;
+        if (live != obj.live)
+            st.mutObj(t.obj).live = live;
     }
 }
 
@@ -1440,15 +1584,7 @@ FunctionAnalyzer::transferIntrinsic(const Instruction &inst,
         objInfo_[id].size = objInfo_[id].size.join(size);
         ObjState fresh;
         fresh.dflt = dflt;
-        if (objInfo_[id].multiInstance) {
-            // The site object summarizes many instances: keep the old
-            // ones in the summary.
-            mergeObjInto(st.objects[id], fresh, nullptr);
-            st.objects[id].live =
-                joinLiveness(st.objects[id].live, ObjState::Liveness::live);
-        } else {
-            st.objects[id] = fresh;
-        }
+        enterAllocation(st, id, std::move(fresh));
         setSlot(st, inst, AbstractValue::pointerTo(id));
     };
 
@@ -1474,7 +1610,7 @@ FunctionAnalyzer::transferIntrinsic(const Instruction &inst,
             if (old.targets.size() == 1 && !old.canBeUnknown &&
                 !old.canBeNull && old.targets[0].offset.isSingleton() &&
                 old.targets[0].offset.lo == 0) {
-                const ObjState &src = st.objects[old.targets[0].obj];
+                const ObjState &src = st.obj(old.targets[0].obj);
                 fresh.contents = src.contents;
                 for (auto &[off, entry] : fresh.contents) {
                     if (entry.mayBeUninit) {
@@ -1494,13 +1630,7 @@ FunctionAnalyzer::transferIntrinsic(const Instruction &inst,
             if (old.canBeNull && fresh.dflt == ContentsDefault::unknown &&
                 old.targets.empty())
                 fresh.dflt = ContentsDefault::zero; // pure malloc path
-            if (objInfo_[id].multiInstance) {
-                mergeObjInto(st.objects[id], fresh, nullptr);
-                st.objects[id].live = joinLiveness(
-                    st.objects[id].live, ObjState::Liveness::live);
-            } else {
-                st.objects[id] = fresh;
-            }
+            enterAllocation(st, id, std::move(fresh));
             setSlot(st, inst, AbstractValue::pointerTo(id));
         } else {
             setSlot(st, inst, AbstractValue::unknownPointer());
@@ -1637,11 +1767,11 @@ FunctionAnalyzer::transferLibcSummary(const Instruction &inst,
             return false;
         obj = v.targets[0].obj;
         off = v.targets[0].offset.lo;
-        return st.objects[obj].live == ObjState::Liveness::live &&
+        return st.obj(obj).live == ObjState::Liveness::live &&
             objInfo_[obj].size.isSingleton();
     };
     auto knownByte = [&](unsigned obj, int64_t off, int64_t &out) {
-        const ObjState &o = st.objects[obj];
+        const ObjState &o = st.obj(obj);
         auto it = o.contents.find(off);
         if (it != o.contents.end() && it->second.width == 1 &&
             !it->second.mayBeUninit) {
@@ -1837,9 +1967,10 @@ FunctionAnalyzer::applySummary(const Instruction &inst,
                 // summary joins every path).
                 if (objInfo_[t.obj].storage == StorageKind::heap ||
                     objInfo_[t.obj].silent) {
-                    ObjState &o = st.objects[t.obj];
-                    o.live = joinLiveness(o.live,
-                                          ObjState::Liveness::maybeFreed);
+                    ObjState::Liveness live = joinLiveness(
+                        st.obj(t.obj).live, ObjState::Liveness::maybeFreed);
+                    if (live != st.obj(t.obj).live)
+                        st.mutObj(t.obj).live = live;
                 }
                 if (ParamEffect *pe = paramEffectOf(t.obj))
                     pe->mayFree = true;
@@ -1847,7 +1978,8 @@ FunctionAnalyzer::applySummary(const Instruction &inst,
             if (e.pointeeWritten) {
                 havocObject(t.obj, st, /*escape=*/e.escapes);
             } else if (e.escapes) {
-                st.objects[t.obj].escaped = true;
+                if (!st.obj(t.obj).escaped)
+                    st.mutObj(t.obj).escaped = true;
                 if (ParamEffect *pe = paramEffectOf(t.obj))
                     pe->escapes = true;
             }
@@ -1860,7 +1992,7 @@ FunctionAnalyzer::applySummary(const Instruction &inst,
             if (!g->isConst())
                 seeds.push_back(id);
         for (unsigned i = 0; i < st.objects.size(); i++)
-            if (st.objects[i].escaped)
+            if (st.obj(i).escaped)
                 seeds.push_back(i);
         havocReachableFrom(std::move(seeds), st);
     }
@@ -1900,13 +2032,7 @@ FunctionAnalyzer::applySummary(const Instruction &inst,
         objInfo_[id].size = objInfo_[id].size.join(sum.allocSize);
         ObjState fresh;
         fresh.dflt = sum.allocContents;
-        if (objInfo_[id].multiInstance) {
-            mergeObjInto(st.objects[id], fresh, nullptr);
-            st.objects[id].live = joinLiveness(st.objects[id].live,
-                                               ObjState::Liveness::live);
-        } else {
-            st.objects[id] = fresh;
-        }
+        enterAllocation(st, id, std::move(fresh));
         AbstractValue p = AbstractValue::pointerTo(id);
         p.canBeNull = sum.retMayBeNull;
         setSlot(st, inst, p);
@@ -1948,7 +2074,7 @@ FunctionAnalyzer::recordReturn(const Instruction &inst, AbsState &st)
         ContentsDefault contents = ContentsDefault::unknown;
         bool first = true;
         for (const PointerTarget &t : v.targets) {
-            const ObjState &o = st.objects[t.obj];
+            const ObjState &o = st.obj(t.obj);
             if (objInfo_[t.obj].storage != StorageKind::heap ||
                 !t.offset.isSingleton() || t.offset.lo != 0 ||
                 o.live != ObjState::Liveness::live || o.escaped) {
@@ -2019,6 +2145,30 @@ FunctionAnalyzer::resolveCondChain(const Value *cond, bool &polarity) const
     return nullptr;
 }
 
+const MemEntry *
+FunctionAnalyzer::loadedEntry(const AbsState &st,
+                              const Instruction &load) const
+{
+    const Origin &origin = origins_[load.slot()];
+    if (origin.obj < 0)
+        return nullptr;
+    const ObjState &obj = st.obj(static_cast<unsigned>(origin.obj));
+    auto it = obj.contents.find(origin.off);
+    if (it == obj.contents.end() || it->second.width != origin.width ||
+        it->second.version != origin.version)
+        return nullptr;
+    return &it->second;
+}
+
+MemEntry &
+FunctionAnalyzer::loadedEntryToWrite(AbsState &st, const Instruction &load)
+{
+    const Origin &origin = origins_[load.slot()];
+    return st.mutObj(static_cast<unsigned>(origin.obj))
+        .contents.find(origin.off)
+        ->second;
+}
+
 void
 FunctionAnalyzer::writeRefinedInt(AbsState &st, const Value *v,
                                   const Interval &refined)
@@ -2028,10 +2178,10 @@ FunctionAnalyzer::writeRefinedInt(AbsState &st, const Value *v,
         slot = static_cast<int>(static_cast<const Argument *>(v)->index());
     else if (v->valueKind() == ValueKind::instruction)
         slot = static_cast<const Instruction *>(v)->slot();
-    if (slot >= 0 && st.slots[slot].isInt()) {
-        Interval met = st.slots[slot].ival.meet(refined);
-        if (!met.isEmpty())
-            st.slots[slot].ival = met;
+    if (slot >= 0 && st.slot(slot).isInt()) {
+        Interval met = st.slot(slot).ival.meet(refined);
+        if (!met.isEmpty() && met != st.slot(slot).ival)
+            st.mutSlot(slot).ival = met;
     }
     const auto *inst = dynamic_cast<const Instruction *>(v);
     if (inst == nullptr)
@@ -2064,19 +2214,12 @@ FunctionAnalyzer::writeRefinedInt(AbsState &st, const Value *v,
       case Opcode::load: {
         if (inst->slot() < 0)
             return;
-        const Origin &origin = origins_[inst->slot()];
-        if (origin.obj < 0)
-            return;
-        auto it = st.objects[origin.obj].contents.find(origin.off);
-        if (it == st.objects[origin.obj].contents.end() ||
-            it->second.width != origin.width ||
-            it->second.version != origin.version)
+        const MemEntry *entry = loadedEntry(st, *inst);
+        if (entry == nullptr || !entry->val.isInt())
             return; // memory may have changed since the load
-        if (it->second.val.isInt()) {
-            Interval met = it->second.val.ival.meet(refined);
-            if (!met.isEmpty())
-                it->second.val.ival = met;
-        }
+        Interval met = entry->val.ival.meet(refined);
+        if (!met.isEmpty() && met != entry->val.ival)
+            loadedEntryToWrite(st, *inst).val.ival = met;
         return;
       }
       default:
@@ -2093,21 +2236,14 @@ FunctionAnalyzer::writeRefinedPointer(AbsState &st, const Value *v,
         slot = static_cast<int>(static_cast<const Argument *>(v)->index());
     else if (v->valueKind() == ValueKind::instruction)
         slot = static_cast<const Instruction *>(v)->slot();
-    if (slot >= 0 && st.slots[slot].isPointer())
-        st.slots[slot] = refined;
+    if (slot >= 0 && st.slot(slot).isPointer() && st.slot(slot) != refined)
+        st.mutSlot(slot) = refined;
     const auto *inst = dynamic_cast<const Instruction *>(v);
     if (inst == nullptr || inst->op() != Opcode::load || inst->slot() < 0)
         return;
-    const Origin &origin = origins_[inst->slot()];
-    if (origin.obj < 0)
-        return;
-    auto it = st.objects[origin.obj].contents.find(origin.off);
-    if (it == st.objects[origin.obj].contents.end() ||
-        it->second.width != origin.width ||
-        it->second.version != origin.version)
-        return;
-    if (it->second.val.isPointer())
-        it->second.val = refined;
+    const MemEntry *entry = loadedEntry(st, *inst);
+    if (entry != nullptr && entry->val.isPointer() && entry->val != refined)
+        loadedEntryToWrite(st, *inst).val = refined;
 }
 
 namespace
@@ -2366,22 +2502,19 @@ mustNonNull(const AbstractValue &v)
 } // namespace
 
 void
-FunctionAnalyzer::joinInto(unsigned block, const AbsState &state)
+FunctionAnalyzer::joinInto(unsigned block, AbsState &&state)
 {
     if (collect_)
         return;
     if (!blockIn_[block].has_value()) {
-        blockIn_[block] = state;
+        blockIn_[block] = std::move(state);
         worklist_.insert({cfg_.rpoIndex(block), block});
         return;
     }
-    AbsState merged = *blockIn_[block];
     bool widen = visits_[block] >= options_.widenAfter;
-    mergeStateInto(merged, state, widen ? &thresholds_ : nullptr);
-    if (!(merged == *blockIn_[block])) {
-        blockIn_[block] = std::move(merged);
+    if (joinStateInto(*blockIn_[block], state,
+                      widen ? &thresholds_ : nullptr))
         worklist_.insert({cfg_.rpoIndex(block), block});
-    }
 }
 
 std::string
@@ -2465,15 +2598,7 @@ FunctionAnalyzer::transferBlock(unsigned b, AbsState st)
             if (it == siteObj_.end())
                 break;
             unsigned id = it->second;
-            ObjState fresh;
-            fresh.dflt = ContentsDefault::uninit;
-            if (objInfo_[id].multiInstance) {
-                mergeObjInto(st.objects[id], fresh, nullptr);
-                st.objects[id].live = joinLiveness(
-                    st.objects[id].live, ObjState::Liveness::live);
-            } else {
-                st.objects[id] = fresh;
-            }
+            enterAllocation(st, id, ObjState{}); // live, uninit
             setSlot(st, inst, AbstractValue::pointerTo(id));
             break;
           }
@@ -2507,7 +2632,7 @@ FunctionAnalyzer::transferBlock(unsigned b, AbsState st)
             bool strong = ptr.targets.size() == 1 && !ptr.canBeNull &&
                 ptr.targets[0].offset.isSingleton() &&
                 !objInfo_[ptr.targets[0].obj].multiInstance &&
-                st.objects[ptr.targets[0].obj].live ==
+                st.obj(ptr.targets[0].obj).live ==
                     ObjState::Liveness::live;
             for (const PointerTarget &t : ptr.targets)
                 writeTarget(t, width, val, strong, st);
@@ -2762,27 +2887,30 @@ FunctionAnalyzer::transferBlock(unsigned b, AbsState st)
             break;
           }
           case Opcode::br:
-            joinInto(inst.target(0)->index(), st);
+            joinInto(inst.target(0)->index(), std::move(st));
             return;
           case Opcode::condbr: {
+            if (collect_)
+                return; // edge states feed only the fixpoint
             AbstractValue cond = evalValue(inst.operand(0), st);
             int64_t c;
             if (cond.isConstInt(c)) {
-                joinInto(inst.target(c != 0 ? 0 : 1)->index(), st);
+                joinInto(inst.target(c != 0 ? 0 : 1)->index(),
+                         std::move(st));
                 return;
             }
-            for (unsigned edge = 0; edge < 2; edge++) {
-                bool truth = edge == 0;
-                AbsState branch = st;
-                bool polarity = truth;
+            auto follow = [&](unsigned edge, AbsState branch) {
+                bool polarity = edge == 0;
                 const Instruction *cmp =
                     resolveCondChain(inst.operand(0), polarity);
                 bool feasible = true;
                 if (cmp != nullptr)
                     feasible = applyRefinement(branch, *cmp, polarity);
                 if (feasible)
-                    joinInto(inst.target(edge)->index(), branch);
-            }
+                    joinInto(inst.target(edge)->index(), std::move(branch));
+            };
+            follow(0, st);
+            follow(1, std::move(st)); // the false edge takes the state
             return;
           }
           case Opcode::ret:
@@ -2842,11 +2970,12 @@ FunctionAnalyzer::run(std::vector<StaticFinding> &findings)
         }
         transferBlock(b, *blockIn_[b]);
     }
+    // The collect pass is the last reader of each block's state.
     collect_ = true;
     out_ = &findings;
     for (unsigned b : cfg_.reversePostOrder()) {
         if (blockIn_[b].has_value())
-            transferBlock(b, *blockIn_[b]);
+            transferBlock(b, std::move(*blockIn_[b]));
     }
     collect_ = false;
     out_ = nullptr;
@@ -3107,12 +3236,19 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
     // Interprocedural scaffolding: the call graph's SCC condensation
     // orders the per-function analyses bottom-up (callees before
     // callers), so a call site always sees its callees' completed
-    // summaries. SCCs of equal depth are pairwise unreachable and run
-    // in parallel when options.jobs > 1; results are keyed by function
-    // id and assembled in module order, so the output is identical for
-    // every job count.
-    CallGraph graph = CallGraph::build(module);
-    SccInfo sccs = condense(graph);
+    // summaries. It covers the analyzable definitions only: a call into
+    // anything else (a declaration, an unanalyzed libc body) is
+    // havocked, so it orders nothing. SCCs of equal depth are pairwise
+    // unreachable and run in parallel when options.jobs > 1; results
+    // are keyed by function id and assembled in module order, so the
+    // output is identical for every job count.
+    CallGraph graph;
+    SccInfo sccs;
+    {
+        MS_TRACE_SPAN("analysis.callgraph");
+        graph = CallGraph::build(module, analyzable);
+        sccs = condense(graph);
+    }
     report.sccCount = static_cast<unsigned>(sccs.sccs.size());
 
     const bool useSummaries = options.summaries;
@@ -3126,13 +3262,8 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
 
     auto runScc = [&](const Scc &scc) {
         std::vector<const Function *> members;
-        for (unsigned id : scc.members) {
-            const Function *fn = graph.node(id).fn;
-            if (fn != nullptr && analyzable(*fn))
-                members.push_back(fn);
-        }
-        if (members.empty())
-            return;
+        for (unsigned id : scc.members)
+            members.push_back(graph.node(id).fn);
         if (useSummaries && scc.recursive) {
             // Optimistic bottom: no effects, no returns. Iterate to a
             // widened fixpoint; an unstable SCC degrades to pessimistic
@@ -3206,24 +3337,28 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
     };
 
     // Schedule by SCC depth: within one level, SCCs are independent.
-    std::vector<std::vector<unsigned>> byDepth(sccs.maxDepth + 1);
-    for (unsigned i = 0; i < sccs.sccs.size(); i++)
-        byDepth[sccs.sccs[i].depth].push_back(i);
-    unsigned jobs = std::max(1u, options.jobs);
-    std::optional<ThreadPool> pool;
-    for (const auto &level : byDepth) {
-        if (jobs > 1 && level.size() > 1) {
-            if (!pool.has_value())
-                pool.emplace(jobs);
-            std::vector<std::future<void>> pending;
-            for (unsigned si : level)
-                pending.push_back(pool->submit(
-                    [&runScc, &sccs, si] { runScc(sccs.sccs[si]); }));
-            for (std::future<void> &f : pending)
-                f.get();
-        } else {
-            for (unsigned si : level)
-                runScc(sccs.sccs[si]);
+    // The span covers every fixpoint and its findings sweep.
+    {
+        MS_TRACE_SPAN("analysis.fixpoint");
+        std::vector<std::vector<unsigned>> byDepth(sccs.maxDepth + 1);
+        for (unsigned i = 0; i < sccs.sccs.size(); i++)
+            byDepth[sccs.sccs[i].depth].push_back(i);
+        unsigned jobs = std::max(1u, options.jobs);
+        std::optional<ThreadPool> pool;
+        for (const auto &level : byDepth) {
+            if (jobs > 1 && level.size() > 1) {
+                if (!pool.has_value())
+                    pool.emplace(jobs);
+                std::vector<std::future<void>> pending;
+                for (unsigned si : level)
+                    pending.push_back(pool->submit(
+                        [&runScc, &sccs, si] { runScc(sccs.sccs[si]); }));
+                for (std::future<void> &f : pending)
+                    f.get();
+            } else {
+                for (unsigned si : level)
+                    runScc(sccs.sccs[si]);
+            }
         }
     }
 
@@ -3238,10 +3373,11 @@ analyzeModule(const Module &module, const AnalysisOptions &options)
         report.incomplete = report.incomplete || !fnComplete[id];
         report.functionsAnalyzed++;
         report.summariesApplied += fnApplied[id];
+        report.blockVisits += fnVisits[id];
         for (StaticFinding &f : fnFindings[id])
             report.findings.push_back(std::move(f));
     }
-    reg.counter("analysis.callgraph.functions").inc(graph.size());
+    reg.counter("analysis.callgraph.functions").inc(graph.functionCount());
     reg.counter("analysis.callgraph.sccs").inc(report.sccCount);
     if (report.summariesApplied != 0)
         reg.counter("analysis.summary.applied").inc(report.summariesApplied);

@@ -64,15 +64,20 @@ collectInitFunctions(const Initializer &init, std::vector<bool> &taken)
 } // namespace
 
 CallGraph
-CallGraph::build(const Module &module)
+CallGraph::build(const Module &module,
+                 const std::function<bool(const Function &)> &include)
 {
     CallGraph graph;
     graph.module_ = &module;
     graph.nodes_.resize(module.functions().size());
     graph.addressTaken_.assign(module.functions().size(), false);
 
-    for (const auto &fn : module.functions())
+    for (const auto &fn : module.functions()) {
+        if (fn->isDeclaration() || (include && !include(*fn)))
+            continue;
         graph.nodes_[fn->id()].fn = fn.get();
+        graph.functionCount_++;
+    }
 
     // Address-taken pass: a function is a potential indirect-call target
     // when it appears as a non-callee operand of any instruction, or in
@@ -84,19 +89,21 @@ CallGraph::build(const Module &module)
             for (const auto &inst : bb->insts()) {
                 size_t first = inst->op() == Opcode::call ? 1 : 0;
                 for (size_t i = first; i < inst->numOperands(); i++) {
-                    const auto *target =
-                        dynamic_cast<const Function *>(inst->operand(i));
-                    if (target != nullptr)
-                        graph.addressTaken_[target->id()] = true;
+                    const Value *operand = inst->operand(i);
+                    if (operand->valueKind() != ValueKind::function)
+                        continue;
+                    unsigned id =
+                        static_cast<const Function *>(operand)->id();
+                    graph.addressTaken_[id] = true;
                 }
             }
         }
     }
 
-    // Edge pass.
+    // Edge pass, over the functions in the graph.
     for (const auto &fn : module.functions()) {
         Node &node = graph.nodes_[fn->id()];
-        if (fn->isDeclaration())
+        if (node.fn == nullptr)
             continue;
         for (const auto &bb : fn->blocks()) {
             for (const auto &inst : bb->insts()) {
@@ -110,7 +117,8 @@ CallGraph::build(const Module &module)
                                             : nullptr) == nullptr)
                     node.hasUnresolvedIndirect = true;
                 for (const Function *target : targets)
-                    node.callees.push_back(target->id());
+                    if (graph.nodes_[target->id()].fn != nullptr)
+                        node.callees.push_back(target->id());
             }
         }
         std::sort(node.callees.begin(), node.callees.end());
@@ -151,7 +159,7 @@ condense(const CallGraph &graph)
     // which is exactly the summary-computation order.
     const size_t n = graph.size();
     SccInfo info;
-    info.sccOf.assign(n, 0);
+    info.sccOf.assign(n, SccInfo::kNoScc);
 
     std::vector<unsigned> index(n, 0), lowlink(n, 0);
     std::vector<bool> visited(n, false), onStack(n, false);
@@ -166,7 +174,7 @@ condense(const CallGraph &graph)
     std::vector<Frame> work;
 
     for (unsigned root = 0; root < n; root++) {
-        if (visited[root])
+        if (visited[root] || graph.node(root).fn == nullptr)
             continue;
         work.push_back({root, 0});
         while (!work.empty()) {

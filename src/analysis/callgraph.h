@@ -15,6 +15,7 @@
 #ifndef MS_ANALYSIS_CALLGRAPH_H
 #define MS_ANALYSIS_CALLGRAPH_H
 
+#include <functional>
 #include <vector>
 
 #include "ir/module.h"
@@ -22,14 +23,20 @@
 namespace sulong
 {
 
-/** The may-call graph of one Module, nodes indexed by Function::id(). */
+/**
+ * The may-call graph of one Module, nodes indexed by Function::id().
+ * The graph covers the definitions its builder selects (the analyzer's
+ * analyzable ones); every other function keeps an empty node.
+ */
 class CallGraph
 {
   public:
     struct Node
     {
+        /// The function, or null when it is not in the graph.
         const Function *fn = nullptr;
-        /// Callee function ids, deduplicated, in ascending id order.
+        /// Callee function ids in the graph, deduplicated, in ascending
+        /// id order.
         std::vector<unsigned> callees;
         /// True when the function contains an indirect call for which no
         /// type-compatible address-taken candidate exists: the call can
@@ -37,12 +44,22 @@ class CallGraph
         bool hasUnresolvedIndirect = false;
     };
 
-    /** Build the graph over every function definition in @p module. */
-    static CallGraph build(const Module &module);
+    /**
+     * Build the graph over the definitions of @p module that @p include
+     * accepts (every definition when it is empty). Calls into functions
+     * outside the graph add no edge; may-call sets and address-taken
+     * marks still consider every definition of the module.
+     */
+    static CallGraph
+    build(const Module &module,
+          const std::function<bool(const Function &)> &include = {});
 
     const std::vector<Node> &nodes() const { return nodes_; }
     const Node &node(unsigned fn_id) const { return nodes_[fn_id]; }
+    /// Node slots: one per module function, in or out of the graph.
     size_t size() const { return nodes_.size(); }
+    /// Functions in the graph.
+    size_t functionCount() const { return functionCount_; }
 
     /**
      * The functions a call instruction may invoke, in ascending id
@@ -66,6 +83,7 @@ class CallGraph
     const Module *module_ = nullptr;
     std::vector<Node> nodes_;
     std::vector<bool> addressTaken_;
+    size_t functionCount_ = 0;
 };
 
 /** One strongly connected component of the call graph. */
@@ -82,11 +100,14 @@ struct Scc
 };
 
 /** The condensation of a CallGraph, SCCs in bottom-up (callee-first)
- *  order as Tarjan emits them. */
+ *  order as Tarjan emits them. Only functions in the graph are in an
+ *  SCC. */
 struct SccInfo
 {
+    static constexpr unsigned kNoScc = ~0u;
+
     std::vector<Scc> sccs;
-    /// Function id -> index into sccs.
+    /// Function id -> index into sccs (kNoScc outside the graph).
     std::vector<unsigned> sccOf;
     /// Largest depth value present (0 for an empty graph).
     unsigned maxDepth = 0;

@@ -123,6 +123,9 @@ struct AnalysisReport
     unsigned sccCount = 0;
     /// Call sites where a callee summary was applied instead of a havoc.
     unsigned summariesApplied = 0;
+    /// Fixpoint block visits over every analyzed function (the
+    /// `analysis.fixpoint.block_visits` counter's share of this run).
+    uint64_t blockVisits = 0;
     /// True when some function hit maxBlockVisits and was abandoned.
     bool incomplete = false;
     /// True when the refutation replay ran (a main() was present).

@@ -228,7 +228,9 @@ AbstractValue widenValues(const AbstractValue &a, const AbstractValue &b,
  * A known scalar at a constant offset inside an abstract object.
  * `version` increments on every write so that branch refinement can
  * prove "this location still holds the value the compare tested"
- * before narrowing the stored interval (sound write-back).
+ * before narrowing the stored interval (sound write-back). Versions are
+ * compared only within one block transfer, never across a join, so
+ * ObjState equality ignores them.
  */
 struct MemEntry
 {
@@ -252,7 +254,11 @@ enum class ContentsDefault : uint8_t
     unknown,
 };
 
-/** Flow-sensitive state of one abstract object. */
+/**
+ * Flow-sensitive state of one abstract object. The analyzer shares one
+ * ObjState between the states of every program point that has not
+ * written the object (copy-on-write).
+ */
 struct ObjState
 {
     enum class Liveness : uint8_t

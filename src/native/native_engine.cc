@@ -386,8 +386,16 @@ NativeEngine::execInstruction(const Instruction &inst, Frame &frame)
         uint64_t rz2 = zext(r.i, width);
         int64_t out = 0;
         switch (inst.op()) {
-          case Opcode::add: out = l.i + r.i; break;
-          case Opcode::sub: out = l.i - r.i; break;
+          // add/sub/mul wrap through uint64_t: signed overflow would be
+          // host UB.
+          case Opcode::add:
+            out = static_cast<int64_t>(static_cast<uint64_t>(l.i) +
+                                       static_cast<uint64_t>(r.i));
+            break;
+          case Opcode::sub:
+            out = static_cast<int64_t>(static_cast<uint64_t>(l.i) -
+                                       static_cast<uint64_t>(r.i));
+            break;
           case Opcode::mul:
             out = static_cast<int64_t>(
                 static_cast<uint64_t>(l.i) * static_cast<uint64_t>(r.i));

@@ -45,8 +45,16 @@ foldInstruction(Module &module, const Instruction &inst)
         uint64_t rz = r->zextValue();
         int64_t out;
         switch (inst.op()) {
-          case Opcode::add: out = l->value() + r->value(); break;
-          case Opcode::sub: out = l->value() - r->value(); break;
+          // add/sub/mul wrap through uint64_t: signed overflow would be
+          // host UB.
+          case Opcode::add:
+            out = static_cast<int64_t>(static_cast<uint64_t>(l->value()) +
+                                       static_cast<uint64_t>(r->value()));
+            break;
+          case Opcode::sub:
+            out = static_cast<int64_t>(static_cast<uint64_t>(l->value()) -
+                                       static_cast<uint64_t>(r->value()));
+            break;
           case Opcode::mul:
             out = static_cast<int64_t>(
                 static_cast<uint64_t>(l->value()) *
@@ -98,11 +106,24 @@ foldInstruction(Module &module, const Instruction &inst)
         if (l == nullptr || r == nullptr)
             return nullptr;
         double out;
-        switch (inst.op()) {
-          case Opcode::fadd: out = l->value() + r->value(); break;
-          case Opcode::fsub: out = l->value() - r->value(); break;
-          case Opcode::fmul: out = l->value() * r->value(); break;
-          default: out = l->value() / r->value(); break;
+        if (inst.type()->kind() == TypeKind::f32) {
+            // f32 arithmetic rounds each result to float, as the engines
+            // compute it.
+            float lf = static_cast<float>(l->value());
+            float rf = static_cast<float>(r->value());
+            switch (inst.op()) {
+              case Opcode::fadd: out = lf + rf; break;
+              case Opcode::fsub: out = lf - rf; break;
+              case Opcode::fmul: out = lf * rf; break;
+              default: out = lf / rf; break;
+            }
+        } else {
+            switch (inst.op()) {
+              case Opcode::fadd: out = l->value() + r->value(); break;
+              case Opcode::fsub: out = l->value() - r->value(); break;
+              case Opcode::fmul: out = l->value() * r->value(); break;
+              default: out = l->value() / r->value(); break;
+            }
         }
         return module.constFP(inst.type(), out);
       }

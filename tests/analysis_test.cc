@@ -12,6 +12,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/callgraph.h"
 #include "corpus/harness.h"
+#include "fuzz/campaign.h"
 #include "tools/batch_runner.h"
 #include "tools/benchmark_programs.h"
 #include "tools/compile_cache.h"
@@ -834,6 +835,82 @@ TEST(AnalysisParallel, JobsDoNotChangeFindings)
     EXPECT_EQ(a.findings.size(), b.findings.size());
     EXPECT_EQ(a.summariesApplied, b.summariesApplied);
     EXPECT_TRUE(hasDefinite(a, ErrorKind::outOfBounds)) << a.toString();
+}
+
+// ---------------------------------------------------------------------
+// Golden findings over generated programs
+// ---------------------------------------------------------------------
+
+/** FNV-1a 64 over @p bytes, chained from @p hash. */
+uint64_t
+fnv1a(uint64_t hash, const std::string &bytes)
+{
+    for (char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/**
+ * Digest of every finding field and the fixpoint/summary totals of the
+ * analyses the fuzz oracle runs on seeds 1..100: the module of the
+ * `managed` arm, analyzed with the campaign's default options.
+ */
+uint64_t
+fuzzSeedFindingsDigest(unsigned jobs)
+{
+    CampaignOptions campaign;
+    ToolConfig managed = ToolConfig::make(ToolKind::safeSulong);
+    managed.managed = campaign.oracle.managed;
+    AnalysisOptions options = campaign.oracle.analysis;
+    options.replayArgs.clear();
+    options.jobs = jobs;
+    uint64_t hash = 0xcbf29ce484222325ull;
+    auto field = [&hash](const std::string &bytes) {
+        hash = fnv1a(hash, bytes + '\x1f');
+    };
+    auto orDash = [](const std::optional<int64_t> &v) {
+        return v.has_value() ? std::to_string(*v) : std::string("-");
+    };
+    for (uint64_t seed = 1; seed <= 100; seed++) {
+        FuzzProgram program = generateSeedProgram(seed, campaign);
+        PreparedProgram prepared =
+            prepareProgram(program.render(), managed, &sharedCache());
+        EXPECT_TRUE(prepared.ok()) << "seed " << seed;
+        if (!prepared.ok())
+            continue;
+        AnalysisReport report = analyzeModule(*prepared.module, options);
+        field("seed " + std::to_string(seed));
+        for (const StaticFinding &f : report.findings) {
+            field(std::to_string(static_cast<int>(f.kind)));
+            field(f.function);
+            field(std::to_string(f.blockIndex) + ":" +
+                  std::to_string(f.instIndex));
+            field(std::to_string(static_cast<int>(f.confidence)));
+            field(f.detail);
+            field(f.pathCondition);
+            field(orDash(f.offset));
+            field(orDash(f.objectSize));
+        }
+        field("visits " + std::to_string(report.blockVisits));
+        field("applied " + std::to_string(report.summariesApplied));
+    }
+    return hash;
+}
+
+TEST(AnalysisGolden, FuzzSeedFindingsDigest)
+{
+    // A change to the fixpoint's data structures or scheduling must not
+    // move a single finding, block visit or applied summary; a change
+    // meant to move them re-pins the constant. Any job count gives the
+    // same digest.
+    constexpr uint64_t kDigest = 0xf0199b8f137af936ull;
+    for (unsigned jobs : {1u, 4u}) {
+        uint64_t digest = fuzzSeedFindingsDigest(jobs);
+        EXPECT_EQ(digest, kDigest)
+            << "jobs " << jobs << ": digest 0x" << std::hex << digest;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <thread>
 
+#include "analysis/analyzer.h"
 #include "corpus/corpus.h"
 #include "obs/expo.h"
 #include "obs/flightrec.h"
@@ -229,6 +230,44 @@ TEST(TraceTest, SpanNestingAndDrainOrdering)
 
     // drain(clear=true) emptied the rings.
     EXPECT_TRUE(TraceCollector::global().drain().empty());
+}
+
+TEST(TraceTest, AnalysisPhasesNestUnderTheModuleSpan)
+{
+    PreparedProgram prepared = prepareProgram(
+        "static int pick(int n) { return n + 3; }\n"
+        "int main(void) { int a[4]; a[pick(0)] = 1; return a[3]; }\n",
+        ToolConfig::make(ToolKind::safeSulong));
+    ASSERT_TRUE(prepared.ok()) << prepared.compileErrors;
+
+    TracingOn on;
+    analyzeModule(*prepared.module);
+    std::vector<TraceEvent> events = TraceCollector::global().drain();
+
+    auto find = [&events](const char *name) -> const TraceEvent * {
+        for (const TraceEvent &e : events)
+            if (e.name == name)
+                return &e;
+        return nullptr;
+    };
+    const TraceEvent *module = find("analysis.module");
+    const TraceEvent *callgraph = find("analysis.callgraph");
+    const TraceEvent *fixpoint = find("analysis.fixpoint");
+    const TraceEvent *refute = find("analysis.refute");
+    ASSERT_NE(module, nullptr);
+    ASSERT_NE(callgraph, nullptr);
+    ASSERT_NE(fixpoint, nullptr);
+    ASSERT_NE(refute, nullptr);
+
+    // The call graph, then the fixpoint (with its findings sweep), then
+    // the refutation replay, each inside the module span.
+    uint64_t moduleEnd = module->tsNs + module->durNs;
+    for (const TraceEvent *phase : {callgraph, fixpoint, refute}) {
+        EXPECT_LE(module->tsNs, phase->tsNs) << phase->name;
+        EXPECT_LE(phase->tsNs + phase->durNs, moduleEnd) << phase->name;
+    }
+    EXPECT_LE(callgraph->tsNs + callgraph->durNs, fixpoint->tsNs);
+    EXPECT_LE(fixpoint->tsNs + fixpoint->durNs, refute->tsNs);
 }
 
 TEST(TraceTest, RingOverwritesOldestAndCountsDropped)

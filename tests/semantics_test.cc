@@ -328,6 +328,24 @@ int main(void) {
         value2 += value;
     return value2; /* 10 + 1 + 100 */
 })", "", 111},
+
+    // Unsigned 64-bit wraparound is defined; no evaluator may compute it
+    // with signed host arithmetic (that traps under UBSan).
+    {"unsigned-long-wrap", R"(
+int main(void) {
+    unsigned long a = 9223372036854775807UL;
+    printf("%lu\n", a + 1);
+    return 0;
+})", "9223372036854775808\n", 0},
+
+    // float arithmetic rounds every result to float, folded or not:
+    // 2^24 + 1 is not representable, so the sum rounds back to 2^24.
+    {"float-rounding", R"(
+int main(void) {
+    float a = 16777216.0f, b = 1.0f;
+    printf("%d\n", (int)((a + b) - a));
+    return 0;
+})", "0\n", 0},
 };
 
 class SemanticsTest
