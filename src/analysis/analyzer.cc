@@ -26,6 +26,7 @@
 #include "analysis/summary.h"
 #include "interp/managed_engine.h"
 #include "ir/cfg.h"
+#include "ir/semantics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/thread_pool.h"
@@ -2692,71 +2693,16 @@ FunctionAnalyzer::transferBlock(unsigned b, AbsState st)
             AbstractValue av = evalValue(inst.operand(0), st);
             AbstractValue bv = evalValue(inst.operand(1), st);
             unsigned bits = inst.type()->intBits();
-            uint64_t mask = bits >= 64 ? ~uint64_t{0}
-                                       : (uint64_t{1} << bits) - 1;
             int64_t ca = 0, cb = 0;
             bool exact = av.isConstInt(ca) && bv.isConstInt(cb);
             Interval r = intervalOfWidth(bits);
             if (exact) {
-                uint64_t ua = static_cast<uint64_t>(ca) & mask;
-                uint64_t ub = static_cast<uint64_t>(cb) & mask;
-                unsigned sh = static_cast<unsigned>(
-                    static_cast<uint64_t>(cb) & (bits - 1));
-                bool ok = true;
-                int64_t v = 0;
-                switch (inst.op()) {
-                  case Opcode::sdiv:
-                    if (cb == 0)
-                        ok = false;
-                    else if (ca == INT64_MIN && cb == -1)
-                        v = INT64_MIN;
-                    else
-                        v = ca / cb;
-                    break;
-                  case Opcode::udiv:
-                    if (ub == 0)
-                        ok = false;
-                    else
-                        v = static_cast<int64_t>(ua / ub);
-                    break;
-                  case Opcode::srem:
-                    if (cb == 0)
-                        ok = false;
-                    else if (ca == INT64_MIN && cb == -1)
-                        v = 0;
-                    else
-                        v = ca % cb;
-                    break;
-                  case Opcode::urem:
-                    if (ub == 0)
-                        ok = false;
-                    else
-                        v = static_cast<int64_t>(ua % ub);
-                    break;
-                  case Opcode::and_:
-                    v = ca & cb;
-                    break;
-                  case Opcode::or_:
-                    v = ca | cb;
-                    break;
-                  case Opcode::xor_:
-                    v = ca ^ cb;
-                    break;
-                  case Opcode::shl:
-                    v = static_cast<int64_t>(ua << sh);
-                    break;
-                  case Opcode::lshr:
-                    v = static_cast<int64_t>(ua >> sh);
-                    break;
-                  case Opcode::ashr:
-                    v = ca >> sh;
-                    break;
-                  default:
-                    ok = false;
-                    break;
+                // Division by zero has no value: the interval stays the
+                // whole width.
+                if (std::optional<int64_t> v =
+                        sem::intBinOp(inst.op(), ca, cb, bits)) {
+                    r = Interval::of(*v);
                 }
-                if (ok)
-                    r = intervalWrap(Interval::of(v), bits);
             } else if (inst.op() == Opcode::and_) {
                 // a & m with a non-negative mask is within [0, m].
                 if (bv.isConstInt(cb) && cb >= 0)

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "ir/semantics.h"
+
 namespace sulong
 {
 
@@ -112,14 +114,8 @@ intervalWrap(const Interval &a, unsigned bits)
     Interval full = intervalOfWidth(bits);
     if (a.lo >= full.lo && a.hi <= full.hi)
         return a;
-    if (a.isSingleton()) {
-        uint64_t mask = (uint64_t{1} << bits) - 1;
-        uint64_t raw = static_cast<uint64_t>(a.lo) & mask;
-        // Sign-extend back to the canonical representation.
-        if (raw & (uint64_t{1} << (bits - 1)))
-            raw |= ~mask;
-        return Interval::of(static_cast<int64_t>(raw));
-    }
+    if (a.isSingleton())
+        return Interval::of(sem::normInt(static_cast<uint64_t>(a.lo), bits));
     return full;
 }
 

@@ -1,5 +1,8 @@
 #include "frontend/codegen.h"
 
+#include "frontend/parser.h"
+#include "ir/semantics.h"
+
 namespace sulong
 {
 
@@ -393,14 +396,16 @@ CodeGen::constInitializer(const Expr *init, const CType *type)
                     const auto &bin = static_cast<const BinaryExpr &>(e);
                     double l = run(*bin.lhs);
                     double r = run(*bin.rhs);
+                    Opcode op;
                     switch (bin.op) {
-                      case BinaryOp::add: return l + r;
-                      case BinaryOp::sub: return l - r;
-                      case BinaryOp::mul: return l * r;
-                      case BinaryOp::div: return l / r;
+                      case BinaryOp::add: op = Opcode::fadd; break;
+                      case BinaryOp::sub: op = Opcode::fsub; break;
+                      case BinaryOp::mul: op = Opcode::fmul; break;
+                      case BinaryOp::div: op = Opcode::fdiv; break;
                       default:
                         cg.semaError(e.loc, "initializer is not constant");
                     }
+                    return sem::floatBinOp(op, l, r, 64);
                   }
                   default:
                     cg.semaError(e.loc,
@@ -438,14 +443,9 @@ CodeGen::constInitializer(const Expr *init, const CType *type)
                   }
                   case ExprKind::unary: {
                     const auto &un = static_cast<const UnaryExpr &>(e);
-                    int64_t v = run(*un.operand);
-                    switch (un.op) {
-                      case UnaryOp::neg: return -v;
-                      case UnaryOp::bitNot: return ~v;
-                      case UnaryOp::logicalNot: return v == 0;
-                      default:
-                        cg.semaError(e.loc, "initializer is not constant");
-                    }
+                    if (auto v = foldConstUnary(un.op, run(*un.operand)))
+                        return *v;
+                    cg.semaError(e.loc, "initializer is not constant");
                   }
                   case ExprKind::cast: {
                     const auto &cast = static_cast<const CastExpr &>(e);
@@ -455,32 +455,13 @@ CodeGen::constInitializer(const Expr *init, const CType *type)
                     const auto &bin = static_cast<const BinaryExpr &>(e);
                     int64_t l = run(*bin.lhs);
                     int64_t r = run(*bin.rhs);
-                    switch (bin.op) {
-                      case BinaryOp::add: return l + r;
-                      case BinaryOp::sub: return l - r;
-                      case BinaryOp::mul: return l * r;
-                      case BinaryOp::div:
-                        if (r == 0)
-                            cg.semaError(e.loc, "division by zero");
-                        return l / r;
-                      case BinaryOp::rem:
-                        if (r == 0)
-                            cg.semaError(e.loc, "division by zero");
-                        return l % r;
-                      case BinaryOp::shl: return l << (r & 63);
-                      case BinaryOp::shr: return l >> (r & 63);
-                      case BinaryOp::bitAnd: return l & r;
-                      case BinaryOp::bitOr: return l | r;
-                      case BinaryOp::bitXor: return l ^ r;
-                      case BinaryOp::lt: return l < r;
-                      case BinaryOp::gt: return l > r;
-                      case BinaryOp::le: return l <= r;
-                      case BinaryOp::ge: return l >= r;
-                      case BinaryOp::eq: return l == r;
-                      case BinaryOp::ne: return l != r;
-                      default:
-                        cg.semaError(e.loc, "initializer is not constant");
-                    }
+                    if (auto v = foldConstBinary(bin.op, l, r))
+                        return *v;
+                    bool divides = bin.op == BinaryOp::div ||
+                        bin.op == BinaryOp::rem;
+                    cg.semaError(e.loc, divides
+                                            ? "division by zero"
+                                            : "initializer is not constant");
                   }
                   default:
                     cg.semaError(e.loc, "initializer is not constant");
@@ -1141,14 +1122,22 @@ CodeGen::convert(RValue v, const CType *to, const SourceLoc &loc,
     if (v.value != nullptr &&
         v.value->valueKind() == ValueKind::constantInt &&
         v.type->isInteger()) {
-        auto *c = static_cast<ConstantInt *>(v.value);
-        int64_t raw = v.type->isSignedInt()
-            ? c->value() : static_cast<int64_t>(c->zextValue());
-        if (to->isInteger())
-            return RValue{module_.constInt(to_ir, raw), to};
+        int64_t c = static_cast<ConstantInt *>(v.value)->value();
+        unsigned from_bits = v.value->type()->intBits();
+        bool is_signed = v.type->isSignedInt();
+        if (to->isInteger()) {
+            Opcode op = is_signed ? Opcode::sext : Opcode::zext;
+            return RValue{module_.constInt(to_ir,
+                                           sem::intCast(op, c, from_bits,
+                                                        to_ir->intBits())),
+                          to};
+        }
         if (to->isFloat()) {
-            return RValue{
-                module_.constFP(to_ir, static_cast<double>(raw)), to};
+            Opcode op = is_signed ? Opcode::sitofp : Opcode::uitofp;
+            return RValue{module_.constFP(to_ir,
+                                          sem::intToFP(op, c, from_bits,
+                                                       to_ir->fpBits())),
+                          to};
         }
     }
     if (v.type->isInteger() && to->isInteger()) {

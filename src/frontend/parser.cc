@@ -1,6 +1,7 @@
 #include "frontend/parser.h"
 
 #include "frontend/lexer.h"
+#include "ir/semantics.h"
 
 namespace sulong
 {
@@ -263,7 +264,7 @@ Parser::parseEnumSpecifier()
             }
             if (unit_ != nullptr)
                 unit_->enumConstants[name] = next;
-            next++;
+            next = *foldConstBinary(BinaryOp::add, next, 1);
             if (!accept(Tok::comma) && !at(Tok::rbrace))
                 parseError("expected ',' or '}' in enum");
         }
@@ -1021,6 +1022,47 @@ Parser::parsePrimary()
 // Constant expressions
 // -----------------------------------------------------------------------
 
+std::optional<int64_t>
+foldConstBinary(BinaryOp op, int64_t l, int64_t r)
+{
+    auto arith = [&](Opcode opcode) {
+        return sem::intBinOp(opcode, l, r, 64);
+    };
+    auto compare = [&](IntPred pred) -> std::optional<int64_t> {
+        return sem::icmp(pred, l, r) ? 1 : 0;
+    };
+    switch (op) {
+      case BinaryOp::add: return arith(Opcode::add);
+      case BinaryOp::sub: return arith(Opcode::sub);
+      case BinaryOp::mul: return arith(Opcode::mul);
+      case BinaryOp::div: return arith(Opcode::sdiv);
+      case BinaryOp::rem: return arith(Opcode::srem);
+      case BinaryOp::shl: return arith(Opcode::shl);
+      case BinaryOp::shr: return arith(Opcode::ashr);
+      case BinaryOp::bitAnd: return arith(Opcode::and_);
+      case BinaryOp::bitOr: return arith(Opcode::or_);
+      case BinaryOp::bitXor: return arith(Opcode::xor_);
+      case BinaryOp::lt: return compare(IntPred::slt);
+      case BinaryOp::gt: return compare(IntPred::sgt);
+      case BinaryOp::le: return compare(IntPred::sle);
+      case BinaryOp::ge: return compare(IntPred::sge);
+      case BinaryOp::eq: return compare(IntPred::eq);
+      case BinaryOp::ne: return compare(IntPred::ne);
+      default: return std::nullopt;
+    }
+}
+
+std::optional<int64_t>
+foldConstUnary(UnaryOp op, int64_t v)
+{
+    switch (op) {
+      case UnaryOp::neg: return sem::intBinOp(Opcode::sub, 0, v, 64);
+      case UnaryOp::bitNot: return sem::intBinOp(Opcode::xor_, v, -1, 64);
+      case UnaryOp::logicalNot: return v == 0 ? 1 : 0;
+      default: return std::nullopt;
+    }
+}
+
 int64_t
 Parser::evalConstInt(const Expr &expr)
 {
@@ -1041,14 +1083,8 @@ Parser::evalConstInt(const Expr &expr)
       }
       case ExprKind::unary: {
         const auto &un = static_cast<const UnaryExpr &>(expr);
-        int64_t v = evalConstInt(*un.operand);
-        switch (un.op) {
-          case UnaryOp::neg: return -v;
-          case UnaryOp::logicalNot: return v == 0 ? 1 : 0;
-          case UnaryOp::bitNot: return ~v;
-          default:
-            break;
-        }
+        if (auto v = foldConstUnary(un.op, evalConstInt(*un.operand)))
+            return *v;
         break;
       }
       case ExprKind::binary: {
@@ -1059,33 +1095,8 @@ Parser::evalConstInt(const Expr &expr)
             return (l != 0 && evalConstInt(*bin.rhs) != 0) ? 1 : 0;
         if (bin.op == BinaryOp::logOr)
             return (l != 0 || evalConstInt(*bin.rhs) != 0) ? 1 : 0;
-        int64_t r = evalConstInt(*bin.rhs);
-        switch (bin.op) {
-          case BinaryOp::add: return l + r;
-          case BinaryOp::sub: return l - r;
-          case BinaryOp::mul: return l * r;
-          case BinaryOp::div:
-            if (r == 0)
-                break;
-            return l / r;
-          case BinaryOp::rem:
-            if (r == 0)
-                break;
-            return l % r;
-          case BinaryOp::shl: return l << (r & 63);
-          case BinaryOp::shr: return l >> (r & 63);
-          case BinaryOp::lt: return l < r;
-          case BinaryOp::gt: return l > r;
-          case BinaryOp::le: return l <= r;
-          case BinaryOp::ge: return l >= r;
-          case BinaryOp::eq: return l == r;
-          case BinaryOp::ne: return l != r;
-          case BinaryOp::bitAnd: return l & r;
-          case BinaryOp::bitOr: return l | r;
-          case BinaryOp::bitXor: return l ^ r;
-          default:
-            break;
-        }
+        if (auto v = foldConstBinary(bin.op, l, evalConstInt(*bin.rhs)))
+            return *v;
         break;
       }
       case ExprKind::conditional: {
@@ -1098,17 +1109,10 @@ Parser::evalConstInt(const Expr &expr)
         const auto &cast = static_cast<const CastExpr &>(expr);
         int64_t v = evalConstInt(*cast.operand);
         if (cast.target->isInteger()) {
-            uint64_t size = types_.sizeOf(cast.target);
-            if (size < 8) {
-                uint64_t mask = (1ull << (size * 8)) - 1;
-                uint64_t raw = static_cast<uint64_t>(v) & mask;
-                if (cast.target->isSignedInt() &&
-                    (raw & (1ull << (size * 8 - 1)))) {
-                    raw |= ~mask;
-                }
-                v = static_cast<int64_t>(raw);
-            }
-            return v;
+            auto bits = static_cast<unsigned>(types_.sizeOf(cast.target) * 8);
+            return cast.target->isSignedInt()
+                ? sem::normInt(static_cast<uint64_t>(v), bits)
+                : static_cast<int64_t>(sem::zextInt(v, bits));
         }
         break;
       }

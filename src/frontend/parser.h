@@ -11,6 +11,7 @@
 #ifndef MS_FRONTEND_PARSER_H
 #define MS_FRONTEND_PARSER_H
 
+#include <optional>
 #include <unordered_map>
 
 #include "frontend/ast.h"
@@ -39,6 +40,16 @@ constexpr unsigned kMaxNesting = 256;
  * alone, so a service can turn it away before compiling it.
  */
 bool bracketsNestTooDeep(const std::string &source);
+
+/**
+ * The integer constant expression `l op r`, computed at 64 bits by the
+ * IR's scalar semantics (ir/semantics.h). nullopt when @p op divides by
+ * zero or is not an arithmetic, shift, bitwise or comparison operator.
+ */
+std::optional<int64_t> foldConstBinary(BinaryOp op, int64_t l, int64_t r);
+
+/** `op v` likewise, for `-`, `~` and `!`; nullopt for any other op. */
+std::optional<int64_t> foldConstUnary(UnaryOp op, int64_t v);
 
 class Parser
 {

@@ -111,38 +111,10 @@ boxVararg(const MValue &v)
 
 } // namespace
 
-int64_t
-ManagedEngine::satFptosi(double v)
-{
-    if (std::isnan(v))
-        return 0;
-    if (v >= 9223372036854775807.0)
-        return INT64_MAX;
-    if (v <= -9223372036854775808.0)
-        return INT64_MIN;
-    return static_cast<int64_t>(v);
-}
-
-uint64_t
-ManagedEngine::satFptoui(double v)
-{
-    if (std::isnan(v) || v <= -1.0)
-        return 0;
-    if (v >= 18446744073709551615.0)
-        return UINT64_MAX;
-    return static_cast<uint64_t>(v);
-}
-
 void
 ManagedEngine::raiseDivZero()
 {
     throw EngineError("integer division by zero");
-}
-
-int64_t
-ManagedEngine::badIntBinOp()
-{
-    throw InternalError("evalIntBinOp: bad opcode");
 }
 
 bool
@@ -385,8 +357,7 @@ ManagedEngine::evalOperand(const Value *v, Frame &frame)
       }
       case ValueKind::constantFP: {
         const auto *c = static_cast<const ConstantFP *>(v);
-        return MValue::makeFP(c->value(),
-                              c->type()->kind() == TypeKind::f32 ? 32 : 64);
+        return MValue::makeFP(c->value(), c->type()->fpBits());
       }
       case ValueKind::constantNull:
         return MValue::makeAddr(Address{});
@@ -598,20 +569,19 @@ ManagedEngine::execInstruction(const Instruction &inst, Frame &frame)
       case Opcode::ashr: {
         MValue l = evalOperand(inst.operand(0), frame);
         MValue r = evalOperand(inst.operand(1), frame);
-        unsigned width = inst.type()->intBits();
-        return MValue::makeInt(evalIntBinOp(inst.op(), l, r, width), width);
+        return evalIntBinOp(inst.op(), l, r, inst.type()->intBits());
       }
       case Opcode::fadd: case Opcode::fsub: case Opcode::fmul:
       case Opcode::fdiv: case Opcode::frem: {
         MValue l = evalOperand(inst.operand(0), frame);
         MValue r = evalOperand(inst.operand(1), frame);
-        unsigned width = inst.type()->kind() == TypeKind::f32 ? 32 : 64;
-        return MValue::makeFP(evalFloatBinOp(inst.op(), l, r, width), width);
+        unsigned width = inst.type()->fpBits();
+        return MValue::makeFP(sem::floatBinOp(inst.op(), l.f, r.f, width),
+                              width);
       }
       case Opcode::fneg: {
         MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeFP(-v.f,
-                              inst.type()->kind() == TypeKind::f32 ? 32 : 64);
+        return MValue::makeFP(-v.f, inst.type()->fpBits());
       }
       case Opcode::icmp: {
         MValue l = evalOperand(inst.operand(0), frame);
@@ -622,47 +592,15 @@ ManagedEngine::execInstruction(const Instruction &inst, Frame &frame)
         MValue l = evalOperand(inst.operand(0), frame);
         MValue r = evalOperand(inst.operand(1), frame);
         return MValue::makeInt(
-            evalFCmp(inst.floatPred(), l, r) ? 1 : 0, 1);
+            sem::fcmp(inst.floatPred(), l.f, r.f) ? 1 : 0, 1);
       }
-      case Opcode::trunc: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeInt(v.i, inst.type()->intBits());
-      }
-      case Opcode::zext: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeInt(static_cast<int64_t>(v.zext()),
-                               inst.type()->intBits());
-      }
-      case Opcode::sext: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeInt(v.i, inst.type()->intBits());
-      }
-      case Opcode::fptosi: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeInt(satFptosi(v.f), inst.type()->intBits());
-      }
-      case Opcode::fptoui: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeInt(static_cast<int64_t>(satFptoui(v.f)),
-                               inst.type()->intBits());
-      }
-      case Opcode::sitofp: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeFP(static_cast<double>(v.i),
-                              inst.type()->kind() == TypeKind::f32 ? 32 : 64);
-      }
-      case Opcode::uitofp: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeFP(static_cast<double>(v.zext()),
-                              inst.type()->kind() == TypeKind::f32 ? 32 : 64);
-      }
-      case Opcode::fpext: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeFP(v.f, 64);
-      }
-      case Opcode::fptrunc: {
-        MValue v = evalOperand(inst.operand(0), frame);
-        return MValue::makeFP(v.f, 32);
+      case Opcode::trunc: case Opcode::zext: case Opcode::sext:
+      case Opcode::fptosi: case Opcode::fptoui:
+      case Opcode::sitofp: case Opcode::uitofp:
+      case Opcode::fpext: case Opcode::fptrunc: {
+        const Type *to = inst.type();
+        return evalCast(inst.op(), evalOperand(inst.operand(0), frame),
+                        to->isInteger() ? to->intBits() : to->fpBits());
       }
       case Opcode::ptrtoint: {
         MValue v = evalOperand(inst.operand(0), frame);

@@ -13,8 +13,8 @@
 #ifndef MS_INTERP_MANAGED_ENGINE_H
 #define MS_INTERP_MANAGED_ENGINE_H
 
-#include <cmath>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "interp/mvalue.h"
@@ -153,79 +153,19 @@ class ManagedEngine : public Engine
         std::vector<MValue> varargs;
     };
 
-    /// Shared arithmetic/comparison cores used by both tiers, so tier-2
-    /// cannot drift from interpreter semantics. Inline: these sit on the
-    /// per-instruction path of every tier; the throwing edges stay
-    /// out-of-line so the hot body carries no EH setup.
-    static int64_t
+    /// Scalar evaluation shared by both tiers. The arithmetic itself is
+    /// ir/semantics.h, the one definition every evaluator calls; these
+    /// only map it onto MValues, raise division by zero, and compare
+    /// pointers by object. Inline: they sit on the per-instruction path
+    /// of every tier; the throwing edges stay out-of-line so the hot
+    /// body carries no EH setup.
+    static MValue
     evalIntBinOp(Opcode op, const MValue &l, const MValue &r, unsigned width)
     {
-        switch (op) {
-          case Opcode::add:
-            return static_cast<int64_t>(
-                static_cast<uint64_t>(l.i) + static_cast<uint64_t>(r.i));
-          case Opcode::sub:
-            return static_cast<int64_t>(
-                static_cast<uint64_t>(l.i) - static_cast<uint64_t>(r.i));
-          case Opcode::mul:
-            return static_cast<int64_t>(
-                static_cast<uint64_t>(l.i) * static_cast<uint64_t>(r.i));
-          case Opcode::sdiv:
-            if (r.i == 0)
-                raiseDivZero();
-            if (l.i == INT64_MIN && r.i == -1)
-                return INT64_MIN;
-            return l.i / r.i;
-          case Opcode::udiv:
-            if (r.zext() == 0)
-                raiseDivZero();
-            return static_cast<int64_t>(l.zext() / r.zext());
-          case Opcode::srem:
-            if (r.i == 0)
-                raiseDivZero();
-            if (l.i == INT64_MIN && r.i == -1)
-                return 0;
-            return l.i % r.i;
-          case Opcode::urem:
-            if (r.zext() == 0)
-                raiseDivZero();
-            return static_cast<int64_t>(l.zext() % r.zext());
-          case Opcode::and_: return l.i & r.i;
-          case Opcode::or_: return l.i | r.i;
-          case Opcode::xor_: return l.i ^ r.i;
-          case Opcode::shl:
-            return static_cast<int64_t>(l.zext() << (r.zext() & (width - 1)));
-          case Opcode::lshr:
-            return static_cast<int64_t>(l.zext() >> (r.zext() & (width - 1)));
-          case Opcode::ashr:
-            return l.i >> (r.zext() & (width - 1));
-          default:
-            return badIntBinOp();
-        }
-    }
-
-    static double
-    evalFloatBinOp(Opcode op, const MValue &l, const MValue &r,
-                   unsigned width)
-    {
-        if (width == 32) {
-            float lf = static_cast<float>(l.f);
-            float rf = static_cast<float>(r.f);
-            switch (op) {
-              case Opcode::fadd: return lf + rf;
-              case Opcode::fsub: return lf - rf;
-              case Opcode::fmul: return lf * rf;
-              case Opcode::fdiv: return lf / rf;
-              default: return std::fmod(lf, rf);
-            }
-        }
-        switch (op) {
-          case Opcode::fadd: return l.f + r.f;
-          case Opcode::fsub: return l.f - r.f;
-          case Opcode::fmul: return l.f * r.f;
-          case Opcode::fdiv: return l.f / r.f;
-          default: return std::fmod(l.f, r.f);
-        }
+        std::optional<int64_t> out = sem::intBinOp(op, l.i, r.i, width);
+        if (!out)
+            raiseDivZero();
+        return MValue::makeInt(*out, width);
     }
 
     static bool
@@ -233,40 +173,27 @@ class ManagedEngine : public Engine
     {
         if (l.kind == MValue::Kind::addrV || r.kind == MValue::Kind::addrV)
             return evalPtrCmp(pred, l, r);
-        switch (pred) {
-          case IntPred::eq: return l.i == r.i;
-          case IntPred::ne: return l.i != r.i;
-          case IntPred::slt: return l.i < r.i;
-          case IntPred::sle: return l.i <= r.i;
-          case IntPred::sgt: return l.i > r.i;
-          case IntPred::sge: return l.i >= r.i;
-          case IntPred::ult: return l.zext() < r.zext();
-          case IntPred::ule: return l.zext() <= r.zext();
-          case IntPred::ugt: return l.zext() > r.zext();
-          case IntPred::uge: return l.zext() >= r.zext();
-        }
-        return false;
+        return sem::icmp(pred, l.i, r.i);
     }
 
-    static bool
-    evalFCmp(FloatPred pred, const MValue &l, const MValue &r)
+    /** Cast @p op (trunc .. fptrunc) of @p v to a @p to-bit type. */
+    static MValue
+    evalCast(Opcode op, const MValue &v, unsigned to)
     {
-        if (std::isnan(l.f) || std::isnan(r.f))
-            return false;
-        switch (pred) {
-          case FloatPred::oeq: return l.f == r.f;
-          case FloatPred::one: return l.f != r.f;
-          case FloatPred::olt: return l.f < r.f;
-          case FloatPred::ole: return l.f <= r.f;
-          case FloatPred::ogt: return l.f > r.f;
-          case FloatPred::oge: return l.f >= r.f;
+        switch (op) {
+          case Opcode::trunc: case Opcode::zext: case Opcode::sext:
+            return MValue::makeInt(sem::intCast(op, v.i, v.bits, to), to);
+          case Opcode::fptosi: case Opcode::fptoui:
+            return MValue::makeInt(sem::fpToInt(op, v.f, to), to);
+          case Opcode::sitofp: case Opcode::uitofp:
+            return MValue::makeFP(sem::intToFP(op, v.i, v.bits, to), to);
+          default: // fpext, fptrunc
+            return MValue::makeFP(v.f, to);
         }
-        return false;
     }
 
     /// Cold edges of the inline eval cores.
     [[noreturn]] static void raiseDivZero();
-    [[noreturn]] static int64_t badIntBinOp();
     static bool evalPtrCmp(IntPred pred, const MValue &l, const MValue &r);
 
     // --- Interpreter core -------------------------------------------------
@@ -451,9 +378,6 @@ class ManagedEngine : public Engine
     /** Clear @p frame and return it to the pool. Skipped on unwind —
      *  the frame just destructs and the pool refills on later calls. */
     void releaseFrame(Frame &&frame);
-    /// Saturating float->int conversions shared by both tiers.
-    static int64_t satFptosi(double v);
-    static uint64_t satFptoui(double v);
     /** Cached intrinsic id (raw enum value) for a declared function. */
     uint8_t intrinsicIdFor(const Function *fn);
 

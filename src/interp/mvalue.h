@@ -6,6 +6,7 @@
 #ifndef MS_INTERP_MVALUE_H
 #define MS_INTERP_MVALUE_H
 
+#include "ir/semantics.h"
 #include "managed/object.h"
 
 namespace sulong
@@ -13,7 +14,8 @@ namespace sulong
 
 /**
  * One managed runtime value: a width-tagged integer, a float/double, or
- * an Address. Integers are kept sign-extended to 64 bits canonically;
+ * an Address. Integers and floats are kept in the canonical form of
+ * ir/semantics.h (sign-extended to 64 bits; an f32 rounded to float);
  * the width tag preserves the C-level size for varargs boxing (so that
  * printf("%ld", int) is detectably wrong, paper Fig. 12).
  */
@@ -39,15 +41,7 @@ struct MValue
         MValue v;
         v.kind = Kind::intV;
         v.bits = static_cast<uint8_t>(width);
-        // Normalize to sign-extended canonical form.
-        if (width < 64) {
-            uint64_t mask = (1ull << width) - 1;
-            uint64_t raw = static_cast<uint64_t>(value) & mask;
-            if (raw & (1ull << (width - 1)))
-                raw |= ~mask;
-            value = static_cast<int64_t>(raw);
-        }
-        v.i = value;
+        v.i = sem::normInt(static_cast<uint64_t>(value), width);
         return v;
     }
 
@@ -57,8 +51,7 @@ struct MValue
         MValue v;
         v.kind = Kind::fpV;
         v.bits = static_cast<uint8_t>(width);
-        v.f = width == 32 ? static_cast<double>(static_cast<float>(value))
-                          : value;
+        v.f = sem::roundFP(value, width);
         return v;
     }
 
@@ -70,15 +63,6 @@ struct MValue
         v.bits = 64;
         v.a = std::move(addr);
         return v;
-    }
-
-    /** Zero-extended view of an integer value. */
-    uint64_t
-    zext() const
-    {
-        if (bits >= 64)
-            return static_cast<uint64_t>(i);
-        return static_cast<uint64_t>(i) & ((1ull << bits) - 1);
     }
 };
 

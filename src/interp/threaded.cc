@@ -226,29 +226,23 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
 
     H_tIArith: {
         const PInst &pi = *ip;
-        slots[static_cast<size_t>(pi.dest)] = MValue::makeInt(
-            ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                        pi.bits),
-            pi.bits);
+        slots[static_cast<size_t>(pi.dest)] = ManagedEngine::evalIntBinOp(
+            pi.op, fetch(pi.a), fetch(pi.b), pi.bits);
         T_NEXT();
     }
 
     H_tIArithL: {
         const PInst &pi = *ip;
         doFusedLoad(pi);
-        slots[static_cast<size_t>(pi.dest)] = MValue::makeInt(
-            ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                        pi.bits),
-            pi.bits);
+        slots[static_cast<size_t>(pi.dest)] = ManagedEngine::evalIntBinOp(
+            pi.op, fetch(pi.a), fetch(pi.b), pi.bits);
         T_NEXT();
     }
 
     H_tIArithS: {
         const PInst &pi = *ip;
-        MValue res = MValue::makeInt(
-            ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                        pi.bits),
-            pi.bits);
+        MValue res = ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
+                                                 fetch(pi.b), pi.bits);
         slots[static_cast<size_t>(pi.dest)] = res;
         doFusedStore(pi, res);
         T_NEXT();
@@ -257,10 +251,8 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
     H_tIArithLS: {
         const PInst &pi = *ip;
         doFusedLoad(pi);
-        MValue res = MValue::makeInt(
-            ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                        pi.bits),
-            pi.bits);
+        MValue res = ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
+                                                 fetch(pi.b), pi.bits);
         slots[static_cast<size_t>(pi.dest)] = res;
         doFusedStore(pi, res);
         T_NEXT();
@@ -269,8 +261,7 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
     H_tFArith: {
         const PInst &pi = *ip;
         slots[static_cast<size_t>(pi.dest)] = MValue::makeFP(
-            ManagedEngine::evalFloatBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                          pi.bits),
+            sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
         T_NEXT();
     }
@@ -279,8 +270,7 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
         const PInst &pi = *ip;
         doFusedLoad(pi);
         slots[static_cast<size_t>(pi.dest)] = MValue::makeFP(
-            ManagedEngine::evalFloatBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                          pi.bits),
+            sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
         T_NEXT();
     }
@@ -288,8 +278,7 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
     H_tFArithS: {
         const PInst &pi = *ip;
         MValue res = MValue::makeFP(
-            ManagedEngine::evalFloatBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                          pi.bits),
+            sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
         slots[static_cast<size_t>(pi.dest)] = res;
         doFusedStore(pi, res);
@@ -300,8 +289,7 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
         const PInst &pi = *ip;
         doFusedLoad(pi);
         MValue res = MValue::makeFP(
-            ManagedEngine::evalFloatBinOp(pi.op, fetch(pi.a), fetch(pi.b),
-                                          pi.bits),
+            sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
         slots[static_cast<size_t>(pi.dest)] = res;
         doFusedStore(pi, res);
@@ -310,8 +298,8 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
 
     H_tFCmp: {
         const PInst &pi = *ip;
-        bool out = ManagedEngine::evalFCmp(
-            static_cast<FloatPred>(pi.pred), fetch(pi.a), fetch(pi.b));
+        bool out = sem::fcmp(static_cast<FloatPred>(pi.pred), fetch(pi.a).f,
+                             fetch(pi.b).f);
         slots[static_cast<size_t>(pi.dest)] =
             MValue::makeInt(out ? 1 : 0, 1);
         T_NEXT();
@@ -396,49 +384,18 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
         T_NEXT();
     }
 
-    H_tTruncSext: {
+    H_tIntCast: {
         const PInst &pi = *ip;
-        slots[static_cast<size_t>(pi.dest)] =
-            MValue::makeInt(fetch(pi.a).i, pi.bits);
-        T_NEXT();
-    }
-
-    H_tZext: {
-        const PInst &pi = *ip;
+        const MValue &v = fetch(pi.a);
         slots[static_cast<size_t>(pi.dest)] = MValue::makeInt(
-            static_cast<int64_t>(fetch(pi.a).zext()), pi.bits);
+            sem::intCast(pi.op, v.i, v.bits, pi.bits), pi.bits);
         T_NEXT();
     }
 
     H_tCastOther: {
         const PInst &pi = *ip;
-        MValue &dest = slots[static_cast<size_t>(pi.dest)];
-        switch (pi.op) {
-          case Opcode::fptosi:
-            dest = MValue::makeInt(ManagedEngine::satFptosi(fetch(pi.a).f),
-                                   pi.bits);
-            break;
-          case Opcode::fptoui:
-            dest = MValue::makeInt(
-                static_cast<int64_t>(
-                    ManagedEngine::satFptoui(fetch(pi.a).f)),
-                pi.bits);
-            break;
-          case Opcode::sitofp:
-            dest = MValue::makeFP(static_cast<double>(fetch(pi.a).i),
-                                  pi.bits);
-            break;
-          case Opcode::uitofp:
-            dest = MValue::makeFP(static_cast<double>(fetch(pi.a).zext()),
-                                  pi.bits);
-            break;
-          case Opcode::fpext:
-            dest = MValue::makeFP(fetch(pi.a).f, 64);
-            break;
-          default: // fptrunc
-            dest = MValue::makeFP(fetch(pi.a).f, 32);
-            break;
-        }
+        slots[static_cast<size_t>(pi.dest)] =
+            ManagedEngine::evalCast(pi.op, fetch(pi.a), pi.bits);
         T_NEXT();
     }
 

@@ -55,8 +55,7 @@ namespace sulong
     X(tAlloca)      /* stack allocation */                              \
     X(tSelect)      /* ternary select */                                \
     X(tFneg)        /* float negate */                                  \
-    X(tTruncSext)   /* trunc / sext (shared makeInt path) */            \
-    X(tZext)        /* zext */                                          \
+    X(tIntCast)     /* trunc / zext / sext */                           \
     X(tCastOther)   /* fp<->int and fp resize casts */                  \
     X(tMove)        /* inline-splice slot move */                       \
     X(tInlineRet)   /* inline-splice return (move + jump) */            \

@@ -115,11 +115,8 @@ topFor(const PInst &pi)
         return TOp::tSelect;
       case Opcode::fneg:
         return TOp::tFneg;
-      case Opcode::trunc:
-      case Opcode::sext:
-        return TOp::tTruncSext;
-      case Opcode::zext:
-        return TOp::tZext;
+      case Opcode::trunc: case Opcode::zext: case Opcode::sext:
+        return TOp::tIntCast;
       case Opcode::fptosi: case Opcode::fptoui: case Opcode::sitofp:
       case Opcode::uitofp: case Opcode::fpext: case Opcode::fptrunc:
         return TOp::tCastOther;
@@ -304,9 +301,7 @@ class Tier2Compiler
           case ValueKind::constantFP: {
             const auto *c = static_cast<const ConstantFP *>(v);
             op.index = internConstant(
-                v, MValue::makeFP(
-                       c->value(),
-                       c->type()->kind() == TypeKind::f32 ? 32 : 64));
+                v, MValue::makeFP(c->value(), c->type()->fpBits()));
             return op;
           }
           case ValueKind::constantNull:

@@ -1,5 +1,9 @@
 #include "ir/module.h"
 
+#include <bit>
+
+#include "ir/semantics.h"
+
 namespace sulong
 {
 
@@ -35,16 +39,7 @@ Function::numberSlots()
 ConstantInt *
 Module::constInt(const Type *type, int64_t value)
 {
-    // Normalize to the type's width (sign-extended canonical form).
-    unsigned bits = type->intBits();
-    if (bits < 64) {
-        uint64_t mask = (1ull << bits) - 1;
-        uint64_t raw = static_cast<uint64_t>(value) & mask;
-        // sign extend
-        if (raw & (1ull << (bits - 1)))
-            raw |= ~mask;
-        value = static_cast<int64_t>(raw);
-    }
+    value = sem::normInt(static_cast<uint64_t>(value), type->intBits());
     auto key = std::make_pair(type, value);
     auto it = intConstants_.find(key);
     if (it != intConstants_.end())
@@ -58,7 +53,8 @@ Module::constInt(const Type *type, int64_t value)
 ConstantFP *
 Module::constFP(const Type *type, double value)
 {
-    auto key = std::make_pair(type, value);
+    value = sem::roundFP(value, type->fpBits());
+    auto key = std::make_pair(type, std::bit_cast<uint64_t>(value));
     auto it = fpConstants_.find(key);
     if (it != fpConstants_.end())
         return it->second.get();

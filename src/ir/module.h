@@ -126,6 +126,8 @@ class Module
     const TypeContext &types() const { return types_; }
 
     // --- Constants (interned, owned by the module) ----------------------
+    // Values are kept in the canonical form of ir/semantics.h: an integer
+    // sign-extended from its type's width, an f32 value rounded to float.
 
     ConstantInt *constInt(const Type *type, int64_t value);
     ConstantInt *constI32(int32_t value)
@@ -177,7 +179,9 @@ class Module
     std::map<std::string, Function *> functionsByName_;
     std::map<std::pair<const Type *, int64_t>,
              std::unique_ptr<ConstantInt>> intConstants_;
-    std::map<std::pair<const Type *, double>,
+    /// Keyed by the value's bits: NaN and -0.0 are constants of their
+    /// own, which comparing doubles would merge with others.
+    std::map<std::pair<const Type *, uint64_t>,
              std::unique_ptr<ConstantFP>> fpConstants_;
     std::unique_ptr<ConstantNull> nullConstant_;
     unsigned anonGlobalCount_ = 0;

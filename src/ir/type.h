@@ -98,6 +98,9 @@ class Type
         }
     }
 
+    /** Bit width for float types (f32 -> 32, f64 -> 64). */
+    unsigned fpBits() const { return kind_ == TypeKind::f32 ? 32 : 64; }
+
     /** Size in bytes (structs/arrays include padding; void/function: 0). */
     uint64_t size() const { return size_; }
     /** Alignment requirement in bytes. */

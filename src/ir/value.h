@@ -89,20 +89,13 @@ class ConstantInt : public Value
 
     /** Sign-extended value. */
     int64_t value() const { return value_; }
-    /** Zero-extended value according to the type's width. */
-    uint64_t zextValue() const
-    {
-        unsigned bits = type_->intBits();
-        if (bits == 64)
-            return static_cast<uint64_t>(value_);
-        return static_cast<uint64_t>(value_) & ((1ull << bits) - 1);
-    }
 
   private:
     int64_t value_;
 };
 
-/** A floating-point constant (f32 constants are stored widened). */
+/** A floating-point constant (f32 constants are stored widened and
+ *  rounded to float). */
 class ConstantFP : public Value
 {
   public:

@@ -3,56 +3,10 @@
 #include <cmath>
 #include <cstring>
 
+#include "ir/semantics.h"
+
 namespace sulong
 {
-
-namespace
-{
-
-int64_t
-safeFptosi(double v)
-{
-    if (std::isnan(v))
-        return 0;
-    if (v >= 9223372036854775807.0)
-        return INT64_MAX;
-    if (v <= -9223372036854775808.0)
-        return INT64_MIN;
-    return static_cast<int64_t>(v);
-}
-
-uint64_t
-safeFptoui(double v)
-{
-    if (std::isnan(v) || v <= -1.0)
-        return 0;
-    if (v >= 18446744073709551615.0)
-        return UINT64_MAX;
-    return static_cast<uint64_t>(v);
-}
-
-/** Sign-extend @p bits-wide @p value. */
-int64_t
-sext(uint64_t value, unsigned bits)
-{
-    if (bits >= 64)
-        return static_cast<int64_t>(value);
-    uint64_t mask = (1ull << bits) - 1;
-    value &= mask;
-    if (value & (1ull << (bits - 1)))
-        value |= ~mask;
-    return static_cast<int64_t>(value);
-}
-
-uint64_t
-zext(int64_t value, unsigned bits)
-{
-    if (bits >= 64)
-        return static_cast<uint64_t>(value);
-    return static_cast<uint64_t>(value) & ((1ull << bits) - 1);
-}
-
-} // namespace
 
 NativeEngine::NativeEngine(std::string name,
                            std::shared_ptr<NativeHooks> hooks)
@@ -296,7 +250,7 @@ NativeEngine::loadFrom(uint64_t addr, const Type *type,
     } else if (type->kind() == TypeKind::f64) {
         std::memcpy(&out.f, &bits, 8);
     } else if (type->isInteger()) {
-        out.i = sext(bits, type->intBits());
+        out.i = sem::normInt(bits, type->intBits());
     } else {
         out.i = static_cast<int64_t>(bits);
     }
@@ -381,61 +335,11 @@ NativeEngine::execInstruction(const Instruction &inst, Frame &frame)
       case Opcode::ashr: {
         NValue l = evalOperand(inst.operand(0), frame);
         NValue r = evalOperand(inst.operand(1), frame);
-        unsigned width = inst.type()->intBits();
-        uint64_t lz = zext(l.i, width);
-        uint64_t rz2 = zext(r.i, width);
-        int64_t out = 0;
-        switch (inst.op()) {
-          // add/sub/mul wrap through uint64_t: signed overflow would be
-          // host UB.
-          case Opcode::add:
-            out = static_cast<int64_t>(static_cast<uint64_t>(l.i) +
-                                       static_cast<uint64_t>(r.i));
-            break;
-          case Opcode::sub:
-            out = static_cast<int64_t>(static_cast<uint64_t>(l.i) -
-                                       static_cast<uint64_t>(r.i));
-            break;
-          case Opcode::mul:
-            out = static_cast<int64_t>(
-                static_cast<uint64_t>(l.i) * static_cast<uint64_t>(r.i));
-            break;
-          case Opcode::sdiv:
-            if (r.i == 0)
-                throw EngineError("integer division by zero");
-            out = (l.i == INT64_MIN && r.i == -1) ? INT64_MIN : l.i / r.i;
-            break;
-          case Opcode::udiv:
-            if (rz2 == 0)
-                throw EngineError("integer division by zero");
-            out = static_cast<int64_t>(lz / rz2);
-            break;
-          case Opcode::srem:
-            if (r.i == 0)
-                throw EngineError("integer division by zero");
-            out = (l.i == INT64_MIN && r.i == -1) ? 0 : l.i % r.i;
-            break;
-          case Opcode::urem:
-            if (rz2 == 0)
-                throw EngineError("integer division by zero");
-            out = static_cast<int64_t>(lz % rz2);
-            break;
-          case Opcode::and_: out = l.i & r.i; break;
-          case Opcode::or_: out = l.i | r.i; break;
-          case Opcode::xor_: out = l.i ^ r.i; break;
-          case Opcode::shl:
-            out = static_cast<int64_t>(lz << (rz2 & (width - 1)));
-            break;
-          case Opcode::lshr:
-            out = static_cast<int64_t>(lz >> (rz2 & (width - 1)));
-            break;
-          case Opcode::ashr:
-            out = sext(lz, width) >> (rz2 & (width - 1));
-            break;
-          default:
-            break;
-        }
-        NValue v = NValue::makeInt(sext(static_cast<uint64_t>(out), width));
+        std::optional<int64_t> out =
+            sem::intBinOp(inst.op(), l.i, r.i, inst.type()->intBits());
+        if (!out)
+            throw EngineError("integer division by zero");
+        NValue v = NValue::makeInt(*out);
         v.defined = trackDefined_ ? hooks_->combineDefined(l, r)
                                   : (l.defined && r.defined);
         return v;
@@ -444,28 +348,8 @@ NativeEngine::execInstruction(const Instruction &inst, Frame &frame)
       case Opcode::fdiv: case Opcode::frem: {
         NValue l = evalOperand(inst.operand(0), frame);
         NValue r = evalOperand(inst.operand(1), frame);
-        bool single = inst.type()->kind() == TypeKind::f32;
-        double out;
-        if (single) {
-            float lf = static_cast<float>(l.f);
-            float rf = static_cast<float>(r.f);
-            switch (inst.op()) {
-              case Opcode::fadd: out = lf + rf; break;
-              case Opcode::fsub: out = lf - rf; break;
-              case Opcode::fmul: out = lf * rf; break;
-              case Opcode::fdiv: out = lf / rf; break;
-              default: out = std::fmod(lf, rf); break;
-            }
-        } else {
-            switch (inst.op()) {
-              case Opcode::fadd: out = l.f + r.f; break;
-              case Opcode::fsub: out = l.f - r.f; break;
-              case Opcode::fmul: out = l.f * r.f; break;
-              case Opcode::fdiv: out = l.f / r.f; break;
-              default: out = std::fmod(l.f, r.f); break;
-            }
-        }
-        NValue v = NValue::makeFP(out);
+        NValue v = NValue::makeFP(sem::floatBinOp(inst.op(), l.f, r.f,
+                                                  inst.type()->fpBits()));
         v.defined = trackDefined_ ? hooks_->combineDefined(l, r)
                                   : (l.defined && r.defined);
         return v;
@@ -476,103 +360,45 @@ NativeEngine::execInstruction(const Instruction &inst, Frame &frame)
         out.defined = v.defined;
         return out;
       }
-      case Opcode::icmp: {
+      case Opcode::icmp: case Opcode::fcmp: {
         NValue l = evalOperand(inst.operand(0), frame);
         NValue r = evalOperand(inst.operand(1), frame);
-        unsigned width = inst.operand(0)->type()->isPointer()
-            ? 64 : inst.operand(0)->type()->intBits();
-        int64_t ls = sext(static_cast<uint64_t>(l.i), width);
-        int64_t rs = sext(static_cast<uint64_t>(r.i), width);
-        uint64_t lu = zext(l.i, width);
-        uint64_t ru = zext(r.i, width);
-        bool out = false;
-        switch (inst.intPred()) {
-          case IntPred::eq: out = lu == ru; break;
-          case IntPred::ne: out = lu != ru; break;
-          case IntPred::slt: out = ls < rs; break;
-          case IntPred::sle: out = ls <= rs; break;
-          case IntPred::sgt: out = ls > rs; break;
-          case IntPred::sge: out = ls >= rs; break;
-          case IntPred::ult: out = lu < ru; break;
-          case IntPred::ule: out = lu <= ru; break;
-          case IntPred::ugt: out = lu > ru; break;
-          case IntPred::uge: out = lu >= ru; break;
-        }
-        NValue v = NValue::makeInt(out ? 1 : 0);
+        bool out = inst.op() == Opcode::fcmp
+            ? sem::fcmp(inst.floatPred(), l.f, r.f)
+            : sem::icmp(inst.intPred(), l.i, r.i);
+        // An i1 is canonical too: true is -1.
+        NValue v = NValue::makeInt(out ? -1 : 0);
         v.defined = trackDefined_ ? hooks_->combineDefined(l, r)
                                   : (l.defined && r.defined);
         return v;
       }
-      case Opcode::fcmp: {
-        NValue l = evalOperand(inst.operand(0), frame);
-        NValue r = evalOperand(inst.operand(1), frame);
-        bool ordered = !std::isnan(l.f) && !std::isnan(r.f);
-        bool out = false;
-        if (ordered) {
-            switch (inst.floatPred()) {
-              case FloatPred::oeq: out = l.f == r.f; break;
-              case FloatPred::one: out = l.f != r.f; break;
-              case FloatPred::olt: out = l.f < r.f; break;
-              case FloatPred::ole: out = l.f <= r.f; break;
-              case FloatPred::ogt: out = l.f > r.f; break;
-              case FloatPred::oge: out = l.f >= r.f; break;
-            }
-        }
-        NValue v = NValue::makeInt(out ? 1 : 0);
-        v.defined = trackDefined_ ? hooks_->combineDefined(l, r)
-                                  : (l.defined && r.defined);
-        return v;
-      }
-      case Opcode::trunc: case Opcode::sext: {
+      case Opcode::trunc: case Opcode::zext: case Opcode::sext: {
         NValue v = evalOperand(inst.operand(0), frame);
         NValue out = NValue::makeInt(
-            sext(static_cast<uint64_t>(v.i), inst.type()->intBits()));
+            sem::intCast(inst.op(), v.i, inst.operand(0)->type()->intBits(),
+                         inst.type()->intBits()));
         out.defined = v.defined;
         return out;
       }
-      case Opcode::zext: {
+      case Opcode::fptosi: case Opcode::fptoui: {
         NValue v = evalOperand(inst.operand(0), frame);
-        unsigned from = inst.operand(0)->type()->intBits();
         NValue out = NValue::makeInt(
-            static_cast<int64_t>(zext(v.i, from)));
+            sem::fpToInt(inst.op(), v.f, inst.type()->intBits()));
         out.defined = v.defined;
         return out;
       }
-      case Opcode::fptosi: {
+      case Opcode::sitofp: case Opcode::uitofp: {
         NValue v = evalOperand(inst.operand(0), frame);
-        NValue out = NValue::makeInt(
-            sext(static_cast<uint64_t>(safeFptosi(v.f)),
-                 inst.type()->intBits()));
-        out.defined = v.defined;
-        return out;
-      }
-      case Opcode::fptoui: {
-        NValue v = evalOperand(inst.operand(0), frame);
-        NValue out = NValue::makeInt(
-            static_cast<int64_t>(safeFptoui(v.f)));
-        out.defined = v.defined;
-        return out;
-      }
-      case Opcode::sitofp: {
-        NValue v = evalOperand(inst.operand(0), frame);
-        unsigned from = inst.operand(0)->type()->intBits();
         NValue out = NValue::makeFP(
-            static_cast<double>(sext(static_cast<uint64_t>(v.i), from)));
-        out.defined = v.defined;
-        return out;
-      }
-      case Opcode::uitofp: {
-        NValue v = evalOperand(inst.operand(0), frame);
-        unsigned from = inst.operand(0)->type()->intBits();
-        NValue out = NValue::makeFP(static_cast<double>(zext(v.i, from)));
+            sem::intToFP(inst.op(), v.i, inst.operand(0)->type()->intBits(),
+                         inst.type()->fpBits()));
         out.defined = v.defined;
         return out;
       }
       case Opcode::fpext: case Opcode::fptrunc: {
         NValue v = evalOperand(inst.operand(0), frame);
-        NValue out = NValue::makeFP(
-            inst.op() == Opcode::fptrunc
-                ? static_cast<double>(static_cast<float>(v.f)) : v.f);
+        NValue out =
+            NValue::makeFP(sem::roundFP(v.f, inst.type()->fpBits()));
         out.defined = v.defined;
         return out;
       }

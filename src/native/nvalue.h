@@ -13,7 +13,11 @@
 namespace sulong
 {
 
-/** A register value of the simulated machine. */
+/**
+ * A register value of the simulated machine. Integers are in the
+ * canonical form of ir/semantics.h (sign-extended from their width); an
+ * f32 value holds a float, rounded by whatever produced it.
+ */
 struct NValue
 {
     int64_t i = 0;

@@ -6,6 +6,8 @@
 
 #include "opt/passes.h"
 
+#include "ir/semantics.h"
+
 namespace sulong
 {
 
@@ -40,64 +42,10 @@ foldInstruction(Module &module, const Instruction &inst)
         const ConstantInt *r = asConstInt(inst.operand(1));
         if (l == nullptr || r == nullptr)
             return nullptr;
-        unsigned width = inst.type()->intBits();
-        uint64_t lz = l->zextValue();
-        uint64_t rz = r->zextValue();
-        int64_t out;
-        switch (inst.op()) {
-          // add/sub/mul wrap through uint64_t: signed overflow would be
-          // host UB.
-          case Opcode::add:
-            out = static_cast<int64_t>(static_cast<uint64_t>(l->value()) +
-                                       static_cast<uint64_t>(r->value()));
-            break;
-          case Opcode::sub:
-            out = static_cast<int64_t>(static_cast<uint64_t>(l->value()) -
-                                       static_cast<uint64_t>(r->value()));
-            break;
-          case Opcode::mul:
-            out = static_cast<int64_t>(
-                static_cast<uint64_t>(l->value()) *
-                static_cast<uint64_t>(r->value()));
-            break;
-          case Opcode::sdiv:
-            if (r->value() == 0 ||
-                (l->value() == INT64_MIN && r->value() == -1)) {
-                return nullptr;
-            }
-            out = l->value() / r->value();
-            break;
-          case Opcode::udiv:
-            if (rz == 0)
-                return nullptr;
-            out = static_cast<int64_t>(lz / rz);
-            break;
-          case Opcode::srem:
-            if (r->value() == 0 ||
-                (l->value() == INT64_MIN && r->value() == -1)) {
-                return nullptr;
-            }
-            out = l->value() % r->value();
-            break;
-          case Opcode::urem:
-            if (rz == 0)
-                return nullptr;
-            out = static_cast<int64_t>(lz % rz);
-            break;
-          case Opcode::and_: out = l->value() & r->value(); break;
-          case Opcode::or_: out = l->value() | r->value(); break;
-          case Opcode::xor_: out = l->value() ^ r->value(); break;
-          case Opcode::shl:
-            out = static_cast<int64_t>(lz << (rz & (width - 1)));
-            break;
-          case Opcode::lshr:
-            out = static_cast<int64_t>(lz >> (rz & (width - 1)));
-            break;
-          default:
-            out = l->value() >> (rz & (width - 1));
-            break;
-        }
-        return module.constInt(inst.type(), out);
+        std::optional<int64_t> out = sem::intBinOp(
+            inst.op(), l->value(), r->value(), inst.type()->intBits());
+        // Division by zero stays for the engines to raise.
+        return out ? module.constInt(inst.type(), *out) : nullptr;
       }
       case Opcode::fadd: case Opcode::fsub: case Opcode::fmul:
       case Opcode::fdiv: {
@@ -105,83 +53,42 @@ foldInstruction(Module &module, const Instruction &inst)
         const ConstantFP *r = asConstFP(inst.operand(1));
         if (l == nullptr || r == nullptr)
             return nullptr;
-        double out;
-        if (inst.type()->kind() == TypeKind::f32) {
-            // f32 arithmetic rounds each result to float, as the engines
-            // compute it.
-            float lf = static_cast<float>(l->value());
-            float rf = static_cast<float>(r->value());
-            switch (inst.op()) {
-              case Opcode::fadd: out = lf + rf; break;
-              case Opcode::fsub: out = lf - rf; break;
-              case Opcode::fmul: out = lf * rf; break;
-              default: out = lf / rf; break;
-            }
-        } else {
-            switch (inst.op()) {
-              case Opcode::fadd: out = l->value() + r->value(); break;
-              case Opcode::fsub: out = l->value() - r->value(); break;
-              case Opcode::fmul: out = l->value() * r->value(); break;
-              default: out = l->value() / r->value(); break;
-            }
-        }
-        return module.constFP(inst.type(), out);
+        return module.constFP(
+            inst.type(), sem::floatBinOp(inst.op(), l->value(), r->value(),
+                                         inst.type()->fpBits()));
       }
       case Opcode::icmp: {
         const ConstantInt *l = asConstInt(inst.operand(0));
         const ConstantInt *r = asConstInt(inst.operand(1));
         if (l == nullptr || r == nullptr)
             return nullptr;
-        bool out;
-        switch (inst.intPred()) {
-          case IntPred::eq: out = l->value() == r->value(); break;
-          case IntPred::ne: out = l->value() != r->value(); break;
-          case IntPred::slt: out = l->value() < r->value(); break;
-          case IntPred::sle: out = l->value() <= r->value(); break;
-          case IntPred::sgt: out = l->value() > r->value(); break;
-          case IntPred::sge: out = l->value() >= r->value(); break;
-          case IntPred::ult: out = l->zextValue() < r->zextValue(); break;
-          case IntPred::ule: out = l->zextValue() <= r->zextValue(); break;
-          case IntPred::ugt: out = l->zextValue() > r->zextValue(); break;
-          default: out = l->zextValue() >= r->zextValue(); break;
-        }
-        return module.constBool(out);
+        return module.constBool(
+            sem::icmp(inst.intPred(), l->value(), r->value()));
       }
-      case Opcode::trunc: case Opcode::sext: {
+      case Opcode::trunc: case Opcode::sext: case Opcode::zext: {
         const ConstantInt *v = asConstInt(inst.operand(0));
         if (v == nullptr)
             return nullptr;
-        return module.constInt(inst.type(), v->value());
+        return module.constInt(
+            inst.type(), sem::intCast(inst.op(), v->value(),
+                                      v->type()->intBits(),
+                                      inst.type()->intBits()));
       }
-      case Opcode::zext: {
+      case Opcode::sitofp: case Opcode::uitofp: {
         const ConstantInt *v = asConstInt(inst.operand(0));
         if (v == nullptr)
             return nullptr;
-        return module.constInt(inst.type(),
-                               static_cast<int64_t>(v->zextValue()));
-      }
-      case Opcode::sitofp: {
-        const ConstantInt *v = asConstInt(inst.operand(0));
-        if (v == nullptr)
-            return nullptr;
-        return module.constFP(inst.type(),
-                              static_cast<double>(v->value()));
-      }
-      case Opcode::uitofp: {
-        const ConstantInt *v = asConstInt(inst.operand(0));
-        if (v == nullptr)
-            return nullptr;
-        return module.constFP(inst.type(),
-                              static_cast<double>(v->zextValue()));
+        return module.constFP(
+            inst.type(), sem::intToFP(inst.op(), v->value(),
+                                      v->type()->intBits(),
+                                      inst.type()->fpBits()));
       }
       case Opcode::fpext: case Opcode::fptrunc: {
+        // constFP rounds an f32 constant.
         const ConstantFP *v = asConstFP(inst.operand(0));
         if (v == nullptr)
             return nullptr;
-        double d = inst.op() == Opcode::fptrunc
-            ? static_cast<double>(static_cast<float>(v->value()))
-            : v->value();
-        return module.constFP(inst.type(), d);
+        return module.constFP(inst.type(), v->value());
       }
       case Opcode::select: {
         const ConstantInt *cond = asConstInt(inst.operand(0));

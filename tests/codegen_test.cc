@@ -249,6 +249,24 @@ int main(void) {
 })"), 26);
 }
 
+TEST(CodegenTest, Int64MinByMinusOneGlobalInitializers)
+{
+    // Folded with the engines' values (INT64_MIN and 0) instead of a
+    // host division, which traps on INT64_MIN / -1.
+    EXPECT_EQ(outputOf(R"(
+long q = (-9223372036854775807L - 1) / -1;
+long r = (-9223372036854775807L - 1) % -1;
+long id(long v) { return v; }
+int main(void) {
+    long m = -9223372036854775807L - 1;
+    printf("%ld %ld %ld %ld\n", q, r, m / id(-1), m % id(-1));
+    return 0;
+})"), "-9223372036854775808 0 -9223372036854775808 0\n");
+    EXPECT_NE(compileErrorsOf("long z = 1 / 0;\nint main(void) { return 0; }")
+                  .find("division by zero"),
+              std::string::npos);
+}
+
 TEST(CodegenTest, GlobalForwardReference)
 {
     EXPECT_EQ(exitCodeOf(R"(

@@ -124,6 +124,43 @@ int main(void) {
 })"), 20);
 }
 
+TEST(ParserTest, Int64MinByMinusOneInConstantExpressions)
+{
+    // Array sizes, enum values and case labels fold INT64_MIN / -1 and
+    // INT64_MIN % -1 to the engines' values, INT64_MIN and 0, instead of
+    // trapping in a host division.
+    EXPECT_EQ(exitCodeOf(R"(
+int main(void) {
+    char a[(-9223372036854775807L - 1) % -1 + 3];
+    return (int)sizeof(a);
+})"), 3);
+    EXPECT_NE(compileErrorsOf(R"(
+int main(void) {
+    char a[(-9223372036854775807L - 1) / -1];
+    return 0;
+})").find("negative array size"),
+              std::string::npos);
+    EXPECT_EQ(exitCodeOf(R"(
+enum { Q = (-9223372036854775807L - 1) / -1,
+       R = (-9223372036854775807L - 1) % -1 };
+int id(int v) { return v; }
+int main(void) {
+    int m = (int)(-9223372036854775807L - 1);
+    return (Q == m / id(-1)) + 2 * (R == m % id(-1));
+})"), 3);
+    EXPECT_EQ(exitCodeOf(R"(
+int pick(long v) {
+    switch (v) {
+      case (-9223372036854775807L - 1) / -1: return 1;
+      case (-9223372036854775807L - 1) % -1: return 2;
+      default: return 3;
+    }
+}
+int main(void) {
+    return pick(-9223372036854775807L - 1) * 10 + pick(0);
+})"), 12);
+}
+
 TEST(ParserTest, OperatorPrecedence)
 {
     EXPECT_EQ(exitCodeOf(R"(

@@ -346,6 +346,26 @@ int main(void) {
     printf("%d\n", (int)((a + b) - a));
     return 0;
 })", "0\n", 0},
+
+    // int -> float rounds once, to float, whether the conversion runs
+    // or -O3 folds it into a constant.
+    {"sitofp-f32-const", R"(
+int main(void) {
+    int x = 16777217;
+    float f = x;
+    printf("%d\n", (int)f);
+    return 0;
+})", "16777216\n", 0},
+
+    // unsigned -> float: 2^32 - 1 rounds up to 2^32.
+    {"uitofp-f32", R"(
+unsigned id(unsigned v) { return v; }
+int main(void) {
+    unsigned u = id(-1);
+    float f = u;
+    printf("%.1f\n", f);
+    return 0;
+})", "4294967296.0\n", 0},
 };
 
 class SemanticsTest

@@ -443,6 +443,38 @@ TEST(ServiceServerTest, DeepNestingIsBadRequestAndDaemonKeepsServing)
     EXPECT_EQ(server.runUntilDrained(), 0);
 }
 
+TEST(ServiceServerTest, Int64MinByMinusOneInitializerIsAnsweredDaemonKeepsServing)
+{
+    // The front end folds this initializer; a host division would trap
+    // on INT64_MIN / -1 and take the daemon down with every tenant.
+    ServiceConfig config;
+    config.workers = 1;
+    ServerOptions options;
+    options.socketPath = makeSocketPath("int64min");
+    ServiceServer server(config, options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(options.socketPath, &error)) << error;
+    JobRequest request;
+    request.source = "long g = (-9223372036854775807L - 1) / -1;\n"
+                     "int main(void) { printf(\"%ld\\n\", g); return 0; }";
+    Frame reply;
+    ASSERT_TRUE(client.submitJob(request, &reply, &error)) << error;
+    ASSERT_EQ(reply.type, FrameType::jobResponse);
+    obs::JsonValue doc;
+    ASSERT_TRUE(obs::parseJson(reply.payload, &doc, &error)) << error;
+    EXPECT_EQ(doc.stringAt("output"), "-9223372036854775808\n");
+
+    ASSERT_TRUE(client.submitJob(cleanRequest(), &reply, &error)) << error;
+    ASSERT_EQ(reply.type, FrameType::jobResponse);
+    ASSERT_TRUE(obs::parseJson(reply.payload, &doc, &error)) << error;
+    EXPECT_EQ(doc.stringAt("output"), "total=55\n");
+    server.requestDrain();
+    EXPECT_EQ(server.runUntilDrained(), 0);
+}
+
 TEST(ServiceServerTest, GarbageFrameEarnsErrorThenCloseDaemonSurvives)
 {
     ServiceConfig config;
