@@ -546,7 +546,7 @@ FunctionAnalyzer::enumerateObjects()
 {
     for (const auto &g : module_.globals()) {
         unsigned id = static_cast<unsigned>(objInfo_.size());
-        globalObj_[g.get()] = id;
+        globalObj_[g] = id;
         ObjectInfo info;
         info.storage = StorageKind::global;
         info.size = Interval::of(
@@ -830,7 +830,7 @@ FunctionAnalyzer::entryState() const
         obj.escaped = true;
     }
     for (const auto &g : module_.globals()) {
-        unsigned id = globalObj_.at(g.get());
+        unsigned id = globalObj_.at(g);
         ObjState &obj = st.mutObj(id);
         if (g->isConst() || isMain) {
             seedGlobalContents(obj, *g);

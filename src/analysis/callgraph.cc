@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ir/clone.h"
 #include "ir/instruction.h"
 
 namespace sulong
@@ -75,16 +76,25 @@ CallGraph::build(const Module &module,
     for (const auto &fn : module.functions()) {
         if (fn->isDeclaration() || (include && !include(*fn)))
             continue;
-        graph.nodes_[fn->id()].fn = fn.get();
+        graph.nodes_[fn->id()].fn = fn;
         graph.functionCount_++;
     }
 
     // Address-taken pass: a function is a potential indirect-call target
     // when it appears as a non-callee operand of any instruction, or in
-    // a global initializer.
+    // a global initializer. A linked library marked its bodies' own once.
     for (const auto &global : module.globals())
         collectInitFunctions(global->init(), graph.addressTaken_);
-    for (const auto &fn : module.functions()) {
+    if (const SharedLibrary *library = module.library()) {
+        for (unsigned id = 0; id < library->numFunctions(); id++) {
+            const Function *fn = module.functionById(id);
+            if (fn->isDeclaration() || module.owns(*fn))
+                continue;
+            for (unsigned taken : library->addressTaken(id))
+                graph.addressTaken_[taken] = true;
+        }
+    }
+    for (const auto &fn : module.ownFunctions()) {
         for (const auto &bb : fn->blocks()) {
             for (const auto &inst : bb->insts()) {
                 size_t first = inst->op() == Opcode::call ? 1 : 0;
@@ -147,7 +157,7 @@ CallGraph::mayCall(const Instruction &call) const
         if (fn->isDeclaration() || !addressTaken_[fn->id()])
             continue;
         if (callCompatible(call, *fn))
-            out.push_back(fn.get());
+            out.push_back(fn);
     }
     return out;
 }

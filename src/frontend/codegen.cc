@@ -1,6 +1,10 @@
 #include "frontend/codegen.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "frontend/parser.h"
+#include "ir/clone.h"
 #include "ir/semantics.h"
 
 namespace sulong
@@ -10,7 +14,45 @@ CodeGen::CodeGen(Module &module, CTypeContext &types, DiagnosticEngine &diags,
                  const LibraryDecls *library)
     : module_(module), types_(types), diags_(diags), builder_(module),
       library_(library)
-{}
+{
+    if (library != nullptr) {
+        staticLocalCount_ = library->staticLocals;
+        literalNames_ = library->literalNames;
+    }
+}
+
+const CType *
+CodeGen::functionType(const std::string &name) const
+{
+    auto it = functionTypes_.find(name);
+    if (it != functionTypes_.end())
+        return it->second;
+    if (library_ == nullptr)
+        return nullptr;
+    auto lib = library_->functionTypes.find(name);
+    return lib != library_->functionTypes.end() ? lib->second : nullptr;
+}
+
+const CType *
+CodeGen::globalType(const std::string &name) const
+{
+    auto it = globalTypes_.find(name);
+    if (it != globalTypes_.end())
+        return it->second;
+    if (library_ == nullptr)
+        return nullptr;
+    auto lib = library_->globalTypes.find(name);
+    return lib != library_->globalTypes.end() ? lib->second : nullptr;
+}
+
+Function *
+CodeGen::findFunction(const std::string &name) const
+{
+    Function *fn = module_.findFunction(name);
+    if (fn == nullptr || module_.owns(*fn))
+        return fn;
+    return library_->library->module().functionById(fn->id());
+}
 
 void
 CodeGen::semaError(const SourceLoc &loc, const std::string &message)
@@ -61,7 +103,7 @@ CodeGen::generate(const TranslationUnit &unit)
     declareFunctions(unit);
     emitGlobals(unit);
     if (library_ != nullptr)
-        replayLibraryGlobals();
+        showLibraryBodyGlobals();
     for (const auto &fn : unit.functions) {
         if (fn->body != nullptr) {
             try {
@@ -71,25 +113,30 @@ CodeGen::generate(const TranslationUnit &unit)
             }
         }
     }
+    for (GlobalVariable *literal : unnamedLiterals_)
+        module_.renameGlobal(literal, nextLiteralName());
+    unnamedLiterals_.clear();
 }
 
 void
 CodeGen::declareFunctions(const TranslationUnit &unit)
 {
-    if (library_ != nullptr) {
-        const auto &functions = library_->module->functions();
-        for (size_t i = 0; i < functions.size(); i++) {
-            const CType *type = library_->functionTypes[i];
-            functionTypes_[functions[i]->name()] = type;
-            module_.addFunction(types_.lower(type), functions[i]->name());
-        }
-    }
     for (const auto &fn : unit.functions) {
-        auto known = functionTypes_.find(fn->name);
-        if (known != functionTypes_.end()) {
-            if (known->second != fn->type) {
+        const CType *known = functionType(fn->name);
+        if (known != nullptr) {
+            if (known != fn->type) {
                 diags_.error(fn->loc, "conflicting declaration of '" +
                              fn->name + "'");
+                continue;
+            }
+            // Defining a function the library only declares (an
+            // intrinsic) gives the module its own at the library's id.
+            Function *existing = findFunction(fn->name);
+            if (fn->body != nullptr && !module_.owns(*existing) &&
+                existing->isDeclaration()) {
+                functionTypes_[fn->name] = fn->type;
+                module_.overrideFunction(existing->id(),
+                                         types_.lower(fn->type), fn->name);
             }
             continue;
         }
@@ -102,48 +149,51 @@ void
 CodeGen::emitGlobals(const TranslationUnit &unit)
 {
     // Merge declarations by name; the one with an initializer defines.
-    // A library's globals come first, each one a definition.
+    // A library's file-scope globals come first, each one a definition.
     struct Definition
     {
         const VarDecl *var = nullptr; ///< null for library global `index`
         size_t index = 0;
     };
+    const std::vector<GlobalVariable *> *library =
+        library_ != nullptr ? &library_->library->module().globals()
+                            : nullptr;
     const size_t numLibrary =
         library_ != nullptr ? library_->globalTypes.size() : 0;
-    auto name = [this](const Definition &def) -> const std::string & {
-        return def.var != nullptr
-            ? def.var->name : library_->module->globals()[def.index]->name();
-    };
     std::vector<Definition> order;
-    std::unordered_map<std::string, size_t> chosen;
-    for (size_t i = 0; i < numLibrary; i++) {
+    for (size_t i = 0; i < numLibrary; i++)
         order.push_back(Definition{nullptr, i});
-        chosen[name(order.back())] = i;
-    }
+    std::unordered_map<std::string, size_t> chosen;
+    auto find = [&](const std::string &name) -> std::optional<size_t> {
+        auto it = chosen.find(name);
+        if (it != chosen.end())
+            return it->second;
+        if (library_ != nullptr && library_->globalTypes.count(name) != 0)
+            return static_cast<size_t>(library_->library->globalIndex(
+                library_->library->module().findGlobal(name)));
+        return std::nullopt;
+    };
     for (const auto &var : unit.globals) {
-        auto it = chosen.find(var.name);
-        if (it == chosen.end()) {
+        std::optional<size_t> at = find(var.name);
+        if (!at) {
             chosen[var.name] = order.size();
             order.push_back(Definition{&var, 0});
         } else if (var.init != nullptr) {
-            const Definition &prev = order[it->second];
+            const Definition &prev = order[*at];
             if (prev.var == nullptr || prev.var->init != nullptr) {
                 diags_.error(var.loc,
                              "redefinition of global '" + var.name + "'");
             }
-            order[it->second] = Definition{&var, 0};
+            chosen[var.name] = *at;
+            order[*at] = Definition{&var, 0};
         }
     }
     // Phase 1: create all globals (zero-initialized) so initializers can
     // reference globals declared later in the file.
-    std::vector<std::pair<Definition, const CType *>> created;
+    std::vector<std::pair<const VarDecl *, const CType *>> created;
     for (const Definition &def : order) {
         if (def.var == nullptr) {
-            const CType *type = library_->globalTypes[def.index];
-            globalTypes_[name(def)] = type;
-            module_.addGlobal(types_.lower(type), name(def),
-                              Initializer::makeZero());
-            created.emplace_back(def, type);
+            module_.addLibraryGlobal((*library)[def.index]);
             continue;
         }
         const VarDecl *var = def.var;
@@ -163,24 +213,15 @@ CodeGen::emitGlobals(const TranslationUnit &unit)
         globalTypes_[var->name] = type;
         module_.addGlobal(types_.lower(type), var->name,
                           Initializer::makeZero());
-        created.emplace_back(def, type);
-    }
-    for (size_t i = 0; i < numLibrary; i++) {
-        const GlobalVariable *global = library_->module->globals()[i].get();
-        libraryGlobals_[global] = module_.findGlobal(global->name());
+        created.emplace_back(var, type);
     }
     // Phase 2: compute and attach the real initializers.
-    for (const auto &[def, type] : created) {
-        if (def.var == nullptr) {
-            module_.findGlobal(name(def))->setInit(relink(
-                library_->module->globals()[def.index]->init()));
-            continue;
-        }
-        if (def.var->init == nullptr)
+    for (const auto &[var, type] : created) {
+        if (var->init == nullptr)
             continue;
         try {
-            module_.findGlobal(def.var->name)->setInit(
-                constInitializer(def.var->init.get(), type));
+            module_.findGlobal(var->name)->setInit(
+                constInitializer(var->init.get(), type));
         } catch (const SemaAbort &) {
             // Diagnostic already recorded; keep the zero initializer.
         }
@@ -188,67 +229,29 @@ CodeGen::emitGlobals(const TranslationUnit &unit)
 }
 
 void
-CodeGen::replayLibraryGlobals()
+CodeGen::showLibraryBodyGlobals()
 {
-    const auto &globals = library_->module->globals();
+    const auto &globals = library_->library->module().globals();
     for (size_t i = library_->globalTypes.size(); i < globals.size(); i++) {
-        const GlobalVariable *global = globals[i].get();
-        const CType *type =
-            library_->createdGlobalTypes[i - library_->globalTypes.size()];
-        if (type == nullptr) {
-            relinkGlobal(global); // a string literal, pooled as before
-            continue;
-        }
-        staticLocalCount_++;
-        libraryGlobals_[global] = module_.addGlobal(
-            types_.lower(type), global->name(), relink(global->init()));
+        GlobalVariable *global = globals[i];
+        // A literal this unit's initializers used is shown already.
+        if (std::find(shownLibraryLiterals_.begin(),
+                      shownLibraryLiterals_.end(),
+                      global) == shownLibraryLiterals_.end())
+            module_.addLibraryGlobal(global);
     }
-}
-
-GlobalVariable *
-CodeGen::relinkGlobal(const GlobalVariable *global)
-{
-    auto it = libraryGlobals_.find(global);
-    if (it != libraryGlobals_.end())
-        return it->second;
-    // Only string literals are created on first reference.
-    const std::string &bytes = global->init().bytes;
-    GlobalVariable *mine = stringLiteral(bytes.substr(0, bytes.size() - 1));
-    libraryGlobals_[global] = mine;
-    return mine;
-}
-
-Initializer
-CodeGen::relink(const Initializer &init)
-{
-    Initializer out = init;
-    if (init.global != nullptr)
-        out.global = relinkGlobal(init.global);
-    if (init.function != nullptr)
-        out.function = module_.functionById(init.function->id());
-    for (Initializer &elem : out.elems)
-        elem = relink(elem);
-    return out;
+    shownLibraryLiterals_.clear();
 }
 
 LibraryDecls
 CodeGen::exportDecls() const
 {
     LibraryDecls decls;
-    decls.module = &module_;
-    for (const auto &fn : module_.functions())
-        decls.functionTypes.push_back(functionTypes_.at(fn->name()));
-    for (const auto &global : module_.globals()) {
-        auto it = globalTypes_.find(global->name());
-        if (it != globalTypes_.end() &&
-            decls.createdGlobalTypes.empty()) {
-            decls.globalTypes.push_back(it->second);
-            continue;
-        }
-        auto local = staticLocalTypes_.find(global.get());
-        decls.createdGlobalTypes.push_back(
-            local != staticLocalTypes_.end() ? local->second : nullptr);
-    }
+    decls.functionTypes.insert(functionTypes_.begin(), functionTypes_.end());
+    decls.globalTypes.insert(globalTypes_.begin(), globalTypes_.end());
+    decls.literals.insert(stringPool_.begin(), stringPool_.end());
+    decls.literalNames = literalNames_;
+    decls.staticLocals = staticLocalCount_;
     return decls;
 }
 
@@ -325,7 +328,7 @@ CodeGen::constInitializer(const Expr *init, const CType *type)
         }
         // &array-decay or function reference.
         if (type->isPointer()) {
-            Function *fn = module_.findFunction(ident.name);
+            Function *fn = findFunction(ident.name);
             if (fn != nullptr)
                 return Initializer::makeFunctionRef(fn);
             GlobalVariable *g = module_.findGlobal(ident.name);
@@ -343,7 +346,7 @@ CodeGen::constInitializer(const Expr *init, const CType *type)
             GlobalVariable *g = module_.findGlobal(ident.name);
             if (g != nullptr)
                 return Initializer::makeGlobalRef(g);
-            Function *fn = module_.findFunction(ident.name);
+            Function *fn = findFunction(ident.name);
             if (fn != nullptr)
                 return Initializer::makeFunctionRef(fn);
         }
@@ -484,10 +487,8 @@ void
 CodeGen::emitFunction(const FunctionDecl &decl)
 {
     Function *fn = module_.findFunction(decl.name);
-    bool libraryDefines = library_ != nullptr &&
-        fn->id() < library_->functionTypes.size() &&
-        !library_->module->functionById(fn->id())->isDeclaration();
-    if (!fn->blocks().empty() || libraryDefines) {
+    // A function not the module's own is one the library defines.
+    if (!module_.owns(*fn) || !fn->blocks().empty()) {
         diags_.error(decl.loc, "redefinition of function '" + decl.name + "'");
         return;
     }
@@ -549,18 +550,58 @@ CodeGen::zeroValue(const CType *type)
 GlobalVariable *
 CodeGen::stringLiteral(const std::string &bytes)
 {
+    // Code runs with curFn_ set; file-scope initializers without.
+    bool inCode = curFn_ != nullptr;
     auto it = stringPool_.find(bytes);
-    if (it != stringPool_.end())
-        return it->second;
+    if (it != stringPool_.end()) {
+        GlobalVariable *g = it->second;
+        if (inCode && std::find(unnamedLiterals_.begin(),
+                                unnamedLiterals_.end(),
+                                g) != unnamedLiterals_.end())
+            nameLiteral(g);
+        return g;
+    }
+    if (library_ != nullptr) {
+        auto lib = library_->literals.find(bytes);
+        if (lib != library_->literals.end()) {
+            GlobalVariable *g = lib->second;
+            if (!inCode) {
+                // Shown where this unit's initializers use it, before
+                // the library's body globals.
+                module_.addLibraryGlobal(g);
+                shownLibraryLiterals_.push_back(g);
+            }
+            stringPool_[bytes] = g;
+            return g;
+        }
+    }
     std::string data = bytes;
     data.push_back('\0');
     const Type *type =
         module_.types().arrayType(module_.types().i8(), data.size());
     GlobalVariable *g = module_.addGlobal(
-        type, ".str" + std::to_string(stringPool_.size()),
+        type,
+        inCode ? nextLiteralName()
+               : ".str.unnamed" + std::to_string(stringPool_.size()),
         Initializer::makeBytes(std::move(data)), true);
     stringPool_[bytes] = g;
+    if (!inCode)
+        unnamedLiterals_.push_back(g);
     return g;
+}
+
+void
+CodeGen::nameLiteral(GlobalVariable *literal)
+{
+    unnamedLiterals_.erase(std::find(unnamedLiterals_.begin(),
+                                     unnamedLiterals_.end(), literal));
+    module_.renameGlobal(literal, nextLiteralName());
+}
+
+std::string
+CodeGen::nextLiteralName()
+{
+    return ".str" + std::to_string(literalNames_++);
 }
 
 // -----------------------------------------------------------------------
@@ -860,7 +901,6 @@ CodeGen::emitLocalDecl(const VarDecl &var)
         Initializer init = constInitializer(var.init.get(), type);
         GlobalVariable *g =
             module_.addGlobal(types_.lower(type), name, std::move(init));
-        staticLocalTypes_[g] = type;
         scopes_.back()[var.name] = LocalVar{g, type};
         return;
     }
@@ -1059,7 +1099,7 @@ CodeGen::toBool(RValue v, const SourceLoc &loc)
     }
     if (v.type->isFloat()) {
         return builder_.createFCmp(
-            FloatPred::one, v.value,
+            FloatPred::une, v.value,
             module_.constFP(types_.lower(v.type), 0.0));
     }
     if (v.type->isPointer())
@@ -1224,10 +1264,9 @@ CodeGen::emitLValue(const Expr &expr)
             }
             return LValue{local->addr, local->type};
         }
-        auto git = globalTypes_.find(ident.name);
-        if (git != globalTypes_.end()) {
+        if (const CType *type = globalType(ident.name)) {
             GlobalVariable *g = module_.findGlobal(ident.name);
-            return LValue{g, git->second};
+            return LValue{g, type};
         }
         semaError(expr.loc, "use of undeclared identifier '" +
                   ident.name + "'");
@@ -1371,11 +1410,10 @@ CodeGen::emitExpr(const Expr &expr)
         }
         // Function designators.
         if (findLocal(ident.name) == nullptr &&
-            globalTypes_.find(ident.name) == globalTypes_.end()) {
-            auto fit = functionTypes_.find(ident.name);
-            if (fit != functionTypes_.end()) {
-                Function *fn = module_.findFunction(ident.name);
-                return RValue{fn, types_.pointerTo(fit->second)};
+            globalType(ident.name) == nullptr) {
+            if (const CType *type = functionType(ident.name)) {
+                Function *fn = findFunction(ident.name);
+                return RValue{fn, types_.pointerTo(type)};
             }
         }
         return loadLValue(emitLValue(expr), expr.loc);
@@ -1433,7 +1471,7 @@ CodeGen::emitExpr(const Expr &expr)
       }
       case ExprKind::vaStart: {
         const auto &va = static_cast<const VaStartExpr &>(expr);
-        Function *intrinsic = module_.findFunction("__va_start");
+        Function *intrinsic = findFunction("__va_start");
         Instruction *handle = builder_.createCall(
             intrinsic, module_.types().ptr(), {});
         LValue ap = emitLValue(*va.ap);
@@ -1443,7 +1481,7 @@ CodeGen::emitExpr(const Expr &expr)
       case ExprKind::vaArg: {
         const auto &va = static_cast<const VaArgExpr &>(expr);
         RValue ap = decay(emitExpr(*va.ap));
-        Function *intrinsic = module_.findFunction("__va_arg_ptr");
+        Function *intrinsic = findFunction("__va_arg_ptr");
         Instruction *p = builder_.createCall(
             intrinsic, module_.types().ptr(), {ap.value});
         if (!va.argType->isScalar())
@@ -1455,7 +1493,7 @@ CodeGen::emitExpr(const Expr &expr)
       case ExprKind::vaEnd: {
         const auto &va = static_cast<const VaEndExpr &>(expr);
         RValue ap = decay(emitExpr(*va.ap));
-        Function *intrinsic = module_.findFunction("__va_end");
+        Function *intrinsic = findFunction("__va_end");
         builder_.createCall(intrinsic, module_.types().voidTy(),
                             {ap.value});
         return RValue{nullptr, types_.voidTy()};
@@ -1512,11 +1550,10 @@ CodeGen::emitUnary(const UnaryExpr &expr)
             const auto &ident =
                 static_cast<const IdentExpr &>(*expr.operand);
             if (findLocal(ident.name) == nullptr &&
-                globalTypes_.find(ident.name) == globalTypes_.end()) {
-                auto fit = functionTypes_.find(ident.name);
-                if (fit != functionTypes_.end()) {
-                    Function *fn = module_.findFunction(ident.name);
-                    return RValue{fn, types_.pointerTo(fit->second)};
+                globalType(ident.name) == nullptr) {
+                if (const CType *type = functionType(ident.name)) {
+                    Function *fn = findFunction(ident.name);
+                    return RValue{fn, types_.pointerTo(type)};
                 }
             }
         }
@@ -1701,7 +1738,7 @@ CodeGen::emitBinaryOp(BinaryOp op, RValue lhs, RValue rhs,
               case BinaryOp::le: pred = FloatPred::ole; break;
               case BinaryOp::ge: pred = FloatPred::oge; break;
               case BinaryOp::eq: pred = FloatPred::oeq; break;
-              default: pred = FloatPred::one; break;
+              default: pred = FloatPred::une; break;
             }
             cmp = builder_.createFCmp(pred, lhs.value, rhs.value);
         } else {

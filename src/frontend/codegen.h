@@ -21,33 +21,43 @@ namespace sulong
 {
 
 /**
- * A precompiled library as the sources compiled after it see it. The IR
- * objects are the library module's; the C types belong to whichever
- * context the declarations were taken in or imported into.
+ * A precompiled library as the sources compiled after it see it: the
+ * name tables its own codegen ended with. The IR objects are the shared
+ * library's; the C types are those of the library's CTypeContext, which
+ * every context compiled against it extends.
  */
 struct LibraryDecls
 {
-    const Module *module = nullptr;
-    /// C type of each library function, in id order.
-    std::vector<const CType *> functionTypes;
-    /// C types of the file-scope globals: the module's first globals.
-    std::vector<const CType *> globalTypes;
-    /// For each later global, which the library's initializers and
-    /// function bodies created: the C type of a static local, or null
-    /// for a string literal.
-    std::vector<const CType *> createdGlobalTypes;
+    const SharedLibrary *library = nullptr;
+    /// C type of every library function, by name.
+    std::unordered_map<std::string, const CType *> functionTypes;
+    /// C type of every file-scope global, by name. These are the
+    /// module's first globals; the globals after them are the ones its
+    /// bodies created (static locals and string literals).
+    std::unordered_map<std::string, const CType *> globalTypes;
+    /// The library's string literals, by contents.
+    std::unordered_map<std::string, GlobalVariable *> literals;
+    /// How many `.str` names and static-local numbers the library used.
+    unsigned literalNames = 0;
+    unsigned staticLocals = 0;
 };
 
 class CodeGen
 {
   public:
     /**
-     * With @p library, the module starts as if the library's sources had
-     * been lowered into it first: its function declarations (same ids),
-     * its file-scope globals, and, once the unit's file-scope globals
-     * exist, the globals its own initializers and bodies created, in the
-     * same order, names and string-literal sharing. Only its function
-     * bodies are missing; linkLibrary() supplies the reachable ones.
+     * With @p library, @p module (which must have called useLibrary())
+     * is lowered as if the library's sources had been lowered into it
+     * first: library names resolve to the library's functions (same
+     * ids) and globals, which the module shows — its file-scope globals
+     * first and, once the unit's file-scope globals exist, the globals
+     * its bodies created — in the same order, with the same names and
+     * string-literal sharing. Nothing of the library is created here;
+     * linkLibrary() then shows the library bodies the module reaches.
+     *
+     * String literals are named `.str<n>` in the order code first uses
+     * them; those only initializers use come last. The library's names
+     * thus stay its own in any program compiled after it.
      */
     CodeGen(Module &module, CTypeContext &types, DiagnosticEngine &diags,
             const LibraryDecls *library = nullptr);
@@ -55,15 +65,9 @@ class CodeGen
     /** Lower a translation unit into the module. */
     void generate(const TranslationUnit &unit);
 
-    /** The declarations generate() produced, for units compiled later. */
+    /** The name tables generate() ended with, for units compiled
+     *  later (LibraryDecls::library is left to the caller). */
     LibraryDecls exportDecls() const;
-
-    /** Where each library global ended up (after generate()). */
-    const std::unordered_map<const GlobalVariable *, GlobalVariable *> &
-    libraryGlobals() const
-    {
-        return libraryGlobals_;
-    }
 
   private:
     /** An expression result: an IR value plus its C type. */
@@ -90,13 +94,16 @@ class CodeGen
     void declareFunctions(const TranslationUnit &unit);
     void emitGlobals(const TranslationUnit &unit);
     void emitFunction(const FunctionDecl &decl);
-    /** Create the library globals its bodies created (see the ctor). */
-    void replayLibraryGlobals();
-    /** @p init, a library global's initializer, in this module. */
-    Initializer relink(const Initializer &init);
-    /** This module's copy of library global @p global. */
-    GlobalVariable *relinkGlobal(const GlobalVariable *global);
+    /** Show the library globals its bodies created (see the ctor). */
+    void showLibraryBodyGlobals();
     Initializer constInitializer(const Expr *init, const CType *type);
+
+    // --- Names, this unit's first, then the library's ------------------
+    const CType *functionType(const std::string &name) const;
+    const CType *globalType(const std::string &name) const;
+    /** The function named @p name (a library one: the library's own
+     *  object, not the module's view of it). */
+    Function *findFunction(const std::string &name) const;
 
     // --- Statements ---------------------------------------------------
     void emitStmt(const Stmt &stmt);
@@ -133,6 +140,9 @@ class CodeGen
 
     // --- Helpers --------------------------------------------------------
     GlobalVariable *stringLiteral(const std::string &bytes);
+    /** Name @p literal, which code now uses for the first time. */
+    void nameLiteral(GlobalVariable *literal);
+    std::string nextLiteralName();
     Value *zeroValue(const CType *type);
     const CType *typeOfMember(const CType *struct_type,
                               const std::string &name, uint64_t &offset,
@@ -151,11 +161,8 @@ class CodeGen
     DiagnosticEngine &diags_;
     IRBuilder builder_;
     const LibraryDecls *library_ = nullptr;
-    std::unordered_map<const GlobalVariable *, GlobalVariable *>
-        libraryGlobals_;
-    /// C type of each static local created, for exportDecls().
-    std::unordered_map<const GlobalVariable *, const CType *>
-        staticLocalTypes_;
+    /// Library literals shown before the library's body globals.
+    std::vector<const GlobalVariable *> shownLibraryLiterals_;
 
     const TranslationUnit *unit_ = nullptr;
     Function *curFn_ = nullptr;
@@ -165,10 +172,13 @@ class CodeGen
     std::vector<BasicBlock *> breakTargets_;
     std::vector<BasicBlock *> continueTargets_;
     std::unordered_map<std::string, GlobalVariable *> stringPool_;
+    /// Literals no code has used yet, in creation order; named last.
+    std::vector<GlobalVariable *> unnamedLiterals_;
     std::unordered_map<std::string, const CType *> globalTypes_;
     std::unordered_map<std::string, const CType *> functionTypes_;
     unsigned blockCount_ = 0;
     unsigned staticLocalCount_ = 0;
+    unsigned literalNames_ = 0;
 };
 
 /** Thrown to abort codegen of one function after a semantic error. */

@@ -1,6 +1,7 @@
 #include "frontend/compiler.h"
 
-#include <set>
+#include <algorithm>
+#include <mutex>
 
 #include "frontend/codegen.h"
 #include "frontend/lexer.h"
@@ -9,6 +10,7 @@
 #include "ir/verifier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/passes.h"
 
 namespace sulong
 {
@@ -72,18 +74,26 @@ namespace
 /** The state one compile builds; a LibraryPrototype keeps its own. */
 struct Compilation
 {
-    std::unique_ptr<Module> module = std::make_unique<Module>();
-    std::unique_ptr<CTypeContext> ctypes =
-        std::make_unique<CTypeContext>(module->types());
+    /** A compile whose IR types, and with @p base_ctypes its C types
+     *  too, extend those of a library. */
+    explicit Compilation(const TypeContext *base_types = nullptr,
+                         const CTypeContext *base_ctypes = nullptr)
+        : module(std::make_unique<Module>(base_types)),
+          ctypes(std::make_unique<CTypeContext>(module->types(),
+                                                base_ctypes))
+    {}
+
+    std::unique_ptr<Module> module;
+    std::unique_ptr<CTypeContext> ctypes;
     TypedefMap typedefs;
     TranslationUnit unit;
 };
 
 /**
  * Parse, lower and verify @p sources into @p c; false (with the errors in
- * @p result) when they do not compile. With @p library, whose types live
- * in c.ctypes, then link in the library bodies the sources reach; with
- * @p exported, describe the module for sources compiled against it.
+ * @p result) when they do not compile. With @p library, whose types
+ * c.ctypes extends, then link in the library bodies the sources reach;
+ * with @p exported, describe the module for sources compiled against it.
  */
 bool
 compileInto(Compilation &c, const std::vector<SourceFile> &sources,
@@ -110,6 +120,8 @@ compileInto(Compilation &c, const std::vector<SourceFile> &sources,
         return false;
     }
 
+    if (library != nullptr)
+        c.module->useLibrary(*library->library);
     CodeGen codegen(*c.module, *c.ctypes, diags, library);
     {
         MS_TRACE_SPAN("frontend.codegen");
@@ -120,11 +132,12 @@ compileInto(Compilation &c, const std::vector<SourceFile> &sources,
         return false;
     }
 
-    // Mark engine intrinsics.
-    std::set<std::string> intrinsics(intrinsicNames().begin(),
-                                     intrinsicNames().end());
-    for (const auto &fn : c.module->functions()) {
-        if (fn->isDeclaration() && intrinsics.count(fn->name()))
+    // Mark engine intrinsics (a library marked its own).
+    const auto &intrinsics = intrinsicNames();
+    for (const auto &fn : c.module->ownFunctions()) {
+        if (fn->isDeclaration() &&
+            std::find(intrinsics.begin(), intrinsics.end(), fn->name()) !=
+                intrinsics.end())
             fn->setIntrinsic(true);
     }
 
@@ -138,11 +151,10 @@ compileInto(Compilation &c, const std::vector<SourceFile> &sources,
             return false;
         }
     }
-    // The library's bodies were verified when it was built; linking
-    // clones them verbatim.
+    // The library's bodies were verified when it was built.
     if (library != nullptr) {
         MS_TRACE_SPAN("frontend.link");
-        linkLibrary(*c.module, *library->module, codegen.libraryGlobals());
+        linkLibrary(*c.module);
     }
     if (exported != nullptr)
         *exported = codegen.exportDecls();
@@ -151,28 +163,73 @@ compileInto(Compilation &c, const std::vector<SourceFile> &sources,
     return true;
 }
 
+/** Compile @p sources, a library, alone; throws when they do not. */
+void
+compileLibrary(Compilation &c, const std::vector<SourceFile> &sources,
+               LibraryDecls *exported = nullptr)
+{
+    CompileResult result;
+    if (!compileInto(c, sources, /*inject_builtins=*/true, nullptr, result,
+                     exported)) {
+        throw InternalError("library does not compile:\n" + result.errors);
+    }
+}
+
 } // namespace
 
 struct LibraryPrototype::State
 {
-    Compilation c;
+    std::vector<SourceFile> sources;
+    /// The prototype's front-end end state: its C types (over the IR
+    /// types of stages[0]'s module), typedefs and enum constants.
+    std::unique_ptr<CTypeContext> ctypes;
+    TypedefMap typedefs;
+    std::map<std::string, int64_t> enumConstants;
     LibraryDecls decls;
+    /// Stages -1 (the prototype itself, built by the constructor), 0
+    /// and 3, by slot.
+    std::unique_ptr<const SharedLibrary> stages[3];
+    std::once_flag built[3];
 };
 
 LibraryPrototype::LibraryPrototype(const std::vector<SourceFile> &sources)
     : state_(std::make_unique<State>())
 {
-    CompileResult result;
-    if (!compileInto(state_->c, sources, /*inject_builtins=*/true, nullptr,
-                     result, &state_->decls)) {
-        throw InternalError("library does not compile:\n" + result.errors);
-    }
-    // Programs see the library's declarations, not its bodies' syntax.
-    state_->c.unit.functions.clear();
-    state_->c.unit.globals.clear();
+    Compilation c;
+    compileLibrary(c, sources, &state_->decls);
+    state_->sources = sources;
+    state_->ctypes = std::move(c.ctypes);
+    state_->typedefs = std::move(c.typedefs);
+    state_->enumConstants = std::move(c.unit.enumConstants);
+    state_->stages[0] = std::make_unique<SharedLibrary>(std::move(c.module));
+    state_->decls.library = state_->stages[0].get();
 }
 
 LibraryPrototype::~LibraryPrototype() = default;
+
+const SharedLibrary &
+LibraryPrototype::stage(int opt_level) const
+{
+    State &state = *state_;
+    int slot = opt_level >= 3 ? 2 : (opt_level >= 0 ? 1 : 0);
+    if (slot == 0)
+        return *state.stages[0];
+    std::call_once(state.built[slot], [&state, slot]() {
+        MS_TRACE_SPAN("frontend.library_stage");
+        obs::MetricsRegistry::global().counter("frontend.library_stages").inc();
+        // The same sources again, over the prototype's IR types, so the
+        // stage's types are the prototype's objects.
+        Compilation c(&state.stages[0]->module().types());
+        compileLibrary(c, state.sources);
+        if (slot == 2)
+            runO3Pipeline(*c.module);
+        else
+            runO0Pipeline(*c.module);
+        state.stages[slot] =
+            std::make_unique<SharedLibrary>(std::move(c.module));
+    });
+    return *state.stages[slot];
+}
 
 CompileResult
 compileC(const std::vector<SourceFile> &sources,
@@ -181,34 +238,18 @@ compileC(const std::vector<SourceFile> &sources,
     MS_TRACE_SPAN("frontend.compile");
     obs::MetricsRegistry::global().counter("frontend.compiles").inc();
     CompileResult result;
-    Compilation c;
-    LibraryDecls library;
-    if (options.library != nullptr) {
-        // Start where the library's own compile ended, in this
-        // compile's type context.
-        const LibraryPrototype::State &state = *options.library->state_;
-        const Compilation &lib = state.c;
-        c.ctypes->importAll(*lib.ctypes);
-        for (const auto &[name, type] : lib.typedefs)
-            c.typedefs[name] = c.ctypes->import(type);
-        c.unit.enumConstants = lib.unit.enumConstants;
-        library.module = lib.module.get();
-        auto import = [&c](const std::vector<const CType *> &types) {
-            std::vector<const CType *> out;
-            out.reserve(types.size());
-            for (const CType *type : types)
-                out.push_back(type != nullptr ? c.ctypes->import(type)
-                                              : nullptr);
-            return out;
-        };
-        library.functionTypes = import(state.decls.functionTypes);
-        library.globalTypes = import(state.decls.globalTypes);
-        library.createdGlobalTypes = import(state.decls.createdGlobalTypes);
+    const LibraryPrototype::State *library =
+        options.library != nullptr ? options.library->state_.get() : nullptr;
+    // Against a library, start where its own compile ended.
+    Compilation c(library != nullptr ? &library->stages[0]->module().types()
+                                     : nullptr,
+                  library != nullptr ? library->ctypes.get() : nullptr);
+    if (library != nullptr) {
+        c.typedefs = library->typedefs;
+        c.unit.enumConstants = library->enumConstants;
     }
-    if (compileInto(c, sources,
-                    options.injectBuiltins && options.library == nullptr,
-                    options.library != nullptr ? &library : nullptr,
-                    result)) {
+    if (compileInto(c, sources, options.injectBuiltins && library == nullptr,
+                    library != nullptr ? &library->decls : nullptr, result)) {
         result.module = std::move(c.module);
     }
     return result;

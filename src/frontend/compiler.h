@@ -35,7 +35,7 @@ struct CompileOptions
     /// Prepend declarations of the engine intrinsics (__sys_*, malloc...).
     /// With a library, its own compile decided this.
     bool injectBuiltins = true;
-    /// Compile the sources against this precompiled library and link in
+    /// Compile the sources against this precompiled library and link
     /// the library bodies they reach (see LibraryPrototype).
     const LibraryPrototype *library = nullptr;
 };
@@ -55,12 +55,14 @@ struct CompileResult
  * All sources share one type context and one symbol namespace, which is
  * how the paper's setup links the user program with its safe libc.
  *
- * With CompileOptions::library, the result equals what compiling the
- * library's sources followed by @p sources gives — same function ids,
- * same globals in the same order with the same names and initializers,
- * same diagnostics — except that only the library functions the program
- * reaches, from its own functions and from any global's initializer,
- * keep their bodies; the others stay declarations.
+ * With CompileOptions::library, the result looks like what compiling
+ * the library's sources followed by @p sources gives — same function
+ * ids, same globals in the same order with the same names and
+ * initializers, same diagnostics — except that only the library
+ * functions the program reaches, from its own functions and from any
+ * global's initializer, show their bodies; the others are declarations.
+ * The library's functions and globals are the prototype's own objects
+ * (stage -1), shared, not copied; the module owns only the program's.
  */
 CompileResult compileC(const std::vector<SourceFile> &sources,
                        const CompileOptions &options = {});
@@ -68,11 +70,11 @@ CompileResult compileC(const std::vector<SourceFile> &sources,
 /**
  * A library compiled once and linked into many programs, as the paper's
  * pipeline links each program against a libc compiled to IR ahead of
- * time. It keeps its module — the prototype whose bodies every link
- * clones — and the front-end state its compile ended in: typedefs,
- * struct tags, enum constants, and the C types of its functions and
- * globals, which a program compiled against it starts from. Immutable
- * once built, so concurrent compiles share one instance.
+ * time. It keeps its module — shared by reference, see ir/clone.h — and
+ * the front-end state its compile ended in: typedefs, struct tags, enum
+ * constants, and the C types and names of its functions and globals,
+ * which a program compiled against it starts from. Immutable once
+ * built, so concurrent compiles share one instance.
  */
 class LibraryPrototype
 {
@@ -80,6 +82,19 @@ class LibraryPrototype
     /** Compile @p sources; throws InternalError if they do not compile. */
     explicit LibraryPrototype(const std::vector<SourceFile> &sources);
     ~LibraryPrototype();
+
+    /**
+     * The library as a program at @p opt_level sees it: level -1 (or
+     * below) is the prototype itself; levels 0..2 and 3 (or above) are
+     * its sources compiled again over the prototype's IR types and run
+     * once through runO0Pipeline() or runO3Pipeline(). Built on first
+     * use (counter `frontend.library_stages`); concurrent first callers
+     * share one build. The pipelines change each function alone and
+     * read only the library's own const globals, which a program cannot
+     * redefine, so a program linked against a stage (relinkLibrary())
+     * executes the bodies the whole-program pipeline would give it.
+     */
+    const SharedLibrary &stage(int opt_level) const;
 
   private:
     friend CompileResult compileC(const std::vector<SourceFile> &,

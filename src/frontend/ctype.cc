@@ -62,8 +62,13 @@ CType::toString() const
     return "<bad-ctype>";
 }
 
-CTypeContext::CTypeContext(TypeContext &ir_types) : irTypes_(ir_types)
+CTypeContext::CTypeContext(TypeContext &ir_types, const CTypeContext *base)
+    : irTypes_(ir_types), base_(base),
+      basics_(base != nullptr ? base->basics_ : ownBasics_),
+      anonStructCount_(base != nullptr ? base->anonStructCount_ : 0)
 {
+    if (base != nullptr)
+        return;
     static const CTypeKind kinds[11] = {
         CTypeKind::voidTy, CTypeKind::charTy, CTypeKind::ucharTy,
         CTypeKind::shortTy, CTypeKind::ushortTy, CTypeKind::intTy,
@@ -71,7 +76,7 @@ CTypeContext::CTypeContext(TypeContext &ir_types) : irTypes_(ir_types)
         CTypeKind::floatTy, CTypeKind::doubleTy,
     };
     for (int i = 0; i < 11; i++)
-        basics_[i].kind_ = kinds[i];
+        ownBasics_[i].kind_ = kinds[i];
 }
 
 CType *
@@ -82,11 +87,46 @@ CTypeContext::allocate()
 }
 
 const CType *
-CTypeContext::pointerTo(const CType *pointee)
+CTypeContext::findPointer(const CType *pointee) const
 {
     auto it = pointers_.find(pointee);
     if (it != pointers_.end())
         return it->second;
+    return base_ != nullptr ? base_->findPointer(pointee) : nullptr;
+}
+
+const CType *
+CTypeContext::findArray(const CType *elem, uint64_t count) const
+{
+    auto it = arrays_.find(std::make_pair(elem, count));
+    if (it != arrays_.end())
+        return it->second;
+    return base_ != nullptr ? base_->findArray(elem, count) : nullptr;
+}
+
+const CType *
+CTypeContext::findFunction(const std::string &key) const
+{
+    auto it = functions_.find(key);
+    if (it != functions_.end())
+        return it->second;
+    return base_ != nullptr ? base_->findFunction(key) : nullptr;
+}
+
+const Type *
+CTypeContext::findLowered(const CType *struct_type) const
+{
+    auto it = loweredStructs_.find(struct_type);
+    if (it != loweredStructs_.end())
+        return it->second;
+    return base_ != nullptr ? base_->findLowered(struct_type) : nullptr;
+}
+
+const CType *
+CTypeContext::pointerTo(const CType *pointee)
+{
+    if (const CType *known = findPointer(pointee))
+        return known;
     CType *type = allocate();
     type->kind_ = CTypeKind::pointer;
     type->elem_ = pointee;
@@ -97,10 +137,9 @@ CTypeContext::pointerTo(const CType *pointee)
 const CType *
 CTypeContext::arrayOf(const CType *elem, uint64_t count)
 {
+    if (const CType *known = findArray(elem, count))
+        return known;
     auto key = std::make_pair(elem, count);
-    auto it = arrays_.find(key);
-    if (it != arrays_.end())
-        return it->second;
     CType *type = allocate();
     type->kind_ = CTypeKind::array;
     type->elem_ = elem;
@@ -118,6 +157,12 @@ CTypeContext::declareStruct(const std::string &tag)
     auto it = structs_.find(name);
     if (it != structs_.end())
         return it->second;
+    // A base's struct is shared only once complete: completing it here
+    // would change the base. (A library leaves none incomplete.)
+    const CType *inherited =
+        base_ != nullptr ? base_->findStruct(name) : nullptr;
+    if (inherited != nullptr && inherited->isCompleteStruct())
+        return inherited;
     CType *type = allocate();
     type->kind_ = CTypeKind::structTy;
     type->name_ = name;
@@ -129,12 +174,12 @@ void
 CTypeContext::completeStruct(const CType *struct_type,
                              std::vector<CField> fields)
 {
+    if (struct_type->isCompleteStruct())
+        return; // redefinition handled by the parser with a diagnostic
     auto it = structs_.find(struct_type->structName());
-    if (it == structs_.end())
+    if (it == structs_.end() || it->second != struct_type)
         throw InternalError("completing unknown struct");
     CType *mut = it->second;
-    if (mut->structComplete_)
-        return; // redefinition handled by the parser with a diagnostic
     mut->fields_ = std::move(fields);
     mut->structComplete_ = true;
 }
@@ -143,7 +188,9 @@ const CType *
 CTypeContext::findStruct(const std::string &tag) const
 {
     auto it = structs_.find(tag);
-    return it == structs_.end() ? nullptr : it->second;
+    if (it != structs_.end())
+        return it->second;
+    return base_ != nullptr ? base_->findStruct(tag) : nullptr;
 }
 
 const CType *
@@ -156,9 +203,8 @@ CTypeContext::functionType(const CType *ret,
     if (var_arg)
         key += "...";
     key += ")";
-    auto it = functions_.find(key);
-    if (it != functions_.end())
-        return it->second;
+    if (const CType *known = findFunction(key))
+        return known;
     CType *type = allocate();
     type->kind_ = CTypeKind::function;
     type->elem_ = ret;
@@ -194,9 +240,8 @@ CTypeContext::lower(const CType *type)
         return irTypes_.arrayType(lower(type->elemType()),
                                   type->arrayLength());
       case CTypeKind::structTy: {
-        auto it = loweredStructs_.find(type);
-        if (it != loweredStructs_.end())
-            return it->second;
+        if (const Type *known = findLowered(type))
+            return known;
         std::vector<std::pair<std::string, const Type *>> fields;
         for (const CField &field : type->fields())
             fields.emplace_back(field.name, lower(field.type));
@@ -213,71 +258,6 @@ CTypeContext::lower(const CType *type)
       }
     }
     throw InternalError("lower(): bad type");
-}
-
-void
-CTypeContext::importAll(const CTypeContext &other)
-{
-    // Declare every tag first: fields may point at any struct.
-    for (const auto &[name, type] : other.structs_)
-        imported_[type] = declareStruct(name);
-    for (const auto &[name, type] : other.structs_) {
-        if (!type->isCompleteStruct())
-            continue;
-        std::vector<CField> fields;
-        fields.reserve(type->fields().size());
-        for (const CField &field : type->fields())
-            fields.push_back(CField{field.name, import(field.type)});
-        completeStruct(structs_.at(name), std::move(fields));
-    }
-    // Function types keep their interning keys, which are structural.
-    for (const auto &[key, type] : other.functions_) {
-        if (imported_.count(type) != 0)
-            continue; // a struct field's type, imported already
-        CType *mine = allocate();
-        mine->kind_ = CTypeKind::function;
-        mine->elem_ = import(type->returnType());
-        for (const CType *param : type->paramTypes())
-            mine->params_.push_back(import(param));
-        mine->varArg_ = type->isVarArg();
-        functions_.emplace(key, mine);
-        imported_[type] = mine;
-    }
-    anonStructCount_ = other.anonStructCount_;
-}
-
-const CType *
-CTypeContext::import(const CType *type)
-{
-    if (type->kind() < CTypeKind::pointer) {
-        // The basic types are laid out in CTypeKind order.
-        return &basics_[static_cast<int>(type->kind())];
-    }
-    auto it = imported_.find(type);
-    if (it != imported_.end())
-        return it->second;
-    const CType *mine = nullptr;
-    switch (type->kind()) {
-      case CTypeKind::pointer:
-        mine = pointerTo(import(type->pointee()));
-        break;
-      case CTypeKind::array:
-        mine = arrayOf(import(type->elemType()), type->arrayLength());
-        break;
-      case CTypeKind::structTy:
-        mine = structs_.at(type->structName());
-        break;
-      default: {
-        std::vector<const CType *> params;
-        for (const CType *param : type->paramTypes())
-            params.push_back(import(param));
-        mine = functionType(import(type->returnType()), std::move(params),
-                            type->isVarArg());
-        break;
-      }
-    }
-    imported_[type] = mine;
-    return mine;
 }
 
 const CType *

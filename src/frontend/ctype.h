@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/type.h"
@@ -127,11 +126,18 @@ class CType
 /**
  * Owns, interns, and lowers C types. One per compilation; bound to the
  * Module's TypeContext for layout queries and IR lowering.
+ *
+ * A context may extend a @p base context that is never changed again (a
+ * precompiled library's): it starts where the base's compile ended, with
+ * its struct tags, function types and anonymous-struct numbering, and
+ * every type the base has is the base's object. @p ir_types must then
+ * extend the base's IR types.
  */
 class CTypeContext
 {
   public:
-    explicit CTypeContext(TypeContext &ir_types);
+    explicit CTypeContext(TypeContext &ir_types,
+                          const CTypeContext *base = nullptr);
     CTypeContext(const CTypeContext &) = delete;
     CTypeContext &operator=(const CTypeContext &) = delete;
 
@@ -170,18 +176,6 @@ class CTypeContext
      */
     const Type *lower(const CType *type);
 
-    /**
-     * Take over every type of @p other — struct tags, complete or not,
-     * function types, and the anonymous-struct numbering — as if this
-     * context had parsed the same sources first. Call once, on a fresh
-     * context; import() then maps @p other's types to this context's.
-     */
-    void importAll(const CTypeContext &other);
-
-    /** This context's type equal to @p type, a type of the context
-     *  importAll() took over. */
-    const CType *import(const CType *type);
-
     /** Result of the C integer promotions (char/short -> int). */
     const CType *promote(const CType *type) const;
 
@@ -192,9 +186,16 @@ class CTypeContext
 
   private:
     CType *allocate();
+    const CType *findPointer(const CType *pointee) const;
+    const CType *findArray(const CType *elem, uint64_t count) const;
+    const CType *findFunction(const std::string &key) const;
+    const Type *findLowered(const CType *struct_type) const;
 
     TypeContext &irTypes_;
-    CType basics_[11];
+    const CTypeContext *base_;
+    /// The base's basic types, or ownBasics_.
+    const CType *basics_;
+    CType ownBasics_[11];
     std::vector<std::unique_ptr<CType>> owned_;
     std::map<const CType *, const CType *> pointers_;
     std::map<std::pair<const CType *, uint64_t>, const CType *> arrays_;
@@ -202,8 +203,6 @@ class CTypeContext
     std::map<std::string, const CType *> functions_;
     std::map<const CType *, const Type *> loweredStructs_;
     unsigned anonStructCount_ = 0;
-    /// importAll()'s map from the other context's types to ours.
-    std::unordered_map<const CType *, const CType *> imported_;
 };
 
 } // namespace sulong

@@ -1,6 +1,6 @@
 #include "ir/clone.h"
 
-#include <unordered_map>
+#include "support/diagnostics.h"
 
 namespace sulong
 {
@@ -8,252 +8,175 @@ namespace sulong
 namespace
 {
 
-/**
- * Maps values and types of the original module (the library) into the
- * clone (the program). Both modules number their functions alike, so
- * functions map by id; the values of a function body map through its
- * frame slots and block indices, which every finalized module carries.
- */
-class ModuleCloner
-{
-  public:
-    /** Clone from @p original into @p clone, which outlives the cloner. */
-    ModuleCloner(const Module &original, Module &clone)
-        : original_(original), clone_(clone)
-    {
-        typeMap_.reserve(64);
-    }
-
-    /** The linkLibrary() step. */
-    void linkReachable(
-        const std::unordered_map<const GlobalVariable *, GlobalVariable *>
-            &globals);
-
-  private:
-    const Type *mapType(const Type *type);
-    Value *mapValue(const Value *value);
-    void cloneBody(const Function &fn);
-    std::unique_ptr<Instruction> cloneInstruction(const Instruction &inst);
-
-    const Module &original_;
-    Module &clone_;
-    std::unordered_map<const Type *, const Type *> typeMap_;
-    /// Globals and constants.
-    std::unordered_map<const Value *, Value *> valueMap_;
-    /// The body being cloned: its arguments and results by frame slot,
-    /// its blocks by index.
-    std::vector<Value *> slots_;
-    std::vector<BasicBlock *> blocks_;
-};
-
-const Type *
-ModuleCloner::mapType(const Type *type)
-{
-    if (type == nullptr)
-        return nullptr;
-    auto it = typeMap_.find(type);
-    if (it != typeMap_.end())
-        return it->second;
-
-    TypeContext &types = clone_.types();
-    const Type *mapped = nullptr;
-    switch (type->kind()) {
-      case TypeKind::voidTy: mapped = types.voidTy(); break;
-      case TypeKind::i1: mapped = types.i1(); break;
-      case TypeKind::i8: mapped = types.i8(); break;
-      case TypeKind::i16: mapped = types.i16(); break;
-      case TypeKind::i32: mapped = types.i32(); break;
-      case TypeKind::i64: mapped = types.i64(); break;
-      case TypeKind::f32: mapped = types.f32(); break;
-      case TypeKind::f64: mapped = types.f64(); break;
-      case TypeKind::ptr: mapped = types.ptr(); break;
-      case TypeKind::array:
-        mapped = types.arrayType(mapType(type->elemType()),
-                                 type->arrayLength());
-        break;
-      case TypeKind::structTy: {
-        // Mini-C structs cannot contain themselves by value, so mapping
-        // the field types first always terminates.
-        std::vector<std::pair<std::string, const Type *>> fields;
-        fields.reserve(type->fields().size());
-        for (const StructField &field : type->fields())
-            fields.emplace_back(field.name, mapType(field.type));
-        mapped = types.structType(type->structName(), fields);
-        break;
-      }
-      case TypeKind::function: {
-        std::vector<const Type *> params;
-        params.reserve(type->paramTypes().size());
-        for (const Type *param : type->paramTypes())
-            params.push_back(mapType(param));
-        mapped = types.functionType(mapType(type->returnType()),
-                                    std::move(params), type->isVarArg());
-        break;
-      }
-    }
-    typeMap_[type] = mapped;
-    return mapped;
-}
-
-Value *
-ModuleCloner::mapValue(const Value *value)
-{
-    if (value == nullptr)
-        return nullptr;
-    switch (value->valueKind()) {
-      case ValueKind::instruction:
-        return slots_.at(static_cast<const Instruction *>(value)->slot());
-      case ValueKind::argument:
-        return slots_.at(static_cast<const Argument *>(value)->index());
-      case ValueKind::function:
-        return clone_.functionById(static_cast<const Function *>(value)->id());
-      default:
-        break;
-    }
-    auto it = valueMap_.find(value);
-    if (it != valueMap_.end())
-        return it->second;
-
-    // Globals are registered up front; only interned constants are
-    // created on demand.
-    Value *mapped = nullptr;
-    switch (value->valueKind()) {
-      case ValueKind::constantInt: {
-        const auto *c = static_cast<const ConstantInt *>(value);
-        mapped = clone_.constInt(mapType(c->type()), c->value());
-        break;
-      }
-      case ValueKind::constantFP: {
-        const auto *c = static_cast<const ConstantFP *>(value);
-        mapped = clone_.constFP(mapType(c->type()), c->value());
-        break;
-      }
-      case ValueKind::constantNull:
-        mapped = clone_.constNull();
-        break;
-      default:
-        return nullptr; // unreachable for well-formed modules
-    }
-    valueMap_[value] = mapped;
-    return mapped;
-}
-
-std::unique_ptr<Instruction>
-ModuleCloner::cloneInstruction(const Instruction &inst)
-{
-    auto copy =
-        std::make_unique<Instruction>(inst.op(), mapType(inst.type()));
-    copy->setName(inst.name());
-    copy->setAccessType(mapType(inst.accessType()));
-    copy->setIntPred(inst.intPred()); // same byte as the float predicate
-    copy->setGep(inst.gepConstOffset(), inst.gepScale());
-    copy->setSlot(inst.slot());
-    copy->setLoc(inst.loc());
-    return copy;
-}
-
+/** Call @p visit on every function @p init names, transitively. */
+template <typename Visit>
 void
-ModuleCloner::cloneBody(const Function &fn)
+forEachInitFunction(const Initializer &init, const Visit &visit)
 {
-    if (fn.isDeclaration())
-        return;
-    Function *copy = clone_.functionById(fn.id());
-    slots_.assign(fn.numSlots(), nullptr);
-    for (unsigned i = 0; i < fn.numArgs(); i++)
-        slots_[i] = copy->arg(i);
-    blocks_.clear();
-
-    // First pass: create blocks and instructions so that operands and
-    // branch targets can reference them regardless of layout order.
-    for (const auto &bb : fn.blocks()) {
-        BasicBlock *bbCopy = copy->addBlock(bb->name());
-        blocks_.push_back(bbCopy);
-        for (const auto &inst : bb->insts()) {
-            Instruction *instCopy = bbCopy->append(cloneInstruction(*inst));
-            if (inst->slot() >= 0)
-                slots_.at(inst->slot()) = instCopy;
-        }
-    }
-
-    // Second pass: resolve operands and targets.
-    for (size_t b = 0; b < fn.blocks().size(); b++) {
-        const auto &insts = fn.blocks()[b]->insts();
-        const auto &copies = blocks_[b]->insts();
-        for (size_t i = 0; i < insts.size(); i++) {
-            const Instruction &inst = *insts[i];
-            Instruction &instCopy = *copies[i];
-            instCopy.mutableOperands().reserve(inst.numOperands());
-            for (const Value *operand : inst.operands())
-                instCopy.addOperand(mapValue(operand));
-            if (inst.isTerminator()) {
-                BasicBlock *t0 = inst.target(0) != nullptr
-                    ? blocks_.at(inst.target(0)->index()) : nullptr;
-                BasicBlock *t1 = inst.target(1) != nullptr
-                    ? blocks_.at(inst.target(1)->index()) : nullptr;
-                if (t0 != nullptr || t1 != nullptr)
-                    instCopy.setTargets(t0, t1);
-            }
-        }
-    }
-}
-
-void
-ModuleCloner::linkReachable(
-    const std::unordered_map<const GlobalVariable *, GlobalVariable *>
-        &globals)
-{
-    const auto &library = original_.functions();
-    for (const auto &[global, copy] : globals)
-        valueMap_[global] = copy;
-
-    // A worklist of library functions whose bodies the program reaches,
-    // seeded from the program's own bodies and every global initializer.
-    std::vector<bool> queued(library.size(), false);
-    std::vector<const Function *> work;
-    auto reach = [&](const Value *value) {
-        if (value == nullptr || value->valueKind() != ValueKind::function)
-            return;
-        unsigned id = static_cast<const Function *>(value)->id();
-        if (id < library.size() && !queued[id] &&
-            !library[id]->isDeclaration()) {
-            queued[id] = true;
-            work.push_back(library[id].get());
-        }
-    };
-    auto reachInit = [&reach](const Initializer &init, auto &self) -> void {
-        reach(init.function);
-        for (const Initializer &elem : init.elems)
-            self(elem, self);
-    };
-    for (const auto &fn : clone_.functions())
-        for (const auto &bb : fn->blocks())
-            for (const auto &inst : bb->insts())
-                for (const Value *operand : inst->operands())
-                    reach(operand);
-    for (const auto &global : clone_.globals())
-        reachInit(global->init(), reachInit);
-
-    while (!work.empty()) {
-        const Function *fn = work.back();
-        work.pop_back();
-        for (const auto &bb : fn->blocks())
-            for (const auto &inst : bb->insts())
-                for (const Value *operand : inst->operands())
-                    reach(operand);
-        clone_.functionById(fn->id())->setSourceFile(fn->sourceFile());
-        cloneBody(*fn);
-    }
-    clone_.finalize();
+    if (init.function != nullptr)
+        visit(init.function);
+    for (const Initializer &elem : init.elems)
+        forEachInitFunction(elem, visit);
 }
 
 } // namespace
 
-void
-linkLibrary(Module &program, const Module &library,
-            const std::unordered_map<const GlobalVariable *, GlobalVariable *>
-                &globals)
+SharedLibrary::SharedLibrary(std::unique_ptr<Module> module)
+    : module_(std::move(module))
 {
-    ModuleCloner(library, program).linkReachable(globals);
+    const auto &functions = module_->functions();
+    declarations_.reserve(functions.size());
+    references_.resize(functions.size());
+    addressTaken_.resize(functions.size());
+    for (Function *fn : functions) {
+        if (fn->isDeclaration()) {
+            declarations_.push_back(fn);
+            continue;
+        }
+        auto twin = std::make_unique<Function>(module_->types().ptr(),
+                                               fn->fnType(), fn->name());
+        twin->setId(fn->id());
+        twin->setParent(module_.get());
+        declarations_.push_back(twin.get());
+        twins_.push_back(std::move(twin));
+
+        std::vector<bool> named(functions.size(), false);
+        std::vector<bool> taken(functions.size(), false);
+        for (const auto &bb : fn->blocks()) {
+            for (const auto &inst : bb->insts()) {
+                const auto &operands = inst->operands();
+                for (size_t i = 0; i < operands.size(); i++) {
+                    if (operands[i]->valueKind() != ValueKind::function)
+                        continue;
+                    unsigned id =
+                        static_cast<const Function *>(operands[i])->id();
+                    if (!named[id]) {
+                        named[id] = true;
+                        references_[fn->id()].push_back(id);
+                    }
+                    bool callee = i == 0 && inst->op() == Opcode::call;
+                    if (!callee && !taken[id]) {
+                        taken[id] = true;
+                        addressTaken_[fn->id()].push_back(id);
+                    }
+                }
+            }
+        }
+    }
+    const auto &globals = module_->globals();
+    for (size_t i = 0; i < globals.size(); i++)
+        globalIndex_[globals[i]] = static_cast<int>(i);
+}
+
+SharedLibrary::~SharedLibrary() = default;
+
+int
+SharedLibrary::globalIndex(const GlobalVariable *global) const
+{
+    auto it = globalIndex_.find(global);
+    return it == globalIndex_.end() ? -1 : it->second;
+}
+
+void
+linkLibrary(Module &program)
+{
+    const SharedLibrary &library = *program.library();
+    const Module &prototype = library.module();
+    const unsigned count = library.numFunctions();
+
+    // A worklist of library functions whose bodies the program reaches,
+    // seeded from the program's own bodies and every global initializer.
+    std::vector<bool> queued(count, false);
+    std::vector<unsigned> work;
+    auto reach = [&](unsigned id) {
+        if (id < count && !queued[id] &&
+            !prototype.functionById(id)->isDeclaration()) {
+            queued[id] = true;
+            work.push_back(id);
+        }
+    };
+    for (const auto &fn : program.ownFunctions())
+        for (const auto &bb : fn->blocks())
+            for (const auto &inst : bb->insts())
+                for (const Value *operand : inst->operands())
+                    if (operand->valueKind() == ValueKind::function)
+                        reach(static_cast<const Function *>(operand)->id());
+    for (const GlobalVariable *global : program.globals())
+        forEachInitFunction(global->init(), [&reach](const Function *fn) {
+            reach(fn->id());
+        });
+    while (!work.empty()) {
+        unsigned id = work.back();
+        work.pop_back();
+        program.showLibraryFunction(prototype.functionById(id));
+        for (unsigned callee : library.references(id))
+            reach(callee);
+    }
+}
+
+void
+relinkLibrary(Module &program, const SharedLibrary &stage)
+{
+    const SharedLibrary &from = *program.library();
+    if (from.numFunctions() != stage.numFunctions() ||
+        from.module().globals().size() != stage.module().globals().size())
+        throw InternalError("relinkLibrary: stage of another library");
+    // The stage's object for a library function or global; null for the
+    // program's own.
+    auto function = [&](const Function *fn) -> Function * {
+        if (fn->id() >= stage.numFunctions() || program.owns(*fn))
+            return nullptr;
+        return from.declaration(fn->id()) == fn
+            ? stage.declaration(fn->id())
+            : stage.module().functionById(fn->id());
+    };
+    auto global = [&](const GlobalVariable *g) -> GlobalVariable * {
+        int index = from.globalIndex(g);
+        return index < 0 ? nullptr : stage.module().globals()[index];
+    };
+    auto relinkInit = [&](Initializer &init, auto &self) -> void {
+        if (init.function != nullptr)
+            if (Function *mapped = function(init.function))
+                init.function = mapped;
+        if (init.global != nullptr)
+            if (GlobalVariable *mapped = global(init.global))
+                init.global = mapped;
+        for (Initializer &elem : init.elems)
+            self(elem, self);
+    };
+
+    for (const auto &fn : program.ownFunctions()) {
+        for (const auto &bb : fn->blocks()) {
+            for (const auto &inst : bb->insts()) {
+                for (Value *&operand : inst->mutableOperands()) {
+                    Value *mapped = nullptr;
+                    if (operand->valueKind() == ValueKind::function)
+                        mapped = function(static_cast<Function *>(operand));
+                    else if (operand->valueKind() == ValueKind::global)
+                        mapped = global(
+                            static_cast<GlobalVariable *>(operand));
+                    if (mapped != nullptr)
+                        operand = mapped;
+                }
+            }
+        }
+    }
+    for (const auto &owned : program.ownGlobals_) {
+        const Initializer &old = owned->init();
+        if (old.global == nullptr && old.function == nullptr &&
+            old.elems.empty())
+            continue; // names nothing: a scalar or a string's bytes
+        Initializer init = old;
+        relinkInit(init, relinkInit);
+        owned->setInit(std::move(init));
+    }
+    for (Function *&fn : program.functions_)
+        if (Function *mapped = function(fn))
+            fn = mapped;
+    for (GlobalVariable *&g : program.globals_)
+        if (GlobalVariable *mapped = global(g))
+            g = mapped;
+    program.library_ = &stage;
 }
 
 } // namespace sulong

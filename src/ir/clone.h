@@ -1,41 +1,91 @@
 /**
  * @file
- * Linking a precompiled library into a program by cloning its bodies.
+ * Linking programs against a shared library by reference.
+ *
+ * A SharedLibrary is a finalized library module that is never changed
+ * again, together with what linking needs precomputed: for every library
+ * function, the library functions its body names and the functions it
+ * takes the address of, and a body-less twin of it. One instance serves
+ * every program of a process, from any thread.
  *
  * A program compiled against a library (see LibraryPrototype in
- * frontend/compiler.h) declares every library function and holds its
- * own copy of every library global; linkLibrary() then copies in only
- * the library bodies the program reaches. The library module itself is
- * never changed, so one immutable prototype serves every program.
- *
- * The copy supports the full IR — including named struct types — and
- * preserves function ids, frame-slot numbering and source locations
- * exactly, so a linked body executes bit-identically to the library's
- * own under every engine.
+ * frontend/compiler.h) reserves the library's function ids
+ * (Module::useLibrary()), shows the library's globals among its own and
+ * names library functions and globals in its bodies directly; nothing of
+ * the library is copied. linkLibrary() then shows the body of each
+ * library function the program reaches and the twin of every other, so
+ * the program sees exactly the functions a whole-program compile that
+ * dropped the unreached bodies would have. relinkLibrary() moves a
+ * linked program onto another stage of the same library — the same
+ * sources run through an optimization pipeline — with the same ids and
+ * global places.
  */
 
 #ifndef MS_IR_CLONE_H
 #define MS_IR_CLONE_H
 
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "ir/module.h"
 
 namespace sulong
 {
 
+class SharedLibrary
+{
+  public:
+    /** Take over @p module, finalized; it is never changed again. */
+    explicit SharedLibrary(std::unique_ptr<Module> module);
+    ~SharedLibrary();
+
+    const Module &module() const { return *module_; }
+    /** The function ids the library reserves in a program. */
+    unsigned numFunctions() const
+    {
+        return static_cast<unsigned>(declarations_.size());
+    }
+    /** What a program that does not reach function @p id shows there: a
+     *  body-less twin of a definition, else the library's declaration. */
+    Function *declaration(unsigned id) const { return declarations_[id]; }
+    /** The library functions the body of @p id names. */
+    const std::vector<unsigned> &references(unsigned id) const
+    {
+        return references_[id];
+    }
+    /** The functions the body of @p id names other than as a callee. */
+    const std::vector<unsigned> &addressTaken(unsigned id) const
+    {
+        return addressTaken_[id];
+    }
+    /** The place of @p global among the library's globals, or -1 when
+     *  it is not the library's. */
+    int globalIndex(const GlobalVariable *global) const;
+
+  private:
+    std::unique_ptr<Module> module_;
+    std::vector<std::unique_ptr<Function>> twins_;
+    std::vector<Function *> declarations_;
+    std::vector<std::vector<unsigned>> references_;
+    std::vector<std::vector<unsigned>> addressTaken_;
+    std::unordered_map<const GlobalVariable *, int> globalIndex_;
+};
+
 /**
- * Link @p library into @p program, which declares every library function
- * under the library's id and holds a copy of every library global
- * (@p globals maps each library global to it). The body of each library
- * function reachable from @p program's own function bodies or from any
- * of its global initializers is cloned into its declaration; the other
- * library functions stay declarations.
+ * Show, in @p program (compiled against program.library()), the body of
+ * every library function reachable from the program's own function
+ * bodies or from any global's initializer; the others stay twins.
  */
-void linkLibrary(
-    Module &program, const Module &library,
-    const std::unordered_map<const GlobalVariable *, GlobalVariable *>
-        &globals);
+void linkLibrary(Module &program);
+
+/**
+ * Point @p program, linked against a library, at @p stage, a stage of
+ * the same library: the program's bodies and initializers, and its view
+ * of the library's functions and globals, then name @p stage's objects
+ * at the same ids and places. The set of reached functions is kept.
+ */
+void relinkLibrary(Module &program, const SharedLibrary &stage);
 
 } // namespace sulong
 

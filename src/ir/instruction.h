@@ -73,10 +73,11 @@ enum class IntPred : uint8_t
     eq, ne, slt, sle, sgt, sge, ult, ule, ugt, uge,
 };
 
-/** fcmp predicates (ordered only; NaN handling is "false"). */
+/** fcmp predicates: the ordered ones are false when an operand is NaN;
+ *  `une` (C's `!=`) is true then. */
 enum class FloatPred : uint8_t
 {
-    oeq, one, olt, ole, ogt, oge,
+    oeq, one, olt, ole, ogt, oge, une,
 };
 
 const char *opcodeName(Opcode op);

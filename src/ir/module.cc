@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "ir/clone.h"
 #include "ir/semantics.h"
 
 namespace sulong
@@ -81,27 +82,64 @@ Module::addGlobal(const Type *value_type, std::string name, Initializer init,
     auto g = std::make_unique<GlobalVariable>(
         types_.ptr(), value_type, std::move(name), std::move(init), is_const);
     GlobalVariable *raw = g.get();
-    globals_.push_back(std::move(g));
+    ownGlobals_.push_back(std::move(g));
+    globals_.push_back(raw);
     globalsByName_[raw->name()] = raw;
     return raw;
+}
+
+void
+Module::addLibraryGlobal(GlobalVariable *global)
+{
+    globals_.push_back(global);
+}
+
+void
+Module::renameGlobal(GlobalVariable *global, std::string name)
+{
+    auto it = globalsByName_.find(global->name());
+    if (it != globalsByName_.end() && it->second == global)
+        globalsByName_.erase(it);
+    global->setName(std::move(name));
+    globalsByName_[global->name()] = global;
 }
 
 GlobalVariable *
 Module::findGlobal(const std::string &name) const
 {
     auto it = globalsByName_.find(name);
-    return it == globalsByName_.end() ? nullptr : it->second;
+    if (it != globalsByName_.end())
+        return it->second;
+    return library_ != nullptr ? library_->module().findGlobal(name)
+                               : nullptr;
 }
 
 Function *
 Module::addFunction(const Type *fn_type, std::string name)
 {
+    return createFunction(static_cast<unsigned>(functions_.size()), fn_type,
+                          std::move(name));
+}
+
+Function *
+Module::overrideFunction(unsigned id, const Type *fn_type, std::string name)
+{
+    return createFunction(id, fn_type, std::move(name));
+}
+
+Function *
+Module::createFunction(unsigned id, const Type *fn_type, std::string name)
+{
     auto f = std::make_unique<Function>(types_.ptr(), fn_type,
                                         std::move(name));
     Function *raw = f.get();
     raw->setParent(this);
-    raw->setId(static_cast<unsigned>(functions_.size()));
-    functions_.push_back(std::move(f));
+    raw->setId(id);
+    ownFunctions_.push_back(std::move(f));
+    if (id == functions_.size())
+        functions_.push_back(raw);
+    else
+        functions_[id] = raw;
     functionsByName_[raw->name()] = raw;
     return raw;
 }
@@ -110,13 +148,27 @@ Function *
 Module::findFunction(const std::string &name) const
 {
     auto it = functionsByName_.find(name);
-    return it == functionsByName_.end() ? nullptr : it->second;
+    if (it != functionsByName_.end())
+        return it->second;
+    if (library_ == nullptr)
+        return nullptr;
+    const Function *fn = library_->module().findFunction(name);
+    return fn != nullptr ? functions_[fn->id()] : nullptr;
+}
+
+void
+Module::useLibrary(const SharedLibrary &library)
+{
+    library_ = &library;
+    functions_.reserve(library.numFunctions());
+    for (unsigned id = 0; id < library.numFunctions(); id++)
+        functions_.push_back(library.declaration(id));
 }
 
 void
 Module::finalize()
 {
-    for (auto &f : functions_) {
+    for (auto &f : ownFunctions_) {
         if (!f->isDeclaration())
             f->numberSlots();
     }

@@ -17,6 +17,7 @@ namespace sulong
 {
 
 class Module;
+class SharedLibrary;
 
 /**
  * A function: signature, arguments and (for definitions) basic blocks.
@@ -113,12 +114,22 @@ class Function : public Value
  *
  * One Module is produced per compilation (user program + the selected
  * libc variant linked in) and is then executed — unmodified or after
- * optimization/instrumentation — by any of the engines.
+ * optimization — by any of the engines.
+ *
+ * A program linked against a SharedLibrary (ir/clone.h) does not copy
+ * the library: functions() and globals() show the library's functions
+ * (at their library ids) and globals (at their places) next to the
+ * program's own, but the module owns, changes and frees only its own
+ * functions (ownFunctions()), globals and constants. The library's
+ * objects are never changed once built.
  */
 class Module
 {
   public:
-    Module() = default;
+    /** A module whose types extend @p base_types (see TypeContext). */
+    explicit Module(const TypeContext *base_types = nullptr)
+        : types_(base_types)
+    {}
     Module(const Module &) = delete;
     Module &operator=(const Module &) = delete;
 
@@ -149,32 +160,63 @@ class Module
 
     GlobalVariable *addGlobal(const Type *value_type, std::string name,
                               Initializer init, bool is_const = false);
+    /** Append @p global, a linked library's, to globals(). */
+    void addLibraryGlobal(GlobalVariable *global);
+    /** Rename @p global, one of this module's own. */
+    void renameGlobal(GlobalVariable *global, std::string name);
     GlobalVariable *findGlobal(const std::string &name) const;
-    const std::vector<std::unique_ptr<GlobalVariable>> &globals() const
-    {
-        return globals_;
-    }
+    /** Every global, the library's included, in layout order. */
+    const std::vector<GlobalVariable *> &globals() const { return globals_; }
 
     // --- Functions -------------------------------------------------------
 
+    /** A function of this module's own, with the next free id. */
     Function *addFunction(const Type *fn_type, std::string name);
+    /** A function of this module's own at library id @p id, which the
+     *  library only declares (a program defining an intrinsic). */
+    Function *overrideFunction(unsigned id, const Type *fn_type,
+                               std::string name);
     Function *findFunction(const std::string &name) const;
-    const std::vector<std::unique_ptr<Function>> &functions() const
+    /** Every function, by id. */
+    const std::vector<Function *> &functions() const { return functions_; }
+    Function *functionById(unsigned id) const { return functions_[id]; }
+    /** The functions this module owns and may change, in creation
+     *  order: all of them unless a library is linked. */
+    const std::vector<std::unique_ptr<Function>> &ownFunctions() const
     {
-        return functions_;
+        return ownFunctions_;
     }
-    Function *functionById(unsigned id) const
-    {
-        return functions_[id].get();
-    }
+    bool owns(const Function &fn) const { return fn.parent() == this; }
 
-    /** Run numberSlots() on every function definition. */
+    // --- Linking (see ir/clone.h) ---------------------------------------
+
+    /**
+     * Reserve the library's function ids in this empty module: each
+     * shows the library's declaration until linkLibrary() or
+     * overrideFunction() puts another function there.
+     */
+    void useLibrary(const SharedLibrary &library);
+    /** The library this module is linked against, or null. */
+    const SharedLibrary *library() const { return library_; }
+    /** Show @p fn, a library function, at its id. */
+    void showLibraryFunction(Function *fn) { functions_[fn->id()] = fn; }
+
+    /** Run numberSlots() on every function definition of its own. */
     void finalize();
 
   private:
+    friend void relinkLibrary(Module &program, const SharedLibrary &stage);
+
+    /** An own function at @p id: the next one, or a reserved one. */
+    Function *createFunction(unsigned id, const Type *fn_type,
+                             std::string name);
+
     TypeContext types_;
-    std::vector<std::unique_ptr<GlobalVariable>> globals_;
-    std::vector<std::unique_ptr<Function>> functions_;
+    std::vector<GlobalVariable *> globals_;
+    std::vector<Function *> functions_;
+    std::vector<std::unique_ptr<GlobalVariable>> ownGlobals_;
+    std::vector<std::unique_ptr<Function>> ownFunctions_;
+    const SharedLibrary *library_ = nullptr;
     std::map<std::string, GlobalVariable *> globalsByName_;
     std::map<std::string, Function *> functionsByName_;
     std::map<std::pair<const Type *, int64_t>,

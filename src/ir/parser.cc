@@ -662,6 +662,7 @@ class IRParser
             {"oeq", FloatPred::oeq}, {"one", FloatPred::one},
             {"olt", FloatPred::olt}, {"ole", FloatPred::ole},
             {"ogt", FloatPred::ogt}, {"oge", FloatPred::oge},
+            {"une", FloatPred::une},
         };
 
         if (op == "alloca") {

@@ -87,6 +87,7 @@ floatPredName(FloatPred pred)
       case FloatPred::ole: return "ole";
       case FloatPred::ogt: return "ogt";
       case FloatPred::oge: return "oge";
+      case FloatPred::une: return "une";
     }
     return "<bad-pred>";
 }

@@ -131,12 +131,13 @@ icmp(IntPred pred, int64_t l, int64_t r)
     return false;
 }
 
-/** fcmp @p pred: every predicate is ordered, so NaN gives false. */
+/** fcmp @p pred: a NaN operand makes every ordered predicate false and
+ *  `une` true. */
 inline bool
 fcmp(FloatPred pred, double l, double r)
 {
     if (std::isnan(l) || std::isnan(r))
-        return false;
+        return pred == FloatPred::une;
     switch (pred) {
       case FloatPred::oeq: return l == r;
       case FloatPred::one: return l != r;
@@ -144,6 +145,7 @@ fcmp(FloatPred pred, double l, double r)
       case FloatPred::ole: return l <= r;
       case FloatPred::ogt: return l > r;
       case FloatPred::oge: return l >= r;
+      case FloatPred::une: return l != r;
     }
     return false;
 }

@@ -71,8 +71,12 @@ Type::toString() const
     return "<invalid>";
 }
 
-TypeContext::TypeContext()
+TypeContext::TypeContext(const TypeContext *base)
+    : base_(base),
+      primitives_(base != nullptr ? base->primitives_ : ownPrimitives_)
 {
+    if (base != nullptr)
+        return;
     struct Spec { TypeKind kind; uint64_t size; uint64_t align; };
     static const Spec specs[9] = {
         {TypeKind::voidTy, 0, 1}, {TypeKind::i1, 1, 1},
@@ -82,9 +86,9 @@ TypeContext::TypeContext()
         {TypeKind::ptr, 8, 8},
     };
     for (int i = 0; i < 9; i++) {
-        primitives_[i].kind_ = specs[i].kind;
-        primitives_[i].size_ = specs[i].size;
-        primitives_[i].align_ = specs[i].align;
+        ownPrimitives_[i].kind_ = specs[i].kind;
+        ownPrimitives_[i].size_ = specs[i].size;
+        ownPrimitives_[i].align_ = specs[i].align;
     }
 }
 
@@ -103,12 +107,20 @@ TypeContext::intType(unsigned bits) const
 }
 
 const Type *
-TypeContext::arrayType(const Type *elem, uint64_t count)
+TypeContext::findArray(const Type *elem, uint64_t count) const
 {
-    auto key = std::make_pair(elem, count);
-    auto it = arrays_.find(key);
+    auto it = arrays_.find(std::make_pair(elem, count));
     if (it != arrays_.end())
         return it->second;
+    return base_ != nullptr ? base_->findArray(elem, count) : nullptr;
+}
+
+const Type *
+TypeContext::arrayType(const Type *elem, uint64_t count)
+{
+    if (const Type *known = findArray(elem, count))
+        return known;
+    auto key = std::make_pair(elem, count);
     auto type = std::unique_ptr<Type>(new Type());
     type->kind_ = TypeKind::array;
     type->elem_ = elem;
@@ -126,9 +138,8 @@ TypeContext::structType(
     const std::string &name,
     const std::vector<std::pair<std::string, const Type *>> &fields)
 {
-    auto it = structs_.find(name);
-    if (it != structs_.end())
-        return it->second;
+    if (const Type *known = findStruct(name))
+        return known;
     auto type = std::unique_ptr<Type>(new Type());
     type->kind_ = TypeKind::structTy;
     type->name_ = name;
@@ -155,7 +166,18 @@ const Type *
 TypeContext::findStruct(const std::string &name) const
 {
     auto it = structs_.find(name);
-    return it == structs_.end() ? nullptr : it->second;
+    if (it != structs_.end())
+        return it->second;
+    return base_ != nullptr ? base_->findStruct(name) : nullptr;
+}
+
+const Type *
+TypeContext::findFunction(const std::string &key) const
+{
+    auto it = functions_.find(key);
+    if (it != functions_.end())
+        return it->second;
+    return base_ != nullptr ? base_->findFunction(key) : nullptr;
 }
 
 const Type *
@@ -169,9 +191,8 @@ TypeContext::functionType(const Type *ret, std::vector<const Type *> params,
     if (var_arg)
         key += "...";
     key += ")";
-    auto it = functions_.find(key);
-    if (it != functions_.end())
-        return it->second;
+    if (const Type *known = findFunction(key))
+        return known;
     auto type = std::unique_ptr<Type>(new Type());
     type->kind_ = TypeKind::function;
     type->elem_ = ret;

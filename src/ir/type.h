@@ -146,11 +146,16 @@ class Type
 
 /**
  * Owns and interns all types of one Module.
+ *
+ * A context may extend a @p base context that is never changed again
+ * (a shared library's): every type the base has is the base's object,
+ * and only the others are created here, so IR types compare by pointer
+ * across a program and the library it links.
  */
 class TypeContext
 {
   public:
-    TypeContext();
+    explicit TypeContext(const TypeContext *base = nullptr);
     TypeContext(const TypeContext &) = delete;
     TypeContext &operator=(const TypeContext &) = delete;
 
@@ -188,7 +193,13 @@ class TypeContext
                              bool var_arg);
 
   private:
-    Type primitives_[9];
+    const Type *findArray(const Type *elem, uint64_t count) const;
+    const Type *findFunction(const std::string &key) const;
+
+    const TypeContext *base_;
+    /// The base's primitives, or ownPrimitives_.
+    const Type *primitives_;
+    Type ownPrimitives_[9];
     std::vector<std::unique_ptr<Type>> owned_;
     std::map<std::pair<const Type *, uint64_t>, const Type *> arrays_;
     std::map<std::string, const Type *> structs_;

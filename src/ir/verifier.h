@@ -41,6 +41,9 @@ struct VerifyIssue
  *  - ret matches the function return type;
  *  - slots are numbered (finalize() was run).
  *
+ * Checks the module's own functions: a linked library's were verified
+ * when it was built.
+ *
  * @return all issues found (empty means the module is well-formed).
  */
 std::vector<VerifyIssue> verifyModule(const Module &module);

@@ -34,7 +34,8 @@ std::vector<SourceFile> libcSources(LibcVariant variant);
 /**
  * The libc variant compiled once per process (built on first use, which
  * concurrent callers share; counted by `frontend.libc_prototypes`). Pass
- * it as CompileOptions::library to compile a program against it.
+ * it as CompileOptions::library to compile a program against it; its
+ * stage() is the variant as an -O0 or -O3 program links it.
  */
 const LibraryPrototype &libcPrototype(LibcVariant variant);
 

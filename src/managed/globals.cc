@@ -12,10 +12,10 @@ GlobalStore::GlobalStore(const Module &module)
         ObjRef obj = createManagedObject(StorageKind::global,
                                          g->valueType());
         obj->setName(g->name());
-        globals_[g.get()] = std::move(obj);
+        globals_[g] = std::move(obj);
     }
     for (const auto &g : module.globals()) {
-        applyInit(globals_[g.get()].get(), g->valueType(), 0, g->init());
+        applyInit(globals_[g].get(), g->valueType(), 0, g->init());
     }
 }
 

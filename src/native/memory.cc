@@ -180,7 +180,7 @@ NativeMemory::layoutGlobals(const Module &module, uint64_t gap)
     for (const auto &g : module.globals()) {
         uint64_t align = std::max<uint64_t>(g->valueType()->align(), 1);
         cursor = (cursor + align - 1) / align * align;
-        globalAddrs_[g.get()] = cursor;
+        globalAddrs_[g] = cursor;
         addrs.push_back(cursor);
         cursor += g->valueType()->size() + gap;
     }
@@ -190,7 +190,7 @@ NativeMemory::layoutGlobals(const Module &module, uint64_t gap)
         4096 * 4096 + 4096;
     globals_.assign(mapped, 0);
     for (const auto &g : module.globals())
-        applyInit(globalAddrs_[g.get()], g->valueType(), g->init());
+        applyInit(globalAddrs_[g], g->valueType(), g->init());
     return addrs;
 }
 

@@ -16,7 +16,7 @@ unsigned
 eliminateDeadCode(Module &module)
 {
     unsigned changes = 0;
-    for (auto &fn : module.functions()) {
+    for (auto &fn : module.ownFunctions()) {
         if (fn->isDeclaration())
             continue;
         bool changed = true;
@@ -82,7 +82,7 @@ unsigned
 simplifyControlFlow(Module &module)
 {
     unsigned changes = 0;
-    for (auto &fn : module.functions()) {
+    for (auto &fn : module.ownFunctions()) {
         if (fn->isDeclaration())
             continue;
         // Fold conditional branches on constants.

@@ -120,7 +120,7 @@ unsigned
 foldConstants(Module &module)
 {
     unsigned changes = 0;
-    for (auto &fn : module.functions()) {
+    for (auto &fn : module.ownFunctions()) {
         if (fn->isDeclaration())
             continue;
         for (auto &bb : fn->blocks()) {

@@ -16,7 +16,7 @@ unsigned
 forwardStores(Module &module)
 {
     unsigned changes = 0;
-    for (auto &fn : module.functions()) {
+    for (auto &fn : module.ownFunctions()) {
         if (fn->isDeclaration())
             continue;
         for (auto &bb : fn->blocks()) {
@@ -144,7 +144,7 @@ unsigned
 removeDeadStores(Module &module)
 {
     unsigned changes = 0;
-    for (auto &fn : module.functions()) {
+    for (auto &fn : module.ownFunctions()) {
         if (fn->isDeclaration())
             continue;
         // Find dead allocas: never loaded, address never escaping. The

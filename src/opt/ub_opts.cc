@@ -16,7 +16,7 @@ unsigned
 removeRedundantNullChecks(Module &module)
 {
     unsigned changes = 0;
-    for (auto &fn : module.functions()) {
+    for (auto &fn : module.ownFunctions()) {
         if (fn->isDeclaration())
             continue;
         for (auto &bb : fn->blocks()) {
@@ -130,7 +130,7 @@ unsigned
 foldConstantGlobalLoads(Module &module)
 {
     unsigned changes = 0;
-    for (auto &fn : module.functions()) {
+    for (auto &fn : module.ownFunctions()) {
         if (fn->isDeclaration())
             continue;
         for (auto &bb : fn->blocks()) {

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "frontend/compiler.h"
+#include "ir/clone.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/passes.h"
@@ -59,12 +60,17 @@ CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
     std::call_once(slot->once, [&]() {
         MS_TRACE_SPAN("compile_cache.compile");
         auto entry = std::make_shared<Entry>();
+        const LibraryPrototype &library = libcPrototype(variant);
         CompileOptions options;
-        options.library = &libcPrototype(variant);
+        options.library = &library;
         CompileResult compiled = compileC(user_sources, options);
         if (!compiled.ok()) {
             entry->errors = compiled.errors;
         } else {
+            // The library's bodies come through the same pipeline, run
+            // once per process; this one runs on the program's own.
+            if (opt_level >= 0)
+                relinkLibrary(*compiled.module, library.stage(opt_level));
             if (opt_level >= 3)
                 runO3Pipeline(*compiled.module);
             else if (opt_level >= 0)

@@ -16,9 +16,12 @@
  * A stage's compile is user TU -> link -> O0/O3: the user sources are
  * compiled alone against the libc variant's process-wide prototype
  * (libcPrototype(), compiled once per process and shared by every
- * cache), which links in only the libc bodies the program reaches; the
- * pipeline then runs on that linked module. No cache holds a private
- * copy of the whole libc.
+ * cache) and shown the libc bodies they reach; at -O0/-O3 the module is
+ * then relinked to the libc stage already run through that pipeline
+ * (LibraryPrototype::stage(), built once per process), and the pipeline
+ * runs on the program's own functions only. A cached stage owns only
+ * the user code: every libc function and global it shows is the
+ * process-wide stage's, shared by reference.
  *
  * No tool rewrites a stage: ASan checks accesses at run time through the
  * native engine's access hook, like Memcheck, so it shares the plain

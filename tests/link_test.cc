@@ -5,9 +5,11 @@
  * sources followed by the program — same function ids, same globals in
  * the same order with the same names, types and initializers, same IR
  * for every function the program reaches, same diagnostics — except
- * that the libc functions it does not reach keep no body. A linked
+ * that the libc functions it does not reach show no body. A linked
  * module also verifies, survives the O3 pipeline and runs like the
- * whole compile.
+ * whole compile. Linked by reference: programs share the libc stage's
+ * own functions and globals, at every pipeline level, from any thread,
+ * and never change them.
  */
 
 #include "test_util.h"
@@ -17,12 +19,14 @@
 #include "corpus/corpus.h"
 #include "frontend/compiler.h"
 #include "fuzz/generator.h"
+#include "ir/clone.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "libc/libc_sources.h"
 #include "obs/metrics.h"
 #include "opt/passes.h"
 #include "tools/benchmark_programs.h"
+#include "tools/compile_cache.h"
 
 namespace sulong
 {
@@ -79,7 +83,7 @@ reachedIn(const Module &whole)
     };
     for (const auto &fn : whole.functions())
         if (!fn->isDeclaration() && fn->sourceFile().rfind("libc/", 0) != 0)
-            reach(fn.get());
+            reach(fn);
     for (const auto &global : whole.globals())
         reachInit(global->init(), reachInit);
     while (!work.empty()) {
@@ -303,8 +307,8 @@ TEST(LinkedModule, ExecutesLikeTheWholeCompile)
 
 TEST(LinkedModule, OptimizingOneLinkLeavesTheNextUnchanged)
 {
-    // The link copies library bodies: running the pipeline on one
-    // linked module must not reach back into the shared prototype.
+    // The link shares library bodies: running the pipeline on one
+    // linked module must not reach into the shared prototype.
     CompileResult before =
         compileLinked(kStructProgram, LibcVariant::nativeOptimized);
     ASSERT_TRUE(before.ok()) << before.errors;
@@ -320,6 +324,184 @@ TEST(LinkedModule, OptimizingOneLinkLeavesTheNextUnchanged)
         compileC({SourceFile{"<input>", kStructProgram}}, options);
     ASSERT_TRUE(fresh.ok()) << fresh.errors;
     EXPECT_EQ(printModule(*after.module), printModule(*fresh.module));
+}
+
+// --- Linked by reference ----------------------------------------------
+
+const int kLevels[] = {-1, 0, 3};
+
+/** The user-source module of @p source at @p level, as the cache has it. */
+std::shared_ptr<const Module>
+compileStaged(CompileCache &cache, const std::string &source,
+              LibcVariant variant, int level)
+{
+    auto entry =
+        cache.getOrCompile({SourceFile{"<input>", source}}, variant, level);
+    EXPECT_TRUE(entry->ok()) << entry->errors;
+    return entry->prototype;
+}
+
+TEST(LinkedStage, ProgramsShareTheLibraryAndOwnNoneOfIt)
+{
+    const char *first = "int main(void) { printf(\"%d\\n\", 1); return 0; }";
+    const char *second = R"C(
+int twice(int v) { return 2 * v; }
+int main(void) { char b[8]; sprintf(b, "%d", twice(3)); puts(b); return 0; }
+)C";
+    CompileCache cache;
+    for (LibcVariant variant : kVariants) {
+        for (int level : kLevels) {
+            SCOPED_TRACE("level " + std::to_string(level));
+            const SharedLibrary &stage =
+                libcPrototype(variant).stage(level);
+            auto a = compileStaged(cache, first, variant, level);
+            auto b = compileStaged(cache, second, variant, level);
+            ASSERT_TRUE(a && b);
+            EXPECT_EQ(a->library(), &stage);
+            const Function *vformat = a->findFunction("__vformat");
+            ASSERT_NE(vformat, nullptr);
+            EXPECT_FALSE(vformat->isDeclaration());
+            // Both programs reach the formatter: one shared object, the
+            // stage's own.
+            EXPECT_EQ(vformat, b->findFunction("__vformat"));
+            EXPECT_EQ(vformat, stage.module().functionById(vformat->id()));
+            for (const Module *program : {a.get(), b.get()}) {
+                for (unsigned id = 0; id < stage.numFunctions(); id++)
+                    EXPECT_FALSE(program->owns(*program->functionById(id)))
+                        << program->functionById(id)->name();
+                for (const auto &fn : program->ownFunctions())
+                    EXPECT_EQ(fn->sourceFile(), "<input>") << fn->name();
+                // Every library global is shown once, as itself; the
+                // rest are the program's literals.
+                size_t shown = 0;
+                for (const GlobalVariable *g : program->globals()) {
+                    if (stage.globalIndex(g) >= 0)
+                        shown++;
+                    else
+                        EXPECT_EQ(g->name().rfind(".str", 0), 0u);
+                }
+                EXPECT_EQ(shown, stage.module().globals().size());
+            }
+        }
+    }
+}
+
+/**
+ * At each stage, the program's reached functions print as the one-call
+ * whole compile run through the same pipeline prints them.
+ */
+void
+expectStagesMatchTheWholePipeline(const std::string &name,
+                                  const std::string &source)
+{
+    CompileCache cache;
+    for (LibcVariant variant : kVariants) {
+        std::vector<bool> reached;
+        for (int level : kLevels) {
+            SCOPED_TRACE(name + " at level " + std::to_string(level) +
+                         (variant == LibcVariant::safe ? " (safe libc)"
+                                                       : " (native libc)"));
+            CompileResult whole = compileWhole(source, variant);
+            ASSERT_TRUE(whole.ok()) << whole.errors;
+            if (level < 0) // the first level: reach before any pipeline
+                reached = reachedIn(*whole.module);
+            if (level >= 3)
+                runO3Pipeline(*whole.module);
+            else if (level >= 0)
+                runO0Pipeline(*whole.module);
+            auto linked = compileStaged(cache, source, variant, level);
+            ASSERT_TRUE(linked);
+            const Module &w = *whole.module;
+            EXPECT_EQ(printedGlobals(w), printedGlobals(*linked));
+            ASSERT_EQ(w.functions().size(), linked->functions().size());
+            for (size_t id = 0; id < w.functions().size(); id++) {
+                const Function &lf = *linked->functions()[id];
+                if (reached[id])
+                    EXPECT_EQ(printFunction(*w.functions()[id]),
+                              printFunction(lf));
+                else
+                    EXPECT_TRUE(lf.isDeclaration()) << lf.name();
+            }
+        }
+    }
+}
+
+TEST(LinkedStage, CorpusMatchesTheWholePipeline)
+{
+    for (const CorpusEntry &entry : bugCorpus())
+        expectStagesMatchTheWholePipeline(entry.id, entry.source);
+}
+
+void
+expectFuzzSeedsMatchTheWholePipeline(uint64_t first, uint64_t last)
+{
+    for (uint64_t seed = first; seed <= last; seed++) {
+        expectStagesMatchTheWholePipeline(
+            "fuzz seed " + std::to_string(seed),
+            ProgramGenerator(seed).generate().render());
+    }
+}
+
+// Seeds 1..100 in two halves, so ctest can run them side by side.
+TEST(LinkedStage, FuzzSeeds1To50MatchTheWholePipeline)
+{
+    expectFuzzSeedsMatchTheWholePipeline(1, 50);
+}
+
+TEST(LinkedStage, FuzzSeeds51To100MatchTheWholePipeline)
+{
+    expectFuzzSeedsMatchTheWholePipeline(51, 100);
+}
+
+TEST(LinkedStage, ConcurrentProgramsMatchASerialRunAndLeaveTheStage)
+{
+    // Clang -O0 and Safe Sulong: the native libc's O0 stage and the safe
+    // libc's prototype, each shared by every program below.
+    const ToolConfig configs[] = {ToolConfig::make(ToolKind::clang, 0),
+                                  ToolConfig::make(ToolKind::safeSulong, 0)};
+    const SharedLibrary *stages[] = {
+        &libcPrototype(LibcVariant::nativeOptimized).stage(0),
+        &libcPrototype(LibcVariant::safe).stage(-1)};
+    std::vector<std::string> printedBefore;
+    for (const SharedLibrary *stage : stages)
+        printedBefore.push_back(printModule(stage->module()));
+
+    const auto &corpus = bugCorpus();
+    auto runAll = [&](size_t first, size_t step) {
+        std::vector<std::string> outcomes;
+        for (size_t i = first; i < corpus.size(); i += step) {
+            for (const ToolConfig &config : configs) {
+                ExecutionResult r = prepareProgram(corpus[i].source, config)
+                                        .run(corpus[i].args,
+                                             corpus[i].stdinData);
+                outcomes.push_back(corpus[i].id + " " +
+                                   std::to_string(r.exitCode) + " " +
+                                   r.bug.toString() + " " + r.output);
+            }
+        }
+        return outcomes;
+    };
+    std::vector<std::string> serial = runAll(0, 1);
+
+    const size_t kThreads = 8;
+    std::vector<std::vector<std::string>> parts(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; t++)
+        threads.emplace_back(
+            [&, t]() { parts[t] = runAll(t, kThreads); });
+    for (std::thread &thread : threads)
+        thread.join();
+    // Reassemble in corpus order: thread t ran entries t, t + 8, ...
+    std::vector<std::string> concurrent;
+    size_t perEntry = std::size(configs);
+    for (size_t i = 0; i < corpus.size(); i++)
+        for (size_t c = 0; c < perEntry; c++)
+            concurrent.push_back(
+                parts[i % kThreads][(i / kThreads) * perEntry + c]);
+    EXPECT_EQ(serial, concurrent);
+
+    for (size_t s = 0; s < std::size(stages); s++)
+        EXPECT_EQ(printModule(stages[s]->module()), printedBefore[s]);
 }
 
 TEST(LibcPrototype, EachVariantCompilesOncePerProcessUnderConcurrentUse)

@@ -501,7 +501,7 @@ TEST(SemanticsTable, FloatBinopsAndComparesAgree)
              op = static_cast<Opcode>(static_cast<int>(op) + 1)) {
             check(Op{op, Ty{true, w}, Ty{true, w}}, floatPairs(w), errors);
         }
-        for (int p = 0; p <= static_cast<int>(FloatPred::oge); p++) {
+        for (int p = 0; p <= static_cast<int>(FloatPred::une); p++) {
             check(Op{Opcode::fcmp, Ty{true, w}, Ty{false, 1},
                      static_cast<uint8_t>(p)},
                   floatPairs(w), errors);
@@ -591,6 +591,9 @@ TEST(SemanticsTable, HeaderPinsTheEdgeCases)
     double nan = std::numeric_limits<double>::quiet_NaN();
     EXPECT_FALSE(sem::fcmp(FloatPred::oeq, nan, nan));
     EXPECT_FALSE(sem::fcmp(FloatPred::one, nan, 1.0));
+    EXPECT_TRUE(sem::fcmp(FloatPred::une, nan, 1.0));
+    EXPECT_TRUE(sem::fcmp(FloatPred::une, nan, nan));
+    EXPECT_FALSE(sem::fcmp(FloatPred::une, 1.0, 1.0));
     EXPECT_EQ(sem::floatBinOp(Opcode::fadd, 16777216.0, 1.0, 32),
               16777216.0);
     EXPECT_EQ(sem::fpToInt(Opcode::fptosi, nan, 32), 0);

@@ -366,6 +366,16 @@ int main(void) {
     printf("%.1f\n", f);
     return 0;
 })", "4294967296.0\n", 0},
+
+    // C's `!=` and float truthiness are unordered: NaN != NaN, and a NaN
+    // condition is true.
+    {"nan-unordered", R"(
+int main(void) {
+    double n = 0.0 / 0.0;
+    printf("%d %f\n", n != n, n);
+    if (n) printf("cond\n");
+    return 0;
+})", "1 nan\ncond\n", 0},
 };
 
 class SemanticsTest
