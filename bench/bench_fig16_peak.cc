@@ -9,6 +9,9 @@
  * slower than Clang -O0; warmed-up Safe Sulong sits around Clang -O0
  * (sometimes better) and approaches Clang -O3 on some benchmarks.
  *
+ * After the table it prints, per benchmark, the IR steps one warmed Safe
+ * Sulong run retires and the nanoseconds each step costs.
+ *
  * Flags: `--quick` (fewer samples), `--json PATH` (machine-readable
  * BENCH_tier2.json/v1 output for the CI perf gate), `--bench A,B`
  * (restrict to the named benchmarks), plus the tier-2 tuning flags of
@@ -118,6 +121,14 @@ main(int argc, char **argv)
 
     std::vector<BenchRecord> records;
     std::vector<std::vector<double>> ratios(std::size(tools));
+    /// Safe Sulong's retired steps and ns per step, per benchmark.
+    struct StepCost
+    {
+        std::string name;
+        uint64_t steps;
+        double nsPerStep;
+    };
+    std::vector<StepCost> step_costs;
     for (const BenchmarkProgram &program : benchmarkPrograms()) {
         if (!selected(program.name))
             continue;
@@ -139,6 +150,12 @@ main(int argc, char **argv)
                 record.config = managedConfigString(tools[t].managed);
             record.nsPerOp = secs * 1e9;
             record.stepsPerOp = steps;
+            if (tools[t].kind == ToolKind::safeSulong) {
+                step_costs.push_back(StepCost{
+                    program.name, steps,
+                    steps > 0 ? secs * 1e9 / static_cast<double>(steps)
+                              : 0});
+            }
             records.push_back(std::move(record));
         }
         std::printf("%s\n",
@@ -150,7 +167,16 @@ main(int argc, char **argv)
     std::printf("  %-15s", "geomean");
     for (size_t t = 0; t < std::size(tools); t++)
         std::printf(" %12.2f", geomean(ratios[t]));
-    std::printf("\n\nPaper reference: Safe Sulong faster than ASan -O0 on\n"
+    // Where Safe Sulong's time goes: a run's retired IR steps, and the
+    // warmed cost of one step.
+    std::printf("\n\nSafe Sulong per retired IR step (warmed run):\n\n");
+    std::printf("  %-15s %12s %12s\n", "benchmark", "steps/run", "ns/step");
+    for (const StepCost &cost : step_costs) {
+        std::printf("  %-15s %12llu %12.1f\n", cost.name.c_str(),
+                    static_cast<unsigned long long>(cost.steps),
+                    cost.nsPerStep);
+    }
+    std::printf("\nPaper reference: Safe Sulong faster than ASan -O0 on\n"
                 "almost all benchmarks, around Clang -O0 overall, on a par\n"
                 "with -O3 on some; Valgrind 2.3x-58x slower; binarytrees:\n"
                 "ASan 14x / Valgrind 58x vs Safe Sulong 1.7x.\n");

@@ -519,7 +519,10 @@ ManagedEngine::loadFrom(const Address &addr, const Type *type,
 {
     if (addr.isNull())
         raiseNullDeref(false, loc);
-    return loadFromObject(addr.pointee.get(), addr.offset, type);
+    MValue v;
+    loadFromObject(addr.pointee.get(), addr.offset, ScalarAccess::of(type),
+                   v);
+    return v;
 }
 
 void
@@ -528,13 +531,7 @@ ManagedEngine::storeTo(const Address &addr, const Type *type,
 {
     if (addr.isNull())
         raiseNullDeref(true, loc);
-    storeToObject(addr.pointee.get(), addr.offset, type, v);
-}
-
-MValue
-ManagedEngine::badAccessClass()
-{
-    throw InternalError("bad access class");
+    storeToObject(addr.pointee.get(), addr.offset, ScalarAccess::of(type), v);
 }
 
 MValue
@@ -569,7 +566,9 @@ ManagedEngine::execInstruction(const Instruction &inst, Frame &frame)
       case Opcode::ashr: {
         MValue l = evalOperand(inst.operand(0), frame);
         MValue r = evalOperand(inst.operand(1), frame);
-        return evalIntBinOp(inst.op(), l, r, inst.type()->intBits());
+        return MValue::makeInt(
+            evalIntBinOp(inst.op(), l, r, inst.type()->intBits()),
+            inst.type()->intBits());
       }
       case Opcode::fadd: case Opcode::fsub: case Opcode::fmul:
       case Opcode::fdiv: case Opcode::frem: {

@@ -158,14 +158,15 @@ class ManagedEngine : public Engine
     /// only map it onto MValues, raise division by zero, and compare
     /// pointers by object. Inline: they sit on the per-instruction path
     /// of every tier; the throwing edges stay out-of-line so the hot
-    /// body carries no EH setup.
-    static MValue
+    /// body carries no EH setup. Results are written by the caller
+    /// (MValue::setInt) or into @p dest in place.
+    static int64_t
     evalIntBinOp(Opcode op, const MValue &l, const MValue &r, unsigned width)
     {
         std::optional<int64_t> out = sem::intBinOp(op, l.i, r.i, width);
         if (!out)
             raiseDivZero();
-        return MValue::makeInt(*out, width);
+        return *out;
     }
 
     static bool
@@ -177,23 +178,36 @@ class ManagedEngine : public Engine
     }
 
     /** Cast @p op (trunc .. fptrunc) of @p v to a @p to-bit type. */
-    static MValue
-    evalCast(Opcode op, const MValue &v, unsigned to)
+    static void
+    evalCast(Opcode op, const MValue &v, unsigned to, MValue &dest)
     {
         switch (op) {
           case Opcode::trunc: case Opcode::zext: case Opcode::sext:
-            return MValue::makeInt(sem::intCast(op, v.i, v.bits, to), to);
+            dest.setInt(sem::intCast(op, v.i, v.bits, to), to);
+            return;
           case Opcode::fptosi: case Opcode::fptoui:
-            return MValue::makeInt(sem::fpToInt(op, v.f, to), to);
+            dest.setInt(sem::fpToInt(op, v.f, to), to);
+            return;
           case Opcode::sitofp: case Opcode::uitofp:
-            return MValue::makeFP(sem::intToFP(op, v.i, v.bits, to), to);
+            dest.setFP(sem::intToFP(op, v.i, v.bits, to), to);
+            return;
           default: // fpext, fptrunc
-            return MValue::makeFP(v.f, to);
+            dest.setFP(v.f, to);
+            return;
         }
     }
 
+    /** evalCast into a new value (tier-1 returns its results). */
+    static MValue
+    evalCast(Opcode op, const MValue &v, unsigned to)
+    {
+        MValue out;
+        evalCast(op, v, to, out);
+        return out;
+    }
+
     /// Cold edges of the inline eval cores.
-    [[noreturn]] static void raiseDivZero();
+    [[noreturn, gnu::cold]] static void raiseDivZero();
     static bool evalPtrCmp(IntPred pred, const MValue &l, const MValue &r);
 
     // --- Interpreter core -------------------------------------------------
@@ -206,160 +220,122 @@ class ManagedEngine : public Engine
                     const SourceLoc &loc);
     void storeTo(const Address &addr, const Type *type, const MValue &v,
                  const SourceLoc &loc);
-    /// Scalar access against an already-resolved (object, offset) pair —
-    /// the tail of loadFrom/storeTo, shared with tier-2's resolution
-    /// cache so the leaf checks are one piece of code in both paths.
-    /// Inline, with a devirtualizing kind dispatch: leaf reads/writes
-    /// are the single hottest operation of every tier, and the leaf
-    /// classes are final, so naming the concrete class lets the whole
-    /// check-and-copy body inline into the caller.
-    MValue
-    loadFromObject(ManagedObject *obj, int64_t offset, const Type *type)
+    /// The one checked scalar access of both tiers, against an
+    /// already-resolved (object, offset) pair: the tail of
+    /// loadFrom/storeTo, and of tier-2's loadAt/storeAt. An integer or
+    /// float access that a primitive leaf's inline check admits is done
+    /// here, without a call; everything else goes to loadOther or
+    /// storeOther. A load writes its result into @p dest in place.
+    static void
+    loadFromObject(ManagedObject *obj, int64_t offset,
+                   const ScalarAccess &acc, MValue &dest)
     {
-        AccessClass cls = accessClassOf(type);
-        unsigned size = static_cast<unsigned>(type->size());
+        // The common scalar read, with no call on its way: a primitive
+        // leaf's inline check admits it, and the bits land in dest.
         uint64_t bits = 0;
-        Address out;
-        readObject(obj, cls, size, offset, bits, out);
-        switch (cls) {
-          case AccessClass::pointer:
-            return MValue::makeAddr(std::move(out));
-          case AccessClass::floating:
-            if (type->kind() == TypeKind::f32) {
-                float f = 0;
-                std::memcpy(&f, &bits, 4);
-                return MValue::makeFP(f, 32);
-            } else {
-                double d = 0;
-                std::memcpy(&d, &bits, 8);
-                return MValue::makeFP(d, 64);
-            }
-          case AccessClass::integer:
-            return MValue::makeInt(static_cast<int64_t>(bits),
-                                   type->intBits() == 1 ? 1
-                                                        : type->intBits());
-        }
-        return badAccessClass();
-    }
-
-    void
-    storeToObject(ManagedObject *obj, int64_t offset, const Type *type,
-                  const MValue &v)
-    {
-        AccessClass cls = accessClassOf(type);
-        unsigned size = static_cast<unsigned>(type->size());
-        switch (cls) {
-          case AccessClass::pointer:
-            writeObject(obj, cls, 8, offset, 0, v.a);
-            return;
-          case AccessClass::floating: {
-            uint64_t bits = 0;
-            if (type->kind() == TypeKind::f32) {
-                float f = static_cast<float>(v.f);
-                std::memcpy(&bits, &f, 4);
-            } else {
-                std::memcpy(&bits, &v.f, 8);
-            }
-            writeObject(obj, cls, size, offset, bits, Address{});
-            return;
-          }
-          case AccessClass::integer:
-            writeObject(obj, cls, size, offset,
-                        static_cast<uint64_t>(v.i), Address{});
+        if (acc.cls != AccessClass::pointer && obj->exactKind() &&
+            obj->kind() != ObjectKind::addressArray &&
+            static_cast<PrimitiveLeaf *>(obj)->tryRead(acc.size, offset,
+                                                       bits)) {
+            setScalar(dest, acc, bits);
             return;
         }
+        loadOther(obj, offset, acc, dest);
     }
 
-    static AccessClass
-    accessClassOf(const Type *type)
+    /** Every other load: pointer reads, and whatever the inline test
+     *  did not admit. Out of line, so the common read needs no frame. */
+    [[gnu::noinline]] static void
+    loadOther(ManagedObject *obj, int64_t offset, const ScalarAccess &acc,
+              MValue &dest)
     {
-        if (type->isPointer())
-            return AccessClass::pointer;
-        if (type->isFloat())
-            return AccessClass::floating;
-        return AccessClass::integer;
+        uint64_t bits = 0;
+        // A pointer read lands in dest.a; no other read touches it.
+        if (isAddressArray(obj)) {
+            static_cast<AddressArray *>(obj)->read(acc.cls, acc.size,
+                                                   offset, bits, dest.a);
+        } else {
+            obj->read(acc.cls, acc.size, offset, bits, dest.a);
+        }
+        if (acc.cls == AccessClass::pointer)
+            dest.markAddr();
+        else
+            setScalar(dest, acc, bits);
     }
 
-    /// Dispatch a leaf read by object kind so final leaf classes
-    /// devirtualize; aggregates keep the virtual byte-wise walk.
+    /** Write the integer or float read as @p bits into @p dest. */
     static void
-    readObject(ManagedObject *obj, AccessClass cls, unsigned size,
-               int64_t offset, uint64_t &bits, Address &out)
+    setScalar(MValue &dest, const ScalarAccess &acc, uint64_t bits)
     {
-        if (!obj->exactKind()) {
-            obj->read(cls, size, offset, bits, out);
-            return;
-        }
-        switch (obj->kind()) {
-          case ObjectKind::i8Array:
-            static_cast<I8Array *>(obj)->read(cls, size, offset, bits, out);
-            return;
-          case ObjectKind::i16Array:
-            static_cast<I16Array *>(obj)->read(cls, size, offset, bits,
-                                               out);
-            return;
-          case ObjectKind::i32Array:
-            static_cast<I32Array *>(obj)->read(cls, size, offset, bits,
-                                               out);
-            return;
-          case ObjectKind::i64Array:
-            static_cast<I64Array *>(obj)->read(cls, size, offset, bits,
-                                               out);
-            return;
-          case ObjectKind::f32Array:
-            static_cast<F32Array *>(obj)->read(cls, size, offset, bits,
-                                               out);
-            return;
-          case ObjectKind::f64Array:
-            static_cast<F64Array *>(obj)->read(cls, size, offset, bits,
-                                               out);
-            return;
-          default:
-            obj->read(cls, size, offset, bits, out);
-            return;
+        if (acc.cls == AccessClass::integer) {
+            dest.setInt(static_cast<int64_t>(bits), acc.bits);
+        } else if (acc.bits == 32) {
+            float f = 0;
+            std::memcpy(&f, &bits, 4);
+            dest.setFP(f, 32);
+        } else {
+            double d = 0;
+            std::memcpy(&d, &bits, 8);
+            dest.setFP(d, 64);
         }
     }
 
     static void
-    writeObject(ManagedObject *obj, AccessClass cls, unsigned size,
-                int64_t offset, uint64_t bits, const Address &addr)
+    storeToObject(ManagedObject *obj, int64_t offset,
+                  const ScalarAccess &acc, const MValue &v)
     {
-        if (!obj->exactKind()) {
-            obj->write(cls, size, offset, bits, addr);
+        // The common scalar write, with no call on its way (see
+        // loadFromObject).
+        if (acc.cls != AccessClass::pointer && obj->exactKind() &&
+            obj->kind() != ObjectKind::addressArray &&
+            static_cast<PrimitiveLeaf *>(obj)->tryWrite(
+                acc.cls, acc.size, offset, scalarBits(acc, v)))
             return;
-        }
-        switch (obj->kind()) {
-          case ObjectKind::i8Array:
-            static_cast<I8Array *>(obj)->write(cls, size, offset, bits,
-                                               addr);
-            return;
-          case ObjectKind::i16Array:
-            static_cast<I16Array *>(obj)->write(cls, size, offset, bits,
-                                                addr);
-            return;
-          case ObjectKind::i32Array:
-            static_cast<I32Array *>(obj)->write(cls, size, offset, bits,
-                                                addr);
-            return;
-          case ObjectKind::i64Array:
-            static_cast<I64Array *>(obj)->write(cls, size, offset, bits,
-                                                addr);
-            return;
-          case ObjectKind::f32Array:
-            static_cast<F32Array *>(obj)->write(cls, size, offset, bits,
-                                                addr);
-            return;
-          case ObjectKind::f64Array:
-            static_cast<F64Array *>(obj)->write(cls, size, offset, bits,
-                                                addr);
-            return;
-          default:
-            obj->write(cls, size, offset, bits, addr);
-            return;
+        storeOther(obj, offset, acc, v);
+    }
+
+    /** Every other store; the mirror of loadOther. */
+    [[gnu::noinline]] static void
+    storeOther(ManagedObject *obj, int64_t offset, const ScalarAccess &acc,
+               const MValue &v)
+    {
+        const uint64_t bits =
+            acc.cls == AccessClass::pointer ? 0 : scalarBits(acc, v);
+        // Only a pointer-class write reads the Address argument.
+        if (isAddressArray(obj)) {
+            static_cast<AddressArray *>(obj)->write(acc.cls, acc.size,
+                                                    offset, bits, v.a);
+        } else {
+            obj->write(acc.cls, acc.size, offset, bits, v.a);
         }
     }
 
-    [[noreturn]] static MValue badAccessClass();
+    /// An AddressArray's inline check needs no virtual call; every other
+    /// object that reaches loadOther/storeOther takes its virtual
+    /// read/write, which runs the full check and raises the report.
+    static bool
+    isAddressArray(const ManagedObject *obj)
+    {
+        return obj->exactKind() && obj->kind() == ObjectKind::addressArray;
+    }
+
+    /** The bits an integer or float store of @p v writes. */
+    static uint64_t
+    scalarBits(const ScalarAccess &acc, const MValue &v)
+    {
+        if (acc.cls == AccessClass::integer)
+            return static_cast<uint64_t>(v.i);
+        if (acc.bits == 32) {
+            float f = static_cast<float>(v.f);
+            uint32_t raw = 0;
+            std::memcpy(&raw, &f, 4);
+            return raw;
+        }
+        uint64_t raw = 0;
+        std::memcpy(&raw, &v.f, 8);
+        return raw;
+    }
+
     MValue execCall(const Instruction &inst, Frame &frame);
     MValue callIntrinsic(const Function *fn, const Instruction *site,
                          std::vector<MValue> &args);
@@ -381,7 +357,8 @@ class ManagedEngine : public Engine
     /** Cached intrinsic id (raw enum value) for a declared function. */
     uint8_t intrinsicIdFor(const Function *fn);
 
-    [[noreturn]] void raiseNullDeref(bool is_write, const SourceLoc &loc);
+    [[noreturn, gnu::cold]] void raiseNullDeref(bool is_write,
+                                                const SourceLoc &loc);
     /** Stamp @p report with its faulting instruction, and `function`
      *  with that instruction's function. Every tier calls this in its
      *  handler; only the innermost frame's call takes effect. */

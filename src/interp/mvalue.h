@@ -35,13 +35,56 @@ struct MValue
     double f = 0;
     Address a;
 
+    /*
+     * In-place writes: each leaves exactly the value the matching make*
+     * builds, without a temporary. The old value's pointee is released
+     * only when it had one.
+     */
+    void
+    setInt(int64_t value, unsigned width)
+    {
+        kind = Kind::intV;
+        bits = static_cast<uint8_t>(width);
+        i = sem::normInt(static_cast<uint64_t>(value), width);
+        f = 0;
+        clearAddr();
+    }
+
+    void
+    setFP(double value, unsigned width)
+    {
+        kind = Kind::fpV;
+        bits = static_cast<uint8_t>(width);
+        i = 0;
+        f = sem::roundFP(value, width);
+        clearAddr();
+    }
+
+    /** Becomes the address @p pointee + @p offset. */
+    void
+    setAddr(const ObjRef &pointee, int64_t offset)
+    {
+        markAddr();
+        if (a.pointee.get() != pointee.get())
+            a.pointee = pointee;
+        a.offset = offset;
+    }
+
+    /** Tags an address already written into @c a as this value. */
+    void
+    markAddr()
+    {
+        kind = Kind::addrV;
+        bits = 64;
+        i = 0;
+        f = 0;
+    }
+
     static MValue
     makeInt(int64_t value, unsigned width)
     {
         MValue v;
-        v.kind = Kind::intV;
-        v.bits = static_cast<uint8_t>(width);
-        v.i = sem::normInt(static_cast<uint64_t>(value), width);
+        v.setInt(value, width);
         return v;
     }
 
@@ -49,9 +92,7 @@ struct MValue
     makeFP(double value, unsigned width)
     {
         MValue v;
-        v.kind = Kind::fpV;
-        v.bits = static_cast<uint8_t>(width);
-        v.f = sem::roundFP(value, width);
+        v.setFP(value, width);
         return v;
     }
 
@@ -63,6 +104,15 @@ struct MValue
         v.bits = 64;
         v.a = std::move(addr);
         return v;
+    }
+
+  private:
+    void
+    clearAddr()
+    {
+        if (a.pointee)
+            a.pointee = ObjRef();
+        a.offset = 0;
     }
 };
 

@@ -75,7 +75,7 @@ CompiledFunction::execute(ManagedEngine &engine,
     auto &slots = frame.slots;
     if (slots.size() < frameSize_)
         slots.resize(frameSize_); // OSR entry from an interpreter frame
-    if (start_pc == 0 && !allocaCache_.empty()) {
+    if (start_pc == 0 && slotResPinned_ && !allocaCache_.empty()) {
         // Fresh activation: drop the previous activation's elision-cache
         // pins. Every call bumps resolveEpoch_, so these entries are
         // already unusable — but their ObjRefs would keep dead locals
@@ -84,6 +84,7 @@ CompiledFunction::execute(ManagedEngine &engine,
             if (sr.obj.get() != nullptr)
                 sr = SlotResolution{};
         }
+        slotResPinned_ = false;
     }
     // Entries (calls, OSR) land on superblock heads by construction;
     // anything else would execute uncharged.
@@ -103,18 +104,17 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
         return op.isSlot ? slots[static_cast<size_t>(op.index)]
                          : constants[static_cast<size_t>(op.index)];
     };
-    auto doFusedLoad = [&](const PInst &pi) {
-        SlotResolution *sr = (pi.flags & kPElideLoad) != 0
-            ? &slotRes_[static_cast<size_t>(pi.loadAddr.index)] : nullptr;
-        slots[static_cast<size_t>(pi.destLoad)] =
-            loadAt(engine, fetch(pi.loadAddr).a, pi.srcLoad, pi.icLoad, sr);
+    // Results land in their slot in place (MValue::set*): no temporary,
+    // and a release only when the old value held a pointee.
+    auto dest = [&](const PInst &pi) -> MValue & {
+        return slots[static_cast<size_t>(pi.dest)];
     };
-    auto doFusedStore = [&](const PInst &pi, const MValue &v) {
-        SlotResolution *sr = (pi.flags & kPElideStore) != 0
-            ? &slotRes_[static_cast<size_t>(pi.c.index)] : nullptr;
-        // Stores mutate leaf contents, never aggregate layout, so they
-        // leave cached resolutions valid (no epoch bump).
-        storeAt(engine, fetch(pi.c).a, pi.srcStore, v, pi.icStore, sr);
+    auto doLoad = [&](const PInst &pi) {
+        loadAt(engine, pi, fetch(pi.loadAddr).a,
+               slots[static_cast<size_t>(pi.destLoad)]);
+    };
+    auto doStore = [&](const PInst &pi, const MValue &v) {
+        storeAt(engine, pi, fetch(pi.c).a, v);
     };
     // Arguments go straight into a pooled callee frame — no intermediate
     // argument vector, no per-call slot allocation. Frame contents are
@@ -180,10 +180,8 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
         const PInst &pi = *ip;
         bool out = ManagedEngine::evalICmp(static_cast<IntPred>(pi.pred),
                                            fetch(pi.a), fetch(pi.b));
-        if (pi.dest >= 0) {
-            slots[static_cast<size_t>(pi.dest)] =
-                MValue::makeInt(out ? 1 : 0, 1);
-        }
+        if (pi.dest >= 0)
+            dest(pi).setInt(out ? 1 : 0, 1);
         T_NEXT();
     }
 
@@ -191,76 +189,74 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
         const PInst &pi = *ip;
         bool out = ManagedEngine::evalICmp(static_cast<IntPred>(pi.pred),
                                            fetch(pi.a), fetch(pi.b));
-        if (pi.dest >= 0) {
-            slots[static_cast<size_t>(pi.dest)] =
-                MValue::makeInt(out ? 1 : 0, 1);
-        }
+        if (pi.dest >= 0)
+            dest(pi).setInt(out ? 1 : 0, 1);
         ip = base + (out ? pi.t0 : pi.t1);
         T_DISPATCH();
     }
 
     H_tICmpLoad: {
         const PInst &pi = *ip;
-        doFusedLoad(pi);
+        doLoad(pi);
         bool out = ManagedEngine::evalICmp(static_cast<IntPred>(pi.pred),
                                            fetch(pi.a), fetch(pi.b));
-        if (pi.dest >= 0) {
-            slots[static_cast<size_t>(pi.dest)] =
-                MValue::makeInt(out ? 1 : 0, 1);
-        }
+        if (pi.dest >= 0)
+            dest(pi).setInt(out ? 1 : 0, 1);
         T_NEXT();
     }
 
     H_tICmpLoadBr: {
         const PInst &pi = *ip;
-        doFusedLoad(pi);
+        doLoad(pi);
         bool out = ManagedEngine::evalICmp(static_cast<IntPred>(pi.pred),
                                            fetch(pi.a), fetch(pi.b));
-        if (pi.dest >= 0) {
-            slots[static_cast<size_t>(pi.dest)] =
-                MValue::makeInt(out ? 1 : 0, 1);
-        }
+        if (pi.dest >= 0)
+            dest(pi).setInt(out ? 1 : 0, 1);
         ip = base + (out ? pi.t0 : pi.t1);
         T_DISPATCH();
     }
 
     H_tIArith: {
         const PInst &pi = *ip;
-        slots[static_cast<size_t>(pi.dest)] = ManagedEngine::evalIntBinOp(
-            pi.op, fetch(pi.a), fetch(pi.b), pi.bits);
+        dest(pi).setInt(ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
+                                                    fetch(pi.b), pi.bits),
+                        pi.bits);
         T_NEXT();
     }
 
     H_tIArithL: {
         const PInst &pi = *ip;
-        doFusedLoad(pi);
-        slots[static_cast<size_t>(pi.dest)] = ManagedEngine::evalIntBinOp(
-            pi.op, fetch(pi.a), fetch(pi.b), pi.bits);
+        doLoad(pi);
+        dest(pi).setInt(ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
+                                                    fetch(pi.b), pi.bits),
+                        pi.bits);
         T_NEXT();
     }
 
     H_tIArithS: {
         const PInst &pi = *ip;
-        MValue res = ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
-                                                 fetch(pi.b), pi.bits);
-        slots[static_cast<size_t>(pi.dest)] = res;
-        doFusedStore(pi, res);
+        MValue &res = dest(pi);
+        res.setInt(ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
+                                               fetch(pi.b), pi.bits),
+                   pi.bits);
+        doStore(pi, res);
         T_NEXT();
     }
 
     H_tIArithLS: {
         const PInst &pi = *ip;
-        doFusedLoad(pi);
-        MValue res = ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
-                                                 fetch(pi.b), pi.bits);
-        slots[static_cast<size_t>(pi.dest)] = res;
-        doFusedStore(pi, res);
+        doLoad(pi);
+        MValue &res = dest(pi);
+        res.setInt(ManagedEngine::evalIntBinOp(pi.op, fetch(pi.a),
+                                               fetch(pi.b), pi.bits),
+                   pi.bits);
+        doStore(pi, res);
         T_NEXT();
     }
 
     H_tFArith: {
         const PInst &pi = *ip;
-        slots[static_cast<size_t>(pi.dest)] = MValue::makeFP(
+        dest(pi).setFP(
             sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
         T_NEXT();
@@ -268,8 +264,8 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
 
     H_tFArithL: {
         const PInst &pi = *ip;
-        doFusedLoad(pi);
-        slots[static_cast<size_t>(pi.dest)] = MValue::makeFP(
+        doLoad(pi);
+        dest(pi).setFP(
             sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
         T_NEXT();
@@ -277,22 +273,22 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
 
     H_tFArithS: {
         const PInst &pi = *ip;
-        MValue res = MValue::makeFP(
+        MValue &res = dest(pi);
+        res.setFP(
             sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
-        slots[static_cast<size_t>(pi.dest)] = res;
-        doFusedStore(pi, res);
+        doStore(pi, res);
         T_NEXT();
     }
 
     H_tFArithLS: {
         const PInst &pi = *ip;
-        doFusedLoad(pi);
-        MValue res = MValue::makeFP(
+        doLoad(pi);
+        MValue &res = dest(pi);
+        res.setFP(
             sem::floatBinOp(pi.op, fetch(pi.a).f, fetch(pi.b).f, pi.bits),
             pi.bits);
-        slots[static_cast<size_t>(pi.dest)] = res;
-        doFusedStore(pi, res);
+        doStore(pi, res);
         T_NEXT();
     }
 
@@ -300,8 +296,7 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
         const PInst &pi = *ip;
         bool out = sem::fcmp(static_cast<FloatPred>(pi.pred), fetch(pi.a).f,
                              fetch(pi.b).f);
-        slots[static_cast<size_t>(pi.dest)] =
-            MValue::makeInt(out ? 1 : 0, 1);
+        dest(pi).setInt(out ? 1 : 0, 1);
         T_NEXT();
     }
 
@@ -313,26 +308,17 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
             offset +=
                 fetch(pi.b).i * static_cast<int64_t>(pi.gepScale);
         }
-        slots[static_cast<size_t>(pi.dest)] =
-            MValue::makeAddr(gep_base.a.withOffset(offset));
+        dest(pi).setAddr(gep_base.a.pointee, gep_base.a.offset + offset);
         T_NEXT();
     }
 
-    H_tLoad: {
-        const PInst &pi = *ip;
-        SlotResolution *sr = (pi.flags & kPElideLoad) != 0
-            ? &slotRes_[static_cast<size_t>(pi.a.index)] : nullptr;
-        slots[static_cast<size_t>(pi.dest)] =
-            loadAt(engine, fetch(pi.a).a, pi.src, pi.icLoad, sr);
+    H_tLoad:
+        doLoad(*ip);
         T_NEXT();
-    }
 
     H_tStore: {
         const PInst &pi = *ip;
-        SlotResolution *sr = (pi.flags & kPElideStore) != 0
-            ? &slotRes_[static_cast<size_t>(pi.b.index)] : nullptr;
-        storeAt(engine, fetch(pi.b).a, pi.src, fetch(pi.a), pi.icStore,
-                sr);
+        doStore(pi, fetch(pi.a));
         T_NEXT();
     }
 
@@ -379,23 +365,20 @@ CompiledFunction::run(ManagedEngine &engine, ManagedEngine::Frame &frame,
 
     H_tFneg: {
         const PInst &pi = *ip;
-        slots[static_cast<size_t>(pi.dest)] =
-            MValue::makeFP(-fetch(pi.a).f, pi.bits);
+        dest(pi).setFP(-fetch(pi.a).f, pi.bits);
         T_NEXT();
     }
 
     H_tIntCast: {
         const PInst &pi = *ip;
         const MValue &v = fetch(pi.a);
-        slots[static_cast<size_t>(pi.dest)] = MValue::makeInt(
-            sem::intCast(pi.op, v.i, v.bits, pi.bits), pi.bits);
+        dest(pi).setInt(sem::intCast(pi.op, v.i, v.bits, pi.bits), pi.bits);
         T_NEXT();
     }
 
     H_tCastOther: {
         const PInst &pi = *ip;
-        slots[static_cast<size_t>(pi.dest)] =
-            ManagedEngine::evalCast(pi.op, fetch(pi.a), pi.bits);
+        ManagedEngine::evalCast(pi.op, fetch(pi.a), pi.bits, dest(pi));
         T_NEXT();
     }
 

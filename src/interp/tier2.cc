@@ -727,6 +727,20 @@ class Tier2Compiler
         const size_t n = code.size();
         for (PInst &pi : code) {
             pi.top = topFor(pi);
+            // A plain load or store names its access where a fused one
+            // does (see PInst), and every access is decoded here, once.
+            if (pi.op == Opcode::load) {
+                pi.loadAddr = pi.a;
+                pi.destLoad = pi.dest;
+                pi.srcLoad = pi.src;
+            } else if (pi.op == Opcode::store) {
+                pi.c = pi.b;
+                pi.srcStore = pi.src;
+            }
+            if (pi.srcLoad != nullptr)
+                pi.accLoad = ScalarAccess::of(pi.srcLoad->accessType());
+            if (pi.srcStore != nullptr)
+                pi.accStore = ScalarAccess::of(pi.srcStore->accessType());
             if (pi.op == Opcode::alloca_ &&
                 recyclableAlloca(pi.src->accessType())) {
                 pi.allocaSite =
@@ -837,16 +851,52 @@ CompiledFunction::fillAccessCache(AccessCache &cache, const StructObject *sobj,
     cache.fieldSize = field_size;
 }
 
-MValue
-CompiledFunction::loadAt(ManagedEngine &engine, const Address &addr,
-                         const Instruction *src, int32_t ic,
-                         SlotResolution *sr)
+void
+CompiledFunction::loadAt(ManagedEngine &engine, const PInst &pi,
+                         const Address &addr, MValue &dest)
 {
-    if (addr.isNull())
-        engine.raiseNullDeref(false, src->loc());
-    const Type *type = src->accessType();
     ManagedObject *obj = addr.pointee.get();
-    uint32_t size = static_cast<uint32_t>(type->size());
+    if (obj == nullptr)
+        engine.raiseNullDeref(false, pi.srcLoad->loc());
+    // A leaf root has no aggregate walk for the caches to skip.
+    if (obj->exactKind()) {
+        ManagedEngine::loadFromObject(obj, addr.offset, pi.accLoad, dest);
+        return;
+    }
+    loadAggregate(engine, pi, addr, dest);
+}
+
+void
+CompiledFunction::storeAt(ManagedEngine &engine, const PInst &pi,
+                          const Address &addr, const MValue &v)
+{
+    ManagedObject *obj = addr.pointee.get();
+    if (obj == nullptr)
+        engine.raiseNullDeref(true, pi.srcStore->loc());
+    try {
+        // Stores mutate leaf contents, never aggregate layout, so they
+        // leave cached resolutions valid (no epoch bump).
+        if (obj->exactKind())
+            ManagedEngine::storeToObject(obj, addr.offset, pi.accStore, v);
+        else
+            storeAggregate(engine, pi, addr, v);
+    } catch (MemoryErrorException &error) {
+        // A type error names no access kind (it reads as a read), so
+        // the executor's faultSite() would give a fused op's store
+        // fault to its fused load: stamp the store's own site here.
+        ManagedEngine::noteBugSite(error.report(), *pi.srcStore);
+        throw;
+    }
+}
+
+void
+CompiledFunction::loadAggregate(ManagedEngine &engine, const PInst &pi,
+                                const Address &addr, MValue &dest)
+{
+    ManagedObject *obj = addr.pointee.get();
+    const ScalarAccess &acc = pi.accLoad;
+    SlotResolution *sr = (pi.flags & kPElideLoad) != 0
+        ? &slotRes_[static_cast<size_t>(pi.loadAddr.index)] : nullptr;
     // Tier A — per-address-slot resolution: wins when the address is
     // loop invariant. The hit test is structural (same live object,
     // same offset, same width): aggregate layout never changes while
@@ -856,91 +906,95 @@ CompiledFunction::loadAt(ManagedEngine &engine, const Address &addr,
     // (liveness/bounds/type/init) still run inside loadFromObject.
     if (sr != nullptr && sr->epoch == engine.resolveEpoch_ &&
         sr->obj.get() == obj && sr->offset == addr.offset &&
-        sr->size == size && !obj->isFreed()) {
+        sr->size == acc.size && !obj->isFreed()) {
         if (engine.profiling_)
             engine.telem_.elideSlotHits++;
-        return engine.loadFromObject(sr->leaf, sr->leafOffset, type);
+        ManagedEngine::loadFromObject(sr->leaf, sr->leafOffset, acc, dest);
+        return;
     }
     // Tier B — struct-shape cache: wins when the address changes every
     // time but keeps naming the same field of the same struct type
     // (pointer chasing). No slot-cache refill on a hit.
-    if (ic >= 0 && obj->kind() == ObjectKind::structObject) {
+    if (pi.icLoad >= 0 && obj->kind() == ObjectKind::structObject) {
         auto *sobj = static_cast<StructObject *>(obj);
-        AccessCache &cache = accessCaches_[static_cast<size_t>(ic)];
+        AccessCache &cache = accessCaches_[static_cast<size_t>(pi.icLoad)];
         if (sobj->type() == cache.structType && !sobj->isFreed() &&
             addr.offset >= cache.fieldOffset &&
             addr.offset - cache.fieldOffset +
-                    static_cast<int64_t>(size) <= cache.fieldSize) {
+                    static_cast<int64_t>(acc.size) <= cache.fieldSize) {
             if (engine.profiling_)
                 engine.telem_.elideShapeHits++;
-            return engine.loadFromObject(sobj->field(cache.fieldIndex),
-                                         addr.offset - cache.fieldOffset,
-                                         type);
+            ManagedEngine::loadFromObject(sobj->field(cache.fieldIndex),
+                                          addr.offset - cache.fieldOffset,
+                                          acc, dest);
+            return;
         }
         if (engine.profiling_)
             engine.telem_.elideShapeMisses++;
-        MValue v = engine.loadFromObject(obj, addr.offset, type);
-        fillAccessCache(cache, sobj, addr.offset, size);
-        return v;
+        ManagedEngine::loadFromObject(obj, addr.offset, acc, dest);
+        fillAccessCache(cache, sobj, addr.offset, acc.size);
+        return;
     }
     if (sr != nullptr) {
         if (engine.profiling_)
             engine.telem_.elideSlotMisses++;
         int64_t leaf_off = 0;
         ManagedObject *leaf =
-            resolveLeaf(obj, addr.offset, size, false, leaf_off);
+            resolveLeaf(obj, addr.offset, acc.size, false, leaf_off);
         if (leaf == nullptr) {
             sr->epoch = 0; // spans sub-objects: byte-wise, not cacheable
-            return engine.loadFromObject(obj, addr.offset, type);
+            ManagedEngine::loadFromObject(obj, addr.offset, acc, dest);
+            return;
         }
-        MValue v = engine.loadFromObject(leaf, leaf_off, type);
+        ManagedEngine::loadFromObject(leaf, leaf_off, acc, dest);
         sr->epoch = engine.resolveEpoch_;
         sr->obj = addr.pointee;
+        slotResPinned_ = true;
         sr->offset = addr.offset;
-        sr->size = size;
+        sr->size = acc.size;
         sr->leaf = leaf;
         sr->leafOffset = leaf_off;
-        return v;
+        return;
     }
-    return engine.loadFromObject(obj, addr.offset, type);
+    ManagedEngine::loadFromObject(obj, addr.offset, acc, dest);
 }
 
 void
-CompiledFunction::storeAt(ManagedEngine &engine, const Address &addr,
-                          const Instruction *src, const MValue &v,
-                          int32_t ic, SlotResolution *sr)
+CompiledFunction::storeAggregate(ManagedEngine &engine, const PInst &pi,
+                                 const Address &addr, const MValue &v)
 {
-    if (addr.isNull())
-        engine.raiseNullDeref(true, src->loc());
-    const Type *type = src->accessType();
     ManagedObject *obj = addr.pointee.get();
-    uint32_t size = static_cast<uint32_t>(type->size());
-    // Same two cache tiers as loadAt; see the comments there.
+    const ScalarAccess &acc = pi.accStore;
+    SlotResolution *sr = (pi.flags & kPElideStore) != 0
+        ? &slotRes_[static_cast<size_t>(pi.c.index)] : nullptr;
+    // Same two cache tiers as loadAggregate; see the comments there.
     if (sr != nullptr && sr->epoch == engine.resolveEpoch_ &&
         sr->obj.get() == obj && sr->offset == addr.offset &&
-        sr->size == size && !obj->isFreed()) {
+        sr->size == acc.size && !obj->isFreed()) {
         if (engine.profiling_)
             engine.telem_.elideSlotHits++;
-        engine.storeToObject(sr->leaf, sr->leafOffset, type, v);
+        ManagedEngine::storeToObject(sr->leaf, sr->leafOffset, acc, v);
         return;
     }
-    if (ic >= 0 && obj->kind() == ObjectKind::structObject) {
+    if (pi.icStore >= 0 && obj->kind() == ObjectKind::structObject) {
         auto *sobj = static_cast<StructObject *>(obj);
-        AccessCache &cache = accessCaches_[static_cast<size_t>(ic)];
+        AccessCache &cache =
+            accessCaches_[static_cast<size_t>(pi.icStore)];
         if (sobj->type() == cache.structType && !sobj->isFreed() &&
             addr.offset >= cache.fieldOffset &&
             addr.offset - cache.fieldOffset +
-                    static_cast<int64_t>(size) <= cache.fieldSize) {
+                    static_cast<int64_t>(acc.size) <= cache.fieldSize) {
             if (engine.profiling_)
                 engine.telem_.elideShapeHits++;
-            engine.storeToObject(sobj->field(cache.fieldIndex),
-                                 addr.offset - cache.fieldOffset, type, v);
+            ManagedEngine::storeToObject(sobj->field(cache.fieldIndex),
+                                         addr.offset - cache.fieldOffset,
+                                         acc, v);
             return;
         }
         if (engine.profiling_)
             engine.telem_.elideShapeMisses++;
-        engine.storeToObject(obj, addr.offset, type, v);
-        fillAccessCache(cache, sobj, addr.offset, size);
+        ManagedEngine::storeToObject(obj, addr.offset, acc, v);
+        fillAccessCache(cache, sobj, addr.offset, acc.size);
         return;
     }
     if (sr != nullptr) {
@@ -948,22 +1002,23 @@ CompiledFunction::storeAt(ManagedEngine &engine, const Address &addr,
             engine.telem_.elideSlotMisses++;
         int64_t leaf_off = 0;
         ManagedObject *leaf =
-            resolveLeaf(obj, addr.offset, size, true, leaf_off);
+            resolveLeaf(obj, addr.offset, acc.size, true, leaf_off);
         if (leaf == nullptr) {
             sr->epoch = 0;
-            engine.storeToObject(obj, addr.offset, type, v);
+            ManagedEngine::storeToObject(obj, addr.offset, acc, v);
             return;
         }
-        engine.storeToObject(leaf, leaf_off, type, v);
+        ManagedEngine::storeToObject(leaf, leaf_off, acc, v);
         sr->epoch = engine.resolveEpoch_;
         sr->obj = addr.pointee;
+        slotResPinned_ = true;
         sr->offset = addr.offset;
-        sr->size = size;
+        sr->size = acc.size;
         sr->leaf = leaf;
         sr->leafOffset = leaf_off;
         return;
     }
-    engine.storeToObject(obj, addr.offset, type, v);
+    ManagedEngine::storeToObject(obj, addr.offset, acc, v);
 }
 
 } // namespace sulong

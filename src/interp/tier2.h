@@ -32,6 +32,15 @@
  * away (paper Sections 3.1/3.4). Elision only short-circuits the
  * aggregate *walk* to an already-resolved leaf; the leaf's liveness,
  * bounds, type, and initialization checks run on every access.
+ *
+ * What an access costs when it succeeds: its class, size and width are
+ * decoded into the PInst once (ScalarAccess), so the executor reads no
+ * Type; a leaf root goes straight to the leaf's one inline check and
+ * fixed-width copy (PrimitiveLeaf, AddressArray; the same code tier-1's
+ * loadFrom/storeTo end in), with no virtual or library call; and the
+ * result is written into its slot in place (MValue::set*). Every
+ * failing check falls through to the leaf's out-of-line checked path,
+ * which raises the report; the raise paths are cold.
  */
 
 #ifndef MS_INTERP_TIER2_H
@@ -69,7 +78,15 @@ enum : uint8_t
     kPElideStore = 1 << 4,
 };
 
-/** One pre-decoded instruction. */
+/**
+ * One pre-decoded instruction.
+ *
+ * Every op that loads names its load in the load fields (loadAddr,
+ * destLoad, srcLoad, accLoad, icLoad) and every op that stores names
+ * its store in the store fields (c, srcStore, accStore, icStore),
+ * whether the access is the op itself or fused into it; a plain store's
+ * value is operand a, a fused store's the op's own result.
+ */
 struct PInst
 {
     Opcode op = Opcode::unreachable_;
@@ -78,19 +95,23 @@ struct PInst
     uint8_t bits = 32;
     uint8_t pred = 0;
     uint8_t flags = 0;
+    /// The load's and the store's access, decoded once from the IR
+    /// type: the executor reads no Type on a successful access.
+    ScalarAccess accLoad;
+    ScalarAccess accStore;
     /// Superblock length in ops, charged at once on entry; 0 on
     /// non-head instructions (already covered by their head's charge).
     uint16_t charge = 0;
     int32_t dest = -1;     ///< result slot (-1 none, -2 void-return)
-    int32_t destLoad = -1; ///< fused load's own result slot
+    int32_t destLoad = -1; ///< the load's result slot
     int32_t t0 = 0;
     int32_t t1 = 0;
     int64_t gepOff = 0;
     uint64_t gepScale = 0;
     POperand a;
     POperand b;
-    POperand c;        ///< select's third operand / fused store address
-    POperand loadAddr; ///< fused load's address operand
+    POperand c;        ///< select's third operand / the store's address
+    POperand loadAddr; ///< the load's address operand
     int32_t icLoad = -1;   ///< access-cache index of the (fused) load
     int32_t icStore = -1;  ///< access-cache index of the (fused) store
     int32_t callSite = -1; ///< call-site index of p2Call* ops
@@ -100,8 +121,8 @@ struct PInst
     int32_t allocaSite = -1;
     /// Original instruction (loc, access type, call site, fallback).
     const Instruction *src = nullptr;
-    const Instruction *srcLoad = nullptr;  ///< fused preceding load
-    const Instruction *srcStore = nullptr; ///< fused following store
+    const Instruction *srcLoad = nullptr;  ///< the load (fault sites)
+    const Instruction *srcStore = nullptr; ///< the store (fault sites)
 };
 
 /// Superblock length cap (PInst::charge is uint16_t; also bounds the
@@ -209,12 +230,25 @@ class CompiledFunction
     MValue run(ManagedEngine &engine, ManagedEngine::Frame &frame,
                size_t start_pc);
 
-    /** Checked load/store through the elision caches. */
-    MValue loadAt(ManagedEngine &engine, const Address &addr,
-                  const Instruction *src, int32_t ic, SlotResolution *sr);
-    void storeAt(ManagedEngine &engine, const Address &addr,
-                 const Instruction *src, const MValue &v, int32_t ic,
-                 SlotResolution *sr);
+    /** @p pi's checked load from @p addr, its result written in place
+     *  into @p dest. A leaf root goes straight to the leaf's inline
+     *  check; an aggregate root goes through the elision caches. */
+    void loadAt(ManagedEngine &engine, const PInst &pi, const Address &addr,
+                MValue &dest);
+    /** @p pi's checked store of @p v to @p addr; the mirror of loadAt. */
+    void storeAt(ManagedEngine &engine, const PInst &pi,
+                 const Address &addr, const MValue &v);
+    /// The aggregate-root halves of loadAt/storeAt: the resolution
+    /// caches and the refills. Out of line, so the leaf path stays a
+    /// small frame.
+    [[gnu::noinline]] void loadAggregate(ManagedEngine &engine,
+                                         const PInst &pi,
+                                         const Address &addr,
+                                         MValue &dest);
+    [[gnu::noinline]] void storeAggregate(ManagedEngine &engine,
+                                          const PInst &pi,
+                                          const Address &addr,
+                                          const MValue &v);
     static ManagedObject *resolveLeaf(ManagedObject *obj, int64_t offset,
                                       unsigned size, bool is_write,
                                       int64_t &leaf_offset);
@@ -230,6 +264,8 @@ class CompiledFunction
     std::vector<CallSite> callSites_;
     std::vector<AccessCache> accessCaches_;
     std::vector<SlotResolution> slotRes_;
+    /// Some slotRes_ entry may pin an object (set on every refill).
+    bool slotResPinned_ = false;
     /// Per recyclable alloca site: the object most recently handed out.
     /// When its refcount drops back to 1 (only this cache holds it), the
     /// local provably died without escaping and the next execution of

@@ -38,10 +38,6 @@ class LazyHeapObject : public ManagedObject
                uint64_t bits, const Address &addr) override;
 
     bool isHeap() const override { return true; }
-    bool isFreed() const override
-    {
-        return freed_ || (inner_ && inner_->isFreed());
-    }
     void free() override;
 
     std::string
@@ -69,7 +65,6 @@ class LazyHeapObject : public ManagedObject
     int64_t size_;
     const Type **mementoSlot_;
     ObjRef inner_;
-    bool freed_ = false;
     bool zeroed_ = false;
 };
 

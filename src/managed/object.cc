@@ -57,8 +57,8 @@ ManagedObject::raiseTypeError(const std::string &what) const
 // -----------------------------------------------------------------------
 
 void
-AddressArray::read(AccessClass cls, unsigned size, int64_t offset,
-                   uint64_t &out_int, Address &out_addr)
+AddressArray::readChecked(AccessClass cls, unsigned size, int64_t offset,
+                          uint64_t &out_int, Address &out_addr)
 {
     if (freed_)
         raiseUseAfterFree(false);
@@ -83,8 +83,8 @@ AddressArray::read(AccessClass cls, unsigned size, int64_t offset,
 }
 
 void
-AddressArray::write(AccessClass cls, unsigned size, int64_t offset,
-                    uint64_t bits, const Address &addr)
+AddressArray::writeChecked(AccessClass cls, unsigned size, int64_t offset,
+                           uint64_t bits, const Address &addr)
 {
     if (freed_)
         raiseUseAfterFree(true);

@@ -116,6 +116,86 @@ enum class AccessClass : uint8_t
 };
 
 /**
+ * One load's or store's access, decoded from its IR type: what every
+ * check and copy needs, so a hot path never reads the Type again.
+ */
+struct ScalarAccess
+{
+    AccessClass cls = AccessClass::integer;
+    /// Bytes moved: 1, 2, 4 or 8 for every verified scalar type.
+    uint8_t size = 0;
+    /// Width of the value: intBits() (i1 -> 1), 32/64 for a float,
+    /// 64 for a pointer.
+    uint8_t bits = 0;
+
+    static ScalarAccess
+    of(const Type *type)
+    {
+        ScalarAccess acc;
+        acc.size = static_cast<uint8_t>(type->size());
+        if (type->isPointer()) {
+            acc.cls = AccessClass::pointer;
+            acc.bits = 64;
+        } else if (type->isFloat()) {
+            acc.cls = AccessClass::floating;
+            acc.bits = static_cast<uint8_t>(type->fpBits());
+        } else {
+            acc.bits = static_cast<uint8_t>(
+                type->isInteger() ? type->intBits() : 64);
+        }
+        return acc;
+    }
+};
+
+/// Fixed-width copies of a 1-, 2-, 4- or 8-byte scalar (zero-extended
+/// on load): the leaves' fast paths use these instead of a memcpy call
+/// whose size is only known at run time.
+inline bool
+fixedScalarSize(unsigned size)
+{
+    return size == 1 || size == 2 || size == 4 || size == 8;
+}
+
+template <typename U>
+inline uint64_t
+loadAs(const char *p)
+{
+    U v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+template <typename U>
+inline void
+storeAs(char *p, uint64_t bits)
+{
+    const auto v = static_cast<U>(bits);
+    std::memcpy(p, &v, sizeof v);
+}
+
+inline uint64_t
+loadScalarBits(const char *p, unsigned size)
+{
+    switch (size) {
+      case 1: return loadAs<uint8_t>(p);
+      case 2: return loadAs<uint16_t>(p);
+      case 4: return loadAs<uint32_t>(p);
+      default: return loadAs<uint64_t>(p);
+    }
+}
+
+inline void
+storeScalarBits(char *p, unsigned size, uint64_t bits)
+{
+    switch (size) {
+      case 1: return storeAs<uint8_t>(p, bits);
+      case 2: return storeAs<uint16_t>(p, bits);
+      case 4: return storeAs<uint32_t>(p, bits);
+      default: return storeAs<uint64_t>(p, bits);
+    }
+}
+
+/**
  * Ablation switch for the relaxed type rules of Section 3.2: with strict
  * rules, every access must match the element type exactly (class, size,
  * alignment), which breaks many real-world programs but models the
@@ -227,8 +307,9 @@ class ManagedObject
 
     /** True for heap objects that free() may release. */
     virtual bool isHeap() const { return storage_ == StorageKind::heap; }
-    /** True once free() released this object. */
-    virtual bool isFreed() const { return false; }
+    /** True once free() released this object. Not virtual: the
+     *  compiled tier's cache hit tests ask it on every access. */
+    bool isFreed() const { return freed_; }
     /** Release a heap object's payload (paper Fig. 7). */
     virtual void free();
 
@@ -274,10 +355,11 @@ class ManagedObject
     virtual bool resetForReuse() { return false; }
 
     /**
-     * True when kind() names this object's exact dynamic type. Wrapper
-     * objects (LazyHeapObject) masquerade under a leaf kind for cache
-     * purposes; they leave this false so devirtualizing dispatch falls
-     * back to the virtual call.
+     * True for the leaves with an inline check, whose kind() names their
+     * exact dynamic type: a PrimitiveLeaf (the six primitive kinds) or
+     * an AddressArray. Wrapper objects (LazyHeapObject) masquerade under
+     * a leaf kind for cache purposes; they leave this false so the
+     * devirtualizing dispatch falls back to the virtual call.
      */
     bool exactKind() const { return exactKind_; }
 
@@ -295,10 +377,12 @@ class ManagedObject
         : kind_(kind), storage_(storage)
     {}
 
-    [[noreturn]] void raiseBounds(AccessClass cls, int64_t offset,
-                                  unsigned size, bool is_write) const;
-    [[noreturn]] void raiseUseAfterFree(bool is_write) const;
-    [[noreturn]] void raiseTypeError(const std::string &what) const;
+    [[noreturn, gnu::cold]] void raiseBounds(AccessClass cls,
+                                             int64_t offset, unsigned size,
+                                             bool is_write) const;
+    [[noreturn, gnu::cold]] void raiseUseAfterFree(bool is_write) const;
+    [[noreturn, gnu::cold]] void
+    raiseTypeError(const std::string &what) const;
 
     /// Inline: one compare on the per-access path; the raise is cold.
     void
@@ -311,6 +395,9 @@ class ManagedObject
     ObjectKind kind_;
     StorageKind storage_;
     bool exactKind_ = false;
+    /// Set by free(); a wrapper's payload is only ever freed through
+    /// its wrapper, so the wrapper's own flag is the whole answer.
+    bool freed_ = false;
     std::string name_;
     long refs_ = 0;
 };
@@ -360,6 +447,79 @@ ObjRef::~ObjRef()
 }
 
 /**
+ * The element-type-independent half of every PrimitiveArray: its payload
+ * as bytes, and the inline leaf check of every tier. One test covers the
+ * common access (live, relaxed rules, 1/2/4/8 bytes, in bounds against
+ * the array's own length, every byte written when initialization is
+ * tracked), then a fixed-width copy; none of it depends on the element
+ * type, so one copy of the check serves every primitive kind without a
+ * dispatch on it. Any other access takes the array's out-of-line
+ * checked path, which runs every check in order and raises the report.
+ */
+class PrimitiveLeaf : public ManagedObject
+{
+  public:
+    /** The inline checked read; false (nothing read) when the access
+     *  needs the full check. */
+    bool
+    tryRead(unsigned size, int64_t offset, uint64_t &bits) const
+    {
+        if (!plainAccess(size, offset) || !initialized(offset, size))
+            return false;
+        bits = loadScalarBits(bytes_.data() + offset, size);
+        return true;
+    }
+
+    /** The inline checked write; the mirror of tryRead(). Pointer-class
+     *  writes always take the full check. */
+    bool
+    tryWrite(AccessClass cls, unsigned size, int64_t offset, uint64_t bits)
+    {
+        if (cls == AccessClass::pointer || !plainAccess(size, offset))
+            return false;
+        for (unsigned i = 0; !inited_.empty() && i < size; i++)
+            inited_[static_cast<size_t>(offset) + i] = true;
+        storeScalarBits(bytes_.data() + offset, size, bits);
+        return true;
+    }
+
+  protected:
+    PrimitiveLeaf(ObjectKind kind, StorageKind storage, size_t bytes)
+        : ManagedObject(kind, storage), bytes_(bytes, 0)
+    {
+        exactKind_ = true;
+    }
+
+    bool
+    plainAccess(unsigned size, int64_t offset) const
+    {
+        return !freed_ && !strictTypeRules() && fixedScalarSize(size) &&
+            offset >= 0 &&
+            static_cast<uint64_t>(offset) + size <= bytes_.size();
+    }
+
+    /** The uninit fast test: nothing tracked, or every byte written. */
+    bool
+    initialized(int64_t offset, unsigned size) const
+    {
+        if (inited_.empty() || !uninitTracking())
+            return true;
+        for (unsigned i = 0; i < size; i++) {
+            if (!inited_[static_cast<size_t>(offset) + i])
+                return false;
+        }
+        return true;
+    }
+
+    /// The payload, zero-initialized (the all-zero bytes of T{} for
+    /// every primitive T); the derived array reads it as Ts.
+    std::vector<char> bytes_;
+    /// Per-byte initialization bits; empty when tracking is off or the
+    /// storage class starts initialized.
+    std::vector<bool> inited_;
+};
+
+/**
  * Flat array of one primitive element type; also used for single scalars
  * (an `int` local is an I32 array of length 1).
  *
@@ -369,13 +529,12 @@ ObjRef::~ObjRef()
  * into a primitive array.
  */
 template <typename T, ObjectKind K>
-class PrimitiveArray final : public ManagedObject
+class PrimitiveArray final : public PrimitiveLeaf
 {
   public:
     PrimitiveArray(StorageKind storage, size_t count)
-        : ManagedObject(K, storage), data_(count, T{})
+        : PrimitiveLeaf(K, storage, count * sizeof(T))
     {
-        exactKind_ = true;
         // Only automatic and dynamic storage can be read before being
         // written; static storage is initialized by the loader.
         if (uninitTracking() &&
@@ -387,26 +546,19 @@ class PrimitiveArray final : public ManagedObject
     int64_t
     byteSize() const override
     {
-        return static_cast<int64_t>(data_.size() * sizeof(T));
+        return static_cast<int64_t>(bytes_.size());
     }
 
-    size_t length() const { return data_.size(); }
-    T *data() { return data_.data(); }
-    const std::vector<T> &values() const { return data_; }
-    void setFreedSize(int64_t size) { freedSize_ = size; }
+    size_t length() const { return bytes_.size() / sizeof(T); }
+    T *data() { return reinterpret_cast<T *>(bytes_.data()); }
 
     void
     read(AccessClass cls, unsigned size, int64_t offset, uint64_t &out_int,
          Address &out_addr) override
     {
-        if (isFreed())
-            raiseUseAfterFree(false);
-        checkStrict(cls, size, offset);
-        checkBounds(offset, size, false);
-        checkInitialized(offset, size);
         uint64_t bits = 0;
-        std::memcpy(&bits, reinterpret_cast<const char *>(data_.data()) +
-                    offset, size);
+        if (!tryRead(size, offset, bits))
+            bits = readChecked(cls, size, offset);
         if (cls == AccessClass::pointer) {
             // Relaxation for memcpy/qsort-style generic code: raw bits
             // read as a pointer become a provenance-free Address (null
@@ -424,7 +576,68 @@ class PrimitiveArray final : public ManagedObject
     write(AccessClass cls, unsigned size, int64_t offset, uint64_t bits,
           const Address &addr) override
     {
-        if (isFreed())
+        if (!tryWrite(cls, size, offset, bits))
+            writeChecked(cls, size, offset, bits, addr);
+    }
+
+    void
+    markAllInitialized() override
+    {
+        inited_.assign(inited_.size(), true);
+    }
+
+    bool
+    resetForReuse() override
+    {
+        if (freed_)
+            return false;
+        std::fill(bytes_.begin(), bytes_.end(), 0);
+        if (!inited_.empty())
+            inited_.assign(inited_.size(), false);
+        return true;
+    }
+
+    void
+    free() override
+    {
+        // Paper Fig. 7: drop the payload so the collector can reclaim it;
+        // the header survives so later accesses are detected.
+        freedSize_ = byteSize();
+        bytes_.clear();
+        bytes_.shrink_to_fit();
+        freed_ = true;
+    }
+
+    std::string
+    describe() const override
+    {
+        size_t len = freed_
+            ? static_cast<size_t>(freedSize_ / static_cast<int64_t>(sizeof(T)))
+            : length();
+        return std::string(elemName()) + "Array[" + std::to_string(len) + "]";
+    }
+
+  private:
+    /** Every check of a read, in report order; returns the bits. */
+    [[gnu::noinline]] uint64_t
+    readChecked(AccessClass cls, unsigned size, int64_t offset)
+    {
+        if (freed_)
+            raiseUseAfterFree(false);
+        checkStrict(cls, size, offset);
+        checkBounds(offset, size, false);
+        checkInitialized(offset, size);
+        uint64_t bits = 0;
+        std::memcpy(&bits, bytes_.data() + offset, size);
+        return bits;
+    }
+
+    /** Every check of a write, in report order, then the write. */
+    [[gnu::noinline]] void
+    writeChecked(AccessClass cls, unsigned size, int64_t offset,
+                 uint64_t bits, const Address &addr)
+    {
+        if (freed_)
             raiseUseAfterFree(true);
         if (cls == AccessClass::pointer) {
             // Only provenance-free pointer bits (see read()) may be
@@ -440,50 +653,9 @@ class PrimitiveArray final : public ManagedObject
             for (unsigned i = 0; i < size; i++)
                 inited_[static_cast<size_t>(offset) + i] = true;
         }
-        std::memcpy(reinterpret_cast<char *>(data_.data()) + offset, &bits,
-                    size);
+        std::memcpy(bytes_.data() + offset, &bits, size);
     }
 
-    void
-    markAllInitialized() override
-    {
-        inited_.assign(inited_.size(), true);
-    }
-
-    bool isFreed() const override { return freed_; }
-
-    bool
-    resetForReuse() override
-    {
-        if (freed_)
-            return false;
-        std::fill(data_.begin(), data_.end(), T{});
-        if (!inited_.empty())
-            inited_.assign(inited_.size(), false);
-        return true;
-    }
-
-    void
-    free() override
-    {
-        // Paper Fig. 7: drop the payload so the collector can reclaim it;
-        // the header survives so later accesses are detected.
-        freedSize_ = byteSize();
-        data_.clear();
-        data_.shrink_to_fit();
-        freed_ = true;
-    }
-
-    std::string
-    describe() const override
-    {
-        size_t len = freed_
-            ? static_cast<size_t>(freedSize_ / static_cast<int64_t>(sizeof(T)))
-            : data_.size();
-        return std::string(elemName()) + "Array[" + std::to_string(len) + "]";
-    }
-
-  private:
     void
     checkInitialized(int64_t offset, unsigned size) const
     {
@@ -529,11 +701,6 @@ class PrimitiveArray final : public ManagedObject
         else return "F64";
     }
 
-    std::vector<T> data_;
-    /// Per-byte initialization bits; empty when tracking is off or the
-    /// storage class starts initialized.
-    std::vector<bool> inited_;
-    bool freed_ = false;
     int64_t freedSize_ = 0;
 };
 
@@ -566,12 +733,31 @@ class AddressArray final : public ManagedObject
     size_t length() const { return data_.size(); }
     Address &at(size_t i) { return data_[i]; }
 
-    void read(AccessClass cls, unsigned size, int64_t offset,
-              uint64_t &out_int, Address &out_addr) override;
-    void write(AccessClass cls, unsigned size, int64_t offset,
-               uint64_t bits, const Address &addr) override;
+    /** Inline leaf check: an aligned, in-bounds 8-byte pointer access
+     *  of a live array copies the slot; anything else (the relaxed
+     *  integer cases included) takes the out-of-line checked path. */
+    void
+    read(AccessClass cls, unsigned size, int64_t offset, uint64_t &out_int,
+         Address &out_addr) override
+    {
+        if (plainAccess(cls, size, offset)) {
+            out_addr = data_[static_cast<size_t>(offset) / 8];
+            return;
+        }
+        readChecked(cls, size, offset, out_int, out_addr);
+    }
 
-    bool isFreed() const override { return freed_; }
+    void
+    write(AccessClass cls, unsigned size, int64_t offset, uint64_t bits,
+          const Address &addr) override
+    {
+        if (plainAccess(cls, size, offset)) {
+            data_[static_cast<size_t>(offset) / 8] = addr;
+            return;
+        }
+        writeChecked(cls, size, offset, bits, addr);
+    }
+
     void free() override;
 
     bool
@@ -593,8 +779,20 @@ class AddressArray final : public ManagedObject
     }
 
   private:
+    bool
+    plainAccess(AccessClass cls, unsigned size, int64_t offset) const
+    {
+        return cls == AccessClass::pointer && size == 8 && !freed_ &&
+            (offset & 7) == 0 &&
+            static_cast<uint64_t>(offset) < data_.size() * 8;
+    }
+
+    void readChecked(AccessClass cls, unsigned size, int64_t offset,
+                     uint64_t &out_int, Address &out_addr);
+    void writeChecked(AccessClass cls, unsigned size, int64_t offset,
+                      uint64_t bits, const Address &addr);
+
     std::vector<Address> data_;
-    bool freed_ = false;
     size_t freedLen_ = 0;
 };
 
@@ -619,7 +817,6 @@ class StructObject final : public ManagedObject
     void write(AccessClass cls, unsigned size, int64_t offset,
                uint64_t bits, const Address &addr) override;
 
-    bool isFreed() const override { return freed_; }
     void free() override;
 
     void
@@ -649,7 +846,6 @@ class StructObject final : public ManagedObject
 
     const Type *type_;
     std::vector<ObjRef> fields_;
-    bool freed_ = false;
 };
 
 /**
@@ -672,7 +868,6 @@ class AggregateArray final : public ManagedObject
     void write(AccessClass cls, unsigned size, int64_t offset,
                uint64_t bits, const Address &addr) override;
 
-    bool isFreed() const override { return freed_; }
     void free() override;
 
     void
@@ -702,7 +897,6 @@ class AggregateArray final : public ManagedObject
     const Type *type_;
     uint64_t elemSize_;
     std::vector<ObjRef> elems_;
-    bool freed_ = false;
 };
 
 /**
