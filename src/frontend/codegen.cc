@@ -419,62 +419,22 @@ CodeGen::constInitializer(const Expr *init, const CType *type)
         return Initializer::makeFP(FpEval{*this}.run(*init));
     }
     if (type->isInteger() || type->isPointer()) {
-        // Reuse the parser-style integer evaluator via a local walk.
-        struct Eval
-        {
-            CodeGen &cg;
-            int64_t
-            run(const Expr &e)
-            {
-                switch (e.kind) {
-                  case ExprKind::intLit:
-                    return static_cast<int64_t>(
-                        static_cast<const IntLitExpr &>(e).value);
-                  case ExprKind::ident: {
-                    const auto &id = static_cast<const IdentExpr &>(e);
-                    auto it = cg.unit_->enumConstants.find(id.name);
-                    if (it != cg.unit_->enumConstants.end())
-                        return it->second;
-                    cg.semaError(e.loc, "initializer is not constant");
-                  }
-                  case ExprKind::sizeofExpr: {
-                    const auto &so = static_cast<const SizeofExpr &>(e);
-                    if (so.typeOperand != nullptr)
-                        return static_cast<int64_t>(
-                            cg.types_.sizeOf(so.typeOperand));
-                    cg.semaError(e.loc, "unsupported sizeof initializer");
-                  }
-                  case ExprKind::unary: {
-                    const auto &un = static_cast<const UnaryExpr &>(e);
-                    if (auto v = foldConstUnary(un.op, run(*un.operand)))
-                        return *v;
-                    cg.semaError(e.loc, "initializer is not constant");
-                  }
-                  case ExprKind::cast: {
-                    const auto &cast = static_cast<const CastExpr &>(e);
-                    return run(*cast.operand);
-                  }
-                  case ExprKind::binary: {
-                    const auto &bin = static_cast<const BinaryExpr &>(e);
-                    int64_t l = run(*bin.lhs);
-                    int64_t r = run(*bin.rhs);
-                    if (auto v = foldConstBinary(bin.op, l, r))
-                        return *v;
-                    bool divides = bin.op == BinaryOp::div ||
-                        bin.op == BinaryOp::rem;
-                    cg.semaError(e.loc, divides
-                                            ? "division by zero"
-                                            : "initializer is not constant");
-                  }
-                  default:
-                    cg.semaError(e.loc, "initializer is not constant");
-                }
-            }
-        };
-        int64_t value = Eval{*this}.run(*init);
-        if (type->isPointer() && value == 0)
+        const Expr *rejected = nullptr;
+        std::optional<int64_t> value =
+            foldConstInt(*init, types_, &unit_->enumConstants, rejected);
+        if (!value) {
+            const auto *bin = rejected->kind == ExprKind::binary
+                ? static_cast<const BinaryExpr *>(rejected) : nullptr;
+            if (bin != nullptr &&
+                (bin->op == BinaryOp::div || bin->op == BinaryOp::rem))
+                semaError(rejected->loc, "division by zero");
+            if (rejected->kind == ExprKind::sizeofExpr)
+                semaError(rejected->loc, "unsupported sizeof initializer");
+            semaError(rejected->loc, "initializer is not constant");
+        }
+        if (type->isPointer() && *value == 0)
             return Initializer::makeZero();
-        return Initializer::makeInt(value);
+        return Initializer::makeInt(*value);
     }
     semaError(init->loc, "unsupported constant initializer");
 }

@@ -1063,64 +1063,80 @@ foldConstUnary(UnaryOp op, int64_t v)
     }
 }
 
-int64_t
-Parser::evalConstInt(const Expr &expr)
+std::optional<int64_t>
+foldConstInt(const Expr &expr, CTypeContext &types,
+             const std::map<std::string, int64_t> *enums,
+             const Expr *&rejected)
 {
+    auto fold = [&](const Expr &e) {
+        return foldConstInt(e, types, enums, rejected);
+    };
     switch (expr.kind) {
       case ExprKind::intLit:
         return static_cast<int64_t>(
             static_cast<const IntLitExpr &>(expr).value);
       case ExprKind::ident: {
         const auto &ident = static_cast<const IdentExpr &>(expr);
-        if (unit_ != nullptr) {
-            auto it = unit_->enumConstants.find(ident.name);
-            if (it != unit_->enumConstants.end())
+        if (enums != nullptr) {
+            auto it = enums->find(ident.name);
+            if (it != enums->end())
                 return it->second;
         }
-        diags_.error(expr.loc,
-                     "'" + ident.name + "' is not an integer constant");
-        throw ParseAbort{};
+        break;
       }
       case ExprKind::unary: {
         const auto &un = static_cast<const UnaryExpr &>(expr);
-        if (auto v = foldConstUnary(un.op, evalConstInt(*un.operand)))
-            return *v;
+        auto v = fold(*un.operand);
+        if (!v)
+            return std::nullopt;
+        if (auto r = foldConstUnary(un.op, *v))
+            return r;
         break;
       }
       case ExprKind::binary: {
         const auto &bin = static_cast<const BinaryExpr &>(expr);
-        int64_t l = evalConstInt(*bin.lhs);
-        // Short-circuit forms first.
-        if (bin.op == BinaryOp::logAnd)
-            return (l != 0 && evalConstInt(*bin.rhs) != 0) ? 1 : 0;
-        if (bin.op == BinaryOp::logOr)
-            return (l != 0 || evalConstInt(*bin.rhs) != 0) ? 1 : 0;
-        if (auto v = foldConstBinary(bin.op, l, evalConstInt(*bin.rhs)))
-            return *v;
+        auto l = fold(*bin.lhs);
+        if (!l)
+            return std::nullopt;
+        // Short-circuit forms first: the unevaluated side may be
+        // anything.
+        if (bin.op == BinaryOp::logAnd && *l == 0)
+            return 0;
+        if (bin.op == BinaryOp::logOr && *l != 0)
+            return 1;
+        auto r = fold(*bin.rhs);
+        if (!r)
+            return std::nullopt;
+        if (bin.op == BinaryOp::logAnd || bin.op == BinaryOp::logOr)
+            return *r != 0 ? 1 : 0;
+        if (auto v = foldConstBinary(bin.op, *l, *r))
+            return v;
         break;
       }
       case ExprKind::conditional: {
         const auto &cond = static_cast<const ConditionalExpr &>(expr);
-        return evalConstInt(*cond.cond) != 0
-            ? evalConstInt(*cond.thenExpr)
-            : evalConstInt(*cond.elseExpr);
+        auto c = fold(*cond.cond);
+        if (!c)
+            return std::nullopt;
+        return fold(*c != 0 ? *cond.thenExpr : *cond.elseExpr);
       }
       case ExprKind::cast: {
         const auto &cast = static_cast<const CastExpr &>(expr);
-        int64_t v = evalConstInt(*cast.operand);
-        if (cast.target->isInteger()) {
-            auto bits = static_cast<unsigned>(types_.sizeOf(cast.target) * 8);
-            return cast.target->isSignedInt()
-                ? sem::normInt(static_cast<uint64_t>(v), bits)
-                : static_cast<int64_t>(sem::zextInt(v, bits));
-        }
-        break;
+        if (!cast.target->isInteger() && !cast.target->isPointer())
+            break;
+        auto v = fold(*cast.operand);
+        if (!v || cast.target->isPointer())
+            return v;
+        auto bits = static_cast<unsigned>(types.sizeOf(cast.target) * 8);
+        return cast.target->isSignedInt()
+            ? sem::normInt(static_cast<uint64_t>(*v), bits)
+            : static_cast<int64_t>(sem::zextInt(*v, bits));
       }
       case ExprKind::sizeofExpr: {
         const auto &so = static_cast<const SizeofExpr &>(expr);
         if (so.typeOperand != nullptr)
-            return static_cast<int64_t>(types_.sizeOf(so.typeOperand));
-        // sizeof(expr) in constant contexts: support literals only.
+            return static_cast<int64_t>(types.sizeOf(so.typeOperand));
+        // sizeof(expr) in constant contexts: string literals only.
         if (so.exprOperand->kind == ExprKind::stringLit) {
             return static_cast<int64_t>(
                 static_cast<const StringLitExpr &>(*so.exprOperand)
@@ -1131,7 +1147,27 @@ Parser::evalConstInt(const Expr &expr)
       default:
         break;
     }
-    diags_.error(expr.loc, "expression is not an integer constant");
+    rejected = &expr;
+    return std::nullopt;
+}
+
+int64_t
+Parser::evalConstInt(const Expr &expr)
+{
+    const Expr *rejected = nullptr;
+    if (auto v = foldConstInt(expr, types_,
+                              unit_ != nullptr ? &unit_->enumConstants
+                                               : nullptr,
+                              rejected))
+        return *v;
+    if (rejected->kind == ExprKind::ident) {
+        diags_.error(rejected->loc,
+                     "'" + static_cast<const IdentExpr *>(rejected)->name +
+                         "' is not an integer constant");
+    } else {
+        diags_.error(rejected->loc,
+                     "expression is not an integer constant");
+    }
     throw ParseAbort{};
 }
 

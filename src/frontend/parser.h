@@ -51,6 +51,22 @@ std::optional<int64_t> foldConstBinary(BinaryOp op, int64_t l, int64_t r);
 /** `op v` likewise, for `-`, `~` and `!`; nullopt for any other op. */
 std::optional<int64_t> foldConstUnary(UnaryOp op, int64_t v);
 
+/**
+ * The value of the integer constant expression @p expr: the front end's
+ * one constant evaluator, for array lengths, enumerator values and case
+ * labels (Parser) and global initializers (CodeGen). It takes literals,
+ * enumerators from @p enums (may be null), `sizeof` of a type or string
+ * literal, casts to integer types (the value converted to the target's
+ * width and signedness) and to pointers (unchanged), the short-circuit
+ * `&&`/`||`, `?:`, and what foldConstUnary and foldConstBinary fold.
+ * nullopt when it cannot, with @p rejected set to the innermost
+ * subexpression at fault, so each caller words its own diagnostic.
+ */
+std::optional<int64_t>
+foldConstInt(const Expr &expr, CTypeContext &types,
+             const std::map<std::string, int64_t> *enums,
+             const Expr *&rejected);
+
 class Parser
 {
   public:

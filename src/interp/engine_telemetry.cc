@@ -63,11 +63,6 @@ ManagedEngine::flushTelemetry(const ExecutionResult &result)
         reg.counter("managed.ic.to_mega").inc(telem_.icToMega);
     if (telem_.icHits != 0)
         reg.counter("managed.ic.hits").inc(telem_.icHits);
-    if (telem_.elideSlotHits != 0)
-        reg.counter("managed.elide.slot_hits").inc(telem_.elideSlotHits);
-    if (telem_.elideSlotMisses != 0)
-        reg.counter("managed.elide.slot_misses")
-            .inc(telem_.elideSlotMisses);
     if (telem_.elideShapeHits != 0)
         reg.counter("managed.elide.shape_hits")
             .inc(telem_.elideShapeHits);

@@ -233,7 +233,6 @@ ManagedEngine::run(const Module &module, const std::vector<std::string> &args,
         compileEvents_.clear();
         tier2Count_ = 0;
         inlinedSites_ = 0;
-        resolveEpoch_ = 1;
     }
     io_ = GuestIO{};
     io_.input = stdin_data;
@@ -315,7 +314,6 @@ ManagedEngine::callFunction(const Function *fn, std::vector<MValue> args,
                             std::vector<MValue> varargs)
 {
     guard_.enterCall();
-    resolveEpoch_++;
 
     // Tier management: count invocations; compile hot functions.
     CompiledFunction *code = nullptr;
@@ -433,7 +431,6 @@ MValue
 ManagedEngine::invokeCompiled(CompiledFunction *code, Frame &frame)
 {
     guard_.enterCall();
-    resolveEpoch_++;
     try {
         MValue result = code->execute(*this, frame);
         guard_.leaveCall();
@@ -666,7 +663,6 @@ ManagedEngine::intrinsicIdFor(const Function *fn)
 MValue
 ManagedEngine::execCall(const Instruction &inst, Frame &frame)
 {
-    resolveEpoch_++;
     // Call-site profile for tier-2 inlining decisions (warm-up only:
     // inlined sites never come back through here).
     if (options_.enableTier2 && options_.enableInlining)

@@ -55,10 +55,12 @@ struct ManagedOptions
     /// site counts as hot. -1 = auto (half the compile threshold);
     /// 0 = inline every eligible site (tests/ablation).
     int inlineSiteMin = -1;
-    /// Redundant-check elision: cache pointee resolution per address
-    /// slot / per access site so straight-line re-accesses skip the
-    /// aggregate walk. Bounds/type/liveness checks always run; the
-    /// --no-check-elision ablation proves reports are bit-identical.
+    /// Redundant-check elision: a per-access-site struct-shape cache,
+    /// so an access that keeps naming the same field of the same struct
+    /// type skips the struct's field lookup. The field's bounds/type/
+    /// liveness/init checks always run; the --no-check-elision ablation
+    /// proves reports are bit-identical. It is the only elision cache
+    /// (see tier2.h for why one is enough).
     bool enableCheckElision = true;
     /// Not settable; kept only because perfbench/ reads these names.
     static constexpr bool enableTier3 = false;
@@ -100,10 +102,7 @@ struct ManagedTelemetry
     uint64_t icToMono = 0;
     uint64_t icToMega = 0;
     uint64_t icHits = 0;
-    // Redundant-check elision: address-slot resolutions and struct-shape
-    // access caches (the two complementary tiers of PR 3).
-    uint64_t elideSlotHits = 0;
-    uint64_t elideSlotMisses = 0;
+    // Redundant-check elision: the per-site struct-shape caches.
     uint64_t elideShapeHits = 0;
     uint64_t elideShapeMisses = 0;
     /// Code size of each tier-2 compile this run; recorded here and
@@ -424,15 +423,6 @@ class ManagedEngine : public Engine
     /// so acquire + resize hands out value-initialized slots — the
     /// exact state a fresh frame would have.
     std::vector<Frame> framePool_;
-    /// Resolution-cache epoch: bumped at call boundaries, the only
-    /// place object structure can change (free/realloc are calls).
-    /// Stores and branches never invalidate — aggregate layout is
-    /// immutable while an object is live, and every cached resolution
-    /// is re-validated structurally (object identity, offset, width,
-    /// liveness) before use anyway. Starts at 1 so the epoch==0
-    /// "uncacheable" sentinel in SlotResolution can never match.
-    uint64_t resolveEpoch_ = 1;
-
     /// Execution-profiler state; profiling_ is captured once per run
     /// from obs::metricsEnabled() so the per-instruction cost of a
     /// disabled profiler is a single predicted branch.

@@ -75,17 +75,6 @@ CompiledFunction::execute(ManagedEngine &engine,
     auto &slots = frame.slots;
     if (slots.size() < frameSize_)
         slots.resize(frameSize_); // OSR entry from an interpreter frame
-    if (start_pc == 0 && slotResPinned_ && !allocaCache_.empty()) {
-        // Fresh activation: drop the previous activation's elision-cache
-        // pins. Every call bumps resolveEpoch_, so these entries are
-        // already unusable — but their ObjRefs would keep dead locals
-        // alive and defeat the refcount-1 test in the alloca recycler.
-        for (SlotResolution &sr : slotRes_) {
-            if (sr.obj.get() != nullptr)
-                sr = SlotResolution{};
-        }
-        slotResPinned_ = false;
-    }
     // Entries (calls, OSR) land on superblock heads by construction;
     // anything else would execute uncharged.
     if (code_[start_pc].charge == 0)

@@ -7,10 +7,10 @@
  * layers the optimizing upgrades on top: profile-guided inlining of
  * small hot callees (slots renamed, bodies spliced), inline caches for
  * the remaining monomorphic call sites, superinstruction fusion
- * (compare+branch, load+arith, arith+store), and a conservative marking
- * pass that enables the redundant-check elision caches. Everything the
+ * (compare+branch, load+arith, arith+store), and a marking pass that
+ * gives every access site its struct-shape cache. Everything the
  * interpreter checks is still checked here; only the *re-derivation* of
- * already-established facts (aggregate walks, callee lookups) is
+ * already-established facts (struct field lookups, callee lookups) is
  * cached, and every cache guard falls back to the interpreter-identical
  * slow path on mismatch.
  *
@@ -679,43 +679,27 @@ class Tier2Compiler
     }
 
     /**
-     * Post-pass enabling the check-elision caches: give every access
-     * site a struct-shape cache and flag every slot-addressed access
-     * for the per-slot resolution cache. The flags are pure capability
-     * bits — validity is decided at runtime, where every cached
-     * resolution re-proves itself structurally before use (same live
-     * object, same offset, same width, not freed). Aggregate layout is
-     * immutable while an object is live and `free` is only reachable
-     * through calls, so stores and branches cannot invalidate a
-     * resolution; only the call-boundary epoch and the liveness check
-     * can retire one. Leaf-level bounds/type/liveness/init checks are
-     * never skipped either way.
+     * Post-pass enabling check elision: give every access site a
+     * struct-shape cache. A hit is re-proved at run time (same struct
+     * type, not freed, access inside the cached field), and the
+     * field's own bounds/type/liveness/init checks are never skipped.
      */
     void
     markCachesAndElision()
     {
         if (!engine_.options_.enableCheckElision)
-            return; // ic indices stay -1, no flags: ablation baseline
+            return; // ic indices stay -1: ablation baseline
         for (PInst &pi : out_->code_) {
             if (pi.op == Opcode::load || (pi.flags & kPFuseLoad) != 0) {
                 pi.icLoad = static_cast<int32_t>(out_->accessCaches_.size());
                 out_->accessCaches_.emplace_back();
-                const POperand &addr =
-                    pi.op == Opcode::load ? pi.a : pi.loadAddr;
-                if (addr.isSlot)
-                    pi.flags |= kPElideLoad;
             }
             if (pi.op == Opcode::store || (pi.flags & kPFuseStore) != 0) {
                 pi.icStore =
                     static_cast<int32_t>(out_->accessCaches_.size());
                 out_->accessCaches_.emplace_back();
-                const POperand &addr =
-                    pi.op == Opcode::store ? pi.b : pi.c;
-                if (addr.isSlot)
-                    pi.flags |= kPElideStore;
             }
         }
-        out_->slotRes_.assign(out_->frameSize_, SlotResolution{});
     }
 
     /** Stamp dispatch opcodes, superblock charges, and alloca-recycling
@@ -806,30 +790,6 @@ compileTier2(const Function &fn, ManagedEngine &engine)
     return Tier2Compiler(fn, engine).compile();
 }
 
-/** Walk an aggregate down to the leaf sub-object containing the access,
- *  running exactly the checks the uncached path runs (each resolveStep
- *  is the object's own checked resolve). @return nullptr when the
- *  access spans sub-objects (handled byte-wise, not cacheable). */
-ManagedObject *
-CompiledFunction::resolveLeaf(ManagedObject *obj, int64_t offset, unsigned size,
-            bool is_write, int64_t &leaf_offset)
-{
-    ManagedObject *cur = obj;
-    int64_t off = offset;
-    for (;;) {
-        int64_t inner = 0;
-        ManagedObject *next = cur->resolveStep(off, size, is_write, inner);
-        if (next == nullptr)
-            return nullptr;
-        if (next == cur) {
-            leaf_offset = off;
-            return cur;
-        }
-        cur = next;
-        off = inner;
-    }
-}
-
 /** Remember which field of which struct type a successful access went
  *  through (called only after the full checked access succeeded). */
 void
@@ -851,6 +811,38 @@ CompiledFunction::fillAccessCache(AccessCache &cache, const StructObject *sobj,
     cache.fieldSize = field_size;
 }
 
+/** The struct-shape cache wins when the address changes every time but
+ *  keeps naming the same field of the same struct type (pointer
+ *  chasing). A hit re-checks liveness and the field span, then runs the
+ *  access on the field object, whose own checks all still run; a miss
+ *  runs the access on the root and refills once it succeeded. */
+template <typename Access>
+void
+CompiledFunction::accessAggregate(ManagedEngine &engine, int32_t ic,
+                                  ManagedObject *obj, int64_t offset,
+                                  unsigned size, const Access &access)
+{
+    if (ic < 0 || obj->kind() != ObjectKind::structObject) {
+        access(obj, offset);
+        return;
+    }
+    auto *sobj = static_cast<StructObject *>(obj);
+    AccessCache &cache = accessCaches_[static_cast<size_t>(ic)];
+    if (sobj->type() == cache.structType && !sobj->isFreed() &&
+        offset >= cache.fieldOffset &&
+        offset - cache.fieldOffset + static_cast<int64_t>(size) <=
+            cache.fieldSize) {
+        if (engine.profiling_)
+            engine.telem_.elideShapeHits++;
+        access(sobj->field(cache.fieldIndex), offset - cache.fieldOffset);
+        return;
+    }
+    if (engine.profiling_)
+        engine.telem_.elideShapeMisses++;
+    access(obj, offset);
+    fillAccessCache(cache, sobj, offset, size);
+}
+
 void
 CompiledFunction::loadAt(ManagedEngine &engine, const PInst &pi,
                          const Address &addr, MValue &dest)
@@ -858,12 +850,16 @@ CompiledFunction::loadAt(ManagedEngine &engine, const PInst &pi,
     ManagedObject *obj = addr.pointee.get();
     if (obj == nullptr)
         engine.raiseNullDeref(false, pi.srcLoad->loc());
-    // A leaf root has no aggregate walk for the caches to skip.
+    // A leaf root has no field lookup for the shape cache to skip.
     if (obj->exactKind()) {
         ManagedEngine::loadFromObject(obj, addr.offset, pi.accLoad, dest);
         return;
     }
-    loadAggregate(engine, pi, addr, dest);
+    accessAggregate(engine, pi.icLoad, obj, addr.offset, pi.accLoad.size,
+                    [&](ManagedObject *o, int64_t off) {
+                        ManagedEngine::loadFromObject(o, off, pi.accLoad,
+                                                      dest);
+                    });
 }
 
 void
@@ -873,152 +869,15 @@ CompiledFunction::storeAt(ManagedEngine &engine, const PInst &pi,
     ManagedObject *obj = addr.pointee.get();
     if (obj == nullptr)
         engine.raiseNullDeref(true, pi.srcStore->loc());
-    try {
-        // Stores mutate leaf contents, never aggregate layout, so they
-        // leave cached resolutions valid (no epoch bump).
-        if (obj->exactKind())
-            ManagedEngine::storeToObject(obj, addr.offset, pi.accStore, v);
-        else
-            storeAggregate(engine, pi, addr, v);
-    } catch (MemoryErrorException &error) {
-        // A type error names no access kind (it reads as a read), so
-        // the executor's faultSite() would give a fused op's store
-        // fault to its fused load: stamp the store's own site here.
-        ManagedEngine::noteBugSite(error.report(), *pi.srcStore);
-        throw;
-    }
-}
-
-void
-CompiledFunction::loadAggregate(ManagedEngine &engine, const PInst &pi,
-                                const Address &addr, MValue &dest)
-{
-    ManagedObject *obj = addr.pointee.get();
-    const ScalarAccess &acc = pi.accLoad;
-    SlotResolution *sr = (pi.flags & kPElideLoad) != 0
-        ? &slotRes_[static_cast<size_t>(pi.loadAddr.index)] : nullptr;
-    // Tier A — per-address-slot resolution: wins when the address is
-    // loop invariant. The hit test is structural (same live object,
-    // same offset, same width): aggregate layout never changes while
-    // an object is live, the ObjRef pins the root (no address reuse),
-    // and free — only reachable through a call, where the epoch moves —
-    // is caught by the isFreed test. Leaf checks
-    // (liveness/bounds/type/init) still run inside loadFromObject.
-    if (sr != nullptr && sr->epoch == engine.resolveEpoch_ &&
-        sr->obj.get() == obj && sr->offset == addr.offset &&
-        sr->size == acc.size && !obj->isFreed()) {
-        if (engine.profiling_)
-            engine.telem_.elideSlotHits++;
-        ManagedEngine::loadFromObject(sr->leaf, sr->leafOffset, acc, dest);
+    if (obj->exactKind()) {
+        ManagedEngine::storeToObject(obj, addr.offset, pi.accStore, v);
         return;
     }
-    // Tier B — struct-shape cache: wins when the address changes every
-    // time but keeps naming the same field of the same struct type
-    // (pointer chasing). No slot-cache refill on a hit.
-    if (pi.icLoad >= 0 && obj->kind() == ObjectKind::structObject) {
-        auto *sobj = static_cast<StructObject *>(obj);
-        AccessCache &cache = accessCaches_[static_cast<size_t>(pi.icLoad)];
-        if (sobj->type() == cache.structType && !sobj->isFreed() &&
-            addr.offset >= cache.fieldOffset &&
-            addr.offset - cache.fieldOffset +
-                    static_cast<int64_t>(acc.size) <= cache.fieldSize) {
-            if (engine.profiling_)
-                engine.telem_.elideShapeHits++;
-            ManagedEngine::loadFromObject(sobj->field(cache.fieldIndex),
-                                          addr.offset - cache.fieldOffset,
-                                          acc, dest);
-            return;
-        }
-        if (engine.profiling_)
-            engine.telem_.elideShapeMisses++;
-        ManagedEngine::loadFromObject(obj, addr.offset, acc, dest);
-        fillAccessCache(cache, sobj, addr.offset, acc.size);
-        return;
-    }
-    if (sr != nullptr) {
-        if (engine.profiling_)
-            engine.telem_.elideSlotMisses++;
-        int64_t leaf_off = 0;
-        ManagedObject *leaf =
-            resolveLeaf(obj, addr.offset, acc.size, false, leaf_off);
-        if (leaf == nullptr) {
-            sr->epoch = 0; // spans sub-objects: byte-wise, not cacheable
-            ManagedEngine::loadFromObject(obj, addr.offset, acc, dest);
-            return;
-        }
-        ManagedEngine::loadFromObject(leaf, leaf_off, acc, dest);
-        sr->epoch = engine.resolveEpoch_;
-        sr->obj = addr.pointee;
-        slotResPinned_ = true;
-        sr->offset = addr.offset;
-        sr->size = acc.size;
-        sr->leaf = leaf;
-        sr->leafOffset = leaf_off;
-        return;
-    }
-    ManagedEngine::loadFromObject(obj, addr.offset, acc, dest);
-}
-
-void
-CompiledFunction::storeAggregate(ManagedEngine &engine, const PInst &pi,
-                                 const Address &addr, const MValue &v)
-{
-    ManagedObject *obj = addr.pointee.get();
-    const ScalarAccess &acc = pi.accStore;
-    SlotResolution *sr = (pi.flags & kPElideStore) != 0
-        ? &slotRes_[static_cast<size_t>(pi.c.index)] : nullptr;
-    // Same two cache tiers as loadAggregate; see the comments there.
-    if (sr != nullptr && sr->epoch == engine.resolveEpoch_ &&
-        sr->obj.get() == obj && sr->offset == addr.offset &&
-        sr->size == acc.size && !obj->isFreed()) {
-        if (engine.profiling_)
-            engine.telem_.elideSlotHits++;
-        ManagedEngine::storeToObject(sr->leaf, sr->leafOffset, acc, v);
-        return;
-    }
-    if (pi.icStore >= 0 && obj->kind() == ObjectKind::structObject) {
-        auto *sobj = static_cast<StructObject *>(obj);
-        AccessCache &cache =
-            accessCaches_[static_cast<size_t>(pi.icStore)];
-        if (sobj->type() == cache.structType && !sobj->isFreed() &&
-            addr.offset >= cache.fieldOffset &&
-            addr.offset - cache.fieldOffset +
-                    static_cast<int64_t>(acc.size) <= cache.fieldSize) {
-            if (engine.profiling_)
-                engine.telem_.elideShapeHits++;
-            ManagedEngine::storeToObject(sobj->field(cache.fieldIndex),
-                                         addr.offset - cache.fieldOffset,
-                                         acc, v);
-            return;
-        }
-        if (engine.profiling_)
-            engine.telem_.elideShapeMisses++;
-        ManagedEngine::storeToObject(obj, addr.offset, acc, v);
-        fillAccessCache(cache, sobj, addr.offset, acc.size);
-        return;
-    }
-    if (sr != nullptr) {
-        if (engine.profiling_)
-            engine.telem_.elideSlotMisses++;
-        int64_t leaf_off = 0;
-        ManagedObject *leaf =
-            resolveLeaf(obj, addr.offset, acc.size, true, leaf_off);
-        if (leaf == nullptr) {
-            sr->epoch = 0;
-            ManagedEngine::storeToObject(obj, addr.offset, acc, v);
-            return;
-        }
-        ManagedEngine::storeToObject(leaf, leaf_off, acc, v);
-        sr->epoch = engine.resolveEpoch_;
-        sr->obj = addr.pointee;
-        slotResPinned_ = true;
-        sr->offset = addr.offset;
-        sr->size = acc.size;
-        sr->leaf = leaf;
-        sr->leafOffset = leaf_off;
-        return;
-    }
-    ManagedEngine::storeToObject(obj, addr.offset, acc, v);
+    accessAggregate(engine, pi.icStore, obj, addr.offset, pi.accStore.size,
+                    [&](ManagedObject *o, int64_t off) {
+                        ManagedEngine::storeToObject(o, off, pi.accStore,
+                                                     v);
+                    });
 }
 
 } // namespace sulong

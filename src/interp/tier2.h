@@ -9,8 +9,8 @@
  * fusion (compare+branch, load+arith, arith+store). On top of that the
  * optimizing layer adds profile-guided inlining of small hot callees
  * (slots renamed, spliced in place of the call), call inline caches for
- * the remaining monomorphic sites, and a redundant-check elision pass
- * that caches pointee resolution per address slot and per access site.
+ * the remaining monomorphic sites, and redundant-check elision through
+ * a per-access-site struct-shape cache.
  *
  * The stream runs on a direct-threaded executor: every instruction
  * carries a dense dispatch opcode (TOp, threaded.h) so the executor
@@ -29,9 +29,15 @@
  *
  * All checks of the managed object model remain in place: like Graal,
  * this tier optimizes under safe semantics and can never optimize a bug
- * away (paper Sections 3.1/3.4). Elision only short-circuits the
- * aggregate *walk* to an already-resolved leaf; the leaf's liveness,
- * bounds, type, and initialization checks run on every access.
+ * away (paper Sections 3.1/3.4). Check elision is one cache per
+ * access site: which field of which struct type the access last went
+ * through. A hit skips only the struct's field lookup; the field's
+ * liveness, bounds, type, and initialization checks run on every
+ * access. One cache is enough: with leaf roots going straight to
+ * their inline check, a per-address-slot resolution cache had no hit
+ * in the 11 peak programs, the 68-program corpus or 40 eager-tier-2
+ * fuzz seeds (the shape cache: 1.57M), and a warmed A/B of the peak
+ * programs ran no slower without it.
  *
  * What an access costs when it succeeds: its class, size and width are
  * decoded into the PInst once (ScalarAccess), so the executor reads no
@@ -72,10 +78,6 @@ enum : uint8_t
     /// The directly following store was fused in: after writing dest,
     /// store the result through operand c.
     kPFuseStore = 1 << 2,
-    /// The (fused) load participates in the per-slot resolution cache.
-    kPElideLoad = 1 << 3,
-    /// The (fused) store participates in the per-slot resolution cache.
-    kPElideStore = 1 << 4,
 };
 
 /**
@@ -155,23 +157,6 @@ struct AccessCache
     int64_t fieldSize = 0;
 };
 
-/** Cached resolution of the address last seen in one frame slot. Holds
- *  a real reference to the root object so the cached leaf can never
- *  dangle or be recycled; a hit additionally re-proves the resolution
- *  structurally (same object, offset, width, and not freed), so only
- *  call boundaries move the epoch (free/realloc live behind calls).
- *  epoch 0 marks an entry that must not hit (sub-object-spanning
- *  access; the engine's epoch counter starts at 1). */
-struct SlotResolution
-{
-    uint64_t epoch = 0;
-    ObjRef obj;
-    int64_t offset = 0;
-    uint32_t size = 0;
-    ManagedObject *leaf = nullptr; ///< sub-object owned by obj
-    int64_t leafOffset = 0;
-};
-
 /** The instruction a bug raised by @p pi belongs to: on a fused op, a
  *  read fault is the fused load's and a write fault the fused store's.
  *  Inlined code keeps its callee's instructions, so this also names
@@ -232,26 +217,21 @@ class CompiledFunction
 
     /** @p pi's checked load from @p addr, its result written in place
      *  into @p dest. A leaf root goes straight to the leaf's inline
-     *  check; an aggregate root goes through the elision caches. */
+     *  check; an aggregate root goes through the shape cache. */
     void loadAt(ManagedEngine &engine, const PInst &pi, const Address &addr,
                 MValue &dest);
     /** @p pi's checked store of @p v to @p addr; the mirror of loadAt. */
     void storeAt(ManagedEngine &engine, const PInst &pi,
                  const Address &addr, const MValue &v);
-    /// The aggregate-root halves of loadAt/storeAt: the resolution
-    /// caches and the refills. Out of line, so the leaf path stays a
-    /// small frame.
-    [[gnu::noinline]] void loadAggregate(ManagedEngine &engine,
-                                         const PInst &pi,
-                                         const Address &addr,
-                                         MValue &dest);
-    [[gnu::noinline]] void storeAggregate(ManagedEngine &engine,
-                                          const PInst &pi,
-                                          const Address &addr,
-                                          const MValue &v);
-    static ManagedObject *resolveLeaf(ManagedObject *obj, int64_t offset,
-                                      unsigned size, bool is_write,
-                                      int64_t &leaf_offset);
+    /// The aggregate-root half of loadAt/storeAt: the struct-shape
+    /// cache of access site @p ic (-1: none), then @p access(object,
+    /// offset), the checked access itself. Out of line, so the leaf
+    /// path stays a small frame.
+    template <typename Access>
+    [[gnu::noinline]] void accessAggregate(ManagedEngine &engine,
+                                           int32_t ic, ManagedObject *obj,
+                                           int64_t offset, unsigned size,
+                                           const Access &access);
     static void fillAccessCache(AccessCache &cache,
                                 const StructObject *sobj, int64_t offset,
                                 uint32_t size);
@@ -263,9 +243,6 @@ class CompiledFunction
     uint32_t frameSize_ = 0;
     std::vector<CallSite> callSites_;
     std::vector<AccessCache> accessCaches_;
-    std::vector<SlotResolution> slotRes_;
-    /// Some slotRes_ entry may pin an object (set on every refill).
-    bool slotResPinned_ = false;
     /// Per recyclable alloca site: the object most recently handed out.
     /// When its refcount drops back to 1 (only this cache holds it), the
     /// local provably died without escaping and the next execution of

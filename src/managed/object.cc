@@ -8,7 +8,7 @@ namespace sulong
 void
 ManagedObject::free()
 {
-    raiseTypeError("free() of a non-heap object");
+    raiseTypeError(AccessKind::free, "free() of a non-heap object");
 }
 
 void
@@ -43,10 +43,12 @@ ManagedObject::raiseUseAfterFree(bool is_write) const
 }
 
 void
-ManagedObject::raiseTypeError(const std::string &what) const
+ManagedObject::raiseTypeError(AccessKind access,
+                              const std::string &what) const
 {
     BugReport report;
     report.kind = ErrorKind::typeError;
+    report.access = access;
     report.storage = storage_;
     report.detail = what;
     throw MemoryErrorException(std::move(report));
@@ -75,10 +77,12 @@ AddressArray::readChecked(AccessClass cls, unsigned size, int64_t offset,
                 return;
             }
         }
-        raiseTypeError("non-pointer read from " + describe());
+        raiseTypeError(AccessKind::read,
+                       "non-pointer read from " + describe());
     }
     if (offset % 8 != 0)
-        raiseTypeError("misaligned pointer read from " + describe());
+        raiseTypeError(AccessKind::read,
+                       "misaligned pointer read from " + describe());
     out_addr = data_[static_cast<size_t>(offset / 8)];
 }
 
@@ -98,10 +102,12 @@ AddressArray::writeChecked(AccessClass cls, unsigned size, int64_t offset,
             data_[static_cast<size_t>(offset / 8)] = Address{};
             return;
         }
-        raiseTypeError("non-pointer write into " + describe());
+        raiseTypeError(AccessKind::write,
+                       "non-pointer write into " + describe());
     }
     if (offset % 8 != 0)
-        raiseTypeError("misaligned pointer write into " + describe());
+        raiseTypeError(AccessKind::write,
+                       "misaligned pointer write into " + describe());
     data_[static_cast<size_t>(offset / 8)] = addr;
 }
 
@@ -200,7 +206,8 @@ StructObject::resolve(int64_t offset, unsigned size, int64_t &inner_offset,
     int idx = type_->fieldAt(static_cast<uint64_t>(offset));
     if (idx < 0) {
         // Access into padding.
-        raiseTypeError("access to struct padding in " + describe());
+        raiseTypeError(is_write ? AccessKind::write : AccessKind::read,
+                       "access to struct padding in " + describe());
     }
     const StructField &field = type_->fields()[static_cast<size_t>(idx)];
     inner_offset = offset - static_cast<int64_t>(field.offset);
@@ -274,8 +281,9 @@ StructObject::write(AccessClass cls, unsigned size, int64_t offset,
     if (field == nullptr) {
         if (cls == AccessClass::pointer) {
             if (!addr.isNull())
-                raiseTypeError("pointer write spans fields of " +
-                               describe());
+                raiseTypeError(AccessKind::write,
+                               "pointer write spans fields of " +
+                                   describe());
             bits = static_cast<uint64_t>(addr.offset);
         }
         writeSpanning(*this, size, offset, bits);
@@ -349,8 +357,9 @@ AggregateArray::write(AccessClass cls, unsigned size, int64_t offset,
     if (elem == nullptr) {
         if (cls == AccessClass::pointer) {
             if (!addr.isNull())
-                raiseTypeError("pointer write spans elements of " +
-                               describe());
+                raiseTypeError(AccessKind::write,
+                               "pointer write spans elements of " +
+                                   describe());
             bits = static_cast<uint64_t>(addr.offset);
         }
         writeSpanning(*this, size, offset, bits);

@@ -316,26 +316,6 @@ class ManagedObject
     /** Mark every byte written (calloc, realloc'd copies, globals). */
     virtual void markAllInitialized() {}
 
-    /**
-     * One step of offset resolution, for tier-2's resolution cache:
-     * aggregates map (offset, size) to their field/element sub-object,
-     * running the same freed/bounds/padding checks as a real access and
-     * raising the identical errors; leaf objects return `this`. An
-     * access spanning sub-objects returns nullptr (not cacheable; the
-     * caller falls back to the byte-wise path). The leaf's own checks
-     * (liveness, bounds, type, init) still run on every access — this
-     * only short-circuits the aggregate *walk*, never a check.
-     */
-    virtual ManagedObject *
-    resolveStep(int64_t offset, unsigned size, bool is_write,
-                int64_t &inner_offset)
-    {
-        (void)size;
-        (void)is_write;
-        inner_offset = offset;
-        return this;
-    }
-
     /** Human-readable type for error messages, e.g. "I32Array[10]". */
     virtual std::string describe() const = 0;
 
@@ -382,7 +362,7 @@ class ManagedObject
                                              bool is_write) const;
     [[noreturn, gnu::cold]] void raiseUseAfterFree(bool is_write) const;
     [[noreturn, gnu::cold]] void
-    raiseTypeError(const std::string &what) const;
+    raiseTypeError(AccessKind access, const std::string &what) const;
 
     /// Inline: one compare on the per-access path; the raise is cold.
     void
@@ -624,7 +604,7 @@ class PrimitiveArray final : public PrimitiveLeaf
     {
         if (freed_)
             raiseUseAfterFree(false);
-        checkStrict(cls, size, offset);
+        checkStrict(cls, size, offset, false);
         checkBounds(offset, size, false);
         checkInitialized(offset, size);
         uint64_t bits = 0;
@@ -644,10 +624,11 @@ class PrimitiveArray final : public PrimitiveLeaf
             // stored into a primitive array; a real Address would lose
             // its pointee and defeat the safety guarantees.
             if (!addr.isNull())
-                raiseTypeError("storing a pointer into " + describe());
+                raiseTypeError(AccessKind::write,
+                               "storing a pointer into " + describe());
             bits = static_cast<uint64_t>(addr.offset);
         }
-        checkStrict(cls, size, offset);
+        checkStrict(cls, size, offset, true);
         checkBounds(offset, size, true);
         if (!inited_.empty()) {
             for (unsigned i = 0; i < size; i++)
@@ -677,7 +658,8 @@ class PrimitiveArray final : public PrimitiveLeaf
     }
 
     void
-    checkStrict(AccessClass cls, unsigned size, int64_t offset) const
+    checkStrict(AccessClass cls, unsigned size, int64_t offset,
+                bool is_write) const
     {
         if (!strictTypeRules())
             return;
@@ -685,8 +667,9 @@ class PrimitiveArray final : public PrimitiveLeaf
         bool is_float = cls == AccessClass::floating;
         if (want_float != is_float || size != sizeof(T) ||
             offset % static_cast<int64_t>(sizeof(T)) != 0) {
-            raiseTypeError("strict type rules: " + std::to_string(size) +
-                           "-byte access into " + describe());
+            raiseTypeError(is_write ? AccessKind::write : AccessKind::read,
+                           "strict type rules: " + std::to_string(size) +
+                               "-byte access into " + describe());
         }
     }
 
@@ -832,13 +815,6 @@ class StructObject final : public ManagedObject
         return "Struct " + type_->structName();
     }
 
-    ManagedObject *
-    resolveStep(int64_t offset, unsigned size, bool is_write,
-                int64_t &inner_offset) override
-    {
-        return resolve(offset, size, inner_offset, is_write);
-    }
-
   private:
     /** Map a byte offset to (field object, offset within field). */
     ManagedObject *resolve(int64_t offset, unsigned size,
@@ -883,13 +859,6 @@ class AggregateArray final : public ManagedObject
         return type_->toString();
     }
 
-    ManagedObject *
-    resolveStep(int64_t offset, unsigned size, bool is_write,
-                int64_t &inner_offset) override
-    {
-        return resolve(offset, size, inner_offset, is_write);
-    }
-
   private:
     ManagedObject *resolve(int64_t offset, unsigned size,
                            int64_t &inner_offset, bool is_write);
@@ -918,13 +887,13 @@ class FunctionObject final : public ManagedObject
     void
     read(AccessClass, unsigned, int64_t, uint64_t &, Address &) override
     {
-        raiseTypeError("reading from a function");
+        raiseTypeError(AccessKind::read, "reading from a function");
     }
 
     void
     write(AccessClass, unsigned, int64_t, uint64_t, const Address &) override
     {
-        raiseTypeError("writing to a function");
+        raiseTypeError(AccessKind::write, "writing to a function");
     }
 
     std::string describe() const override { return "Function"; }
@@ -974,13 +943,13 @@ class VarargsObject final : public ManagedObject
     void
     read(AccessClass, unsigned, int64_t, uint64_t &, Address &) override
     {
-        raiseTypeError("raw read of a va_list");
+        raiseTypeError(AccessKind::read, "raw read of a va_list");
     }
 
     void
     write(AccessClass, unsigned, int64_t, uint64_t, const Address &) override
     {
-        raiseTypeError("raw write of a va_list");
+        raiseTypeError(AccessKind::write, "raw write of a va_list");
     }
 
     std::string describe() const override { return "VarArgs"; }

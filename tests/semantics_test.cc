@@ -97,6 +97,25 @@ int main(void) {
      "3.14 -002.500 10\n"
      "%done\n", 0},
 
+    {"const-init-cast", R"(
+long x = (unsigned char)300;
+int y = (signed char)200;
+unsigned z = (unsigned short)-1;
+int main(void) {
+    printf("%ld %d %u\n", x, y, z);
+    return 0;
+})", "44 -56 65535\n", 0},
+
+    {"const-init-conditional", R"(
+int a = 1 ? 2 : 3;
+int b = 0 || 5;
+int c = 3 && 0;
+int d = 0 && 1 / 0;
+int main(void) {
+    printf("%d %d %d %d\n", a, b, c, d);
+    return 0;
+})", "2 1 0 0\n", 0},
+
     {"scanf-stdin", R"(
 int main(void) {
     int a = 0;

@@ -269,8 +269,8 @@ TEST(InlineTest, NestedInlineAttributesInnermostCallee)
 TEST(InlineTest, UseAfterFreeInInlinedCalleeStillTraps)
 {
     // Temporal bugs must survive both inlining and check elision: the
-    // resolution cache pins the object but re-checks liveness on every
-    // access, so the freed-object load traps exactly as in tier 1.
+    // leaf's own liveness check runs on every access, so the
+    // freed-object load traps exactly as in tier 1.
     const char *src = R"(
         static int deref(int *p) { return *p; }
         int main(void) {

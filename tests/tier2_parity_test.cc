@@ -210,7 +210,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Tier2ParityTest, StructFieldTrafficAndAliasing)
 {
     // Field re-access, aliased stores between reads, and passing struct
-    // pointers through calls: the access/resolution caches must never
+    // pointers through calls: the struct-shape caches must never
     // produce a value a fresh resolve would not.
     expectParity("struct-aliasing", R"(
         struct point { int x; int y; int z; };
@@ -259,9 +259,9 @@ TEST(Tier2ParityTest, PointerChaseThroughHeapNodes)
 
 TEST(Tier2ParityTest, ElisionNeverMasksTemporalBug)
 {
-    // The same slot re-derefs a pointer before and after free(): the
-    // cached resolution must be re-validated, so every config reports
-    // the identical use-after-free.
+    // The same sites re-deref a pointer before and after free(): a
+    // warm shape-cache entry must re-check liveness, so every config
+    // reports the identical use-after-free.
     expectParity("uaf-after-cached-resolve", R"(
         struct box { int a; int b; };
         int main(void) {
@@ -293,6 +293,90 @@ TEST(Tier2ParityTest, ElisionNeverMasksSpatialBug)
             return 0;
         }
     )");
+}
+
+TEST(Tier2ParityTest, HotArrayOfStructsThenReadPastEnd)
+{
+    // An array of structs is one aggregate root that is not a struct,
+    // so its accesses take the checked path with no shape cache: a hot
+    // loop over every element, a loop-invariant element re-read each
+    // iteration, then one element past the end.
+    expectParity("struct-array-oob", R"(
+        struct cell { int tag; long weight; };
+        int main(void) {
+            struct cell grid[16];
+            for (int i = 0; i < 16; i++) {
+                grid[i].tag = i;
+                grid[i].weight = i * 3L;
+            }
+            long s = 0;
+            for (int round = 0; round < 40; round++) {
+                for (int i = 0; i < 16; i++)
+                    s += grid[i].tag + grid[i].weight;
+                s += grid[5].weight;
+            }
+            printf("%ld\n", s);
+            int k = 15 + (s > 0);
+            return (int)(s + grid[k].tag);
+        }
+    )");
+}
+
+TEST(Tier2ParityTest, WarmShapeCacheSeesOtherStructThenFreedStruct)
+{
+    // One hot access site: its shape cache warms on struct a, then the
+    // site reads through a struct b, warms on struct a again, and at
+    // last reads a struct a that has been freed.
+    expectParity("shape-cache-type-change-then-uaf", R"(
+        struct a { int x; int y; };
+        struct b { long p; int q; };
+        int main(void) {
+            struct a *pa = malloc(sizeof(struct a));
+            struct b *pb = malloc(sizeof(struct b));
+            pa->x = 1;
+            pa->y = 2;
+            pb->p = 5;
+            pb->q = 7;
+            int s = 0;
+            for (int i = 0; i < 300; i++) {
+                void *v = i == 150 ? (void *)pb : (void *)pa;
+                if (i == 200)
+                    printf("%d\n", s);
+                if (i == 299)
+                    free(pa);
+                s += ((struct a *)v)->y;
+            }
+            return s;
+        }
+    )");
+}
+
+TEST(Tier2ParityTest, TypeErrorOnWriteIsReportedAsWrite)
+{
+    // A non-pointer store into a pointer field is a type error of the
+    // write, in every tier; a fused op must give it the store's site.
+    const char *src = R"(
+        struct S { int a; int *p; };
+        int main(void) {
+            struct S *s = malloc(sizeof(struct S));
+            s->a = 1;
+            for (int i = 0; i < 50; i++)
+                s->a += i;
+            *(long *)&s->p = 12345;
+            return s->a;
+        }
+    )";
+    expectParity("type-error-on-write", src);
+    Variants variants = tier2Variants();
+    variants.emplace_back("tier-1", tier1Only());
+    for (const auto &[name, config] : variants) {
+        SCOPED_TRACE(name);
+        ExecutionResult result = runUnderTool(src, config);
+        EXPECT_EQ(result.bug.access, AccessKind::write);
+        EXPECT_EQ(result.bug.toString(),
+                  "type-error (write, heap) in main(): non-pointer write "
+                  "into AddressArray[1]");
+    }
 }
 
 TEST(Tier2ParityTest, UninitReadDetectionUnaffectedByElision)
