@@ -7,11 +7,11 @@
  *
  * Note (see EXPERIMENTS.md): absolute values differ from the paper —
  * all our tools share the same front end, whereas the paper compares a
- * JVM against native process startup. Like the paper's pipeline, each
- * libc variant is compiled once per process, and optimized once per
- * pipeline level (printed first, as one-time costs); a program's
- * prepare compiles only its own source and references the libc bodies
- * it reaches.
+ * JVM against native process startup. Like the paper's pipeline, the
+ * libc is compiled once per process into one prototype, and each
+ * variant's bodies once per pipeline level into a stage of it (printed
+ * first, as one-time costs); a program's prepare compiles only its own
+ * source, once, and references the libc bodies it reaches.
  *
  * Exits 1 if any run prints the wrong output; there is no timing floor.
  */
@@ -39,24 +39,20 @@ int main(void) {
                 kRuns);
     std::printf("  one-time libc prototype and stage builds (first use in "
                 "a process):\n");
-    for (LibcVariant variant :
-         {LibcVariant::safe, LibcVariant::nativeOptimized}) {
-        auto t0 = Clock::now();
-        libcPrototype(variant);
-        std::printf("  %-13s %12.2f ms\n",
-                    variant == LibcVariant::safe ? "safe" : "native-opt",
-                    std::chrono::duration<double, std::milli>(
-                        Clock::now() - t0).count());
-    }
-    // The native tools' libc stages: compiled and optimized once, then
-    // shared by reference by every program (Safe Sulong's is the
-    // prototype itself).
+    auto t0 = Clock::now();
+    libcPrototype();
+    std::printf("  %-15s %10.2f ms\n", "prototype",
+                std::chrono::duration<double, std::milli>(
+                    Clock::now() - t0).count());
+    // The native tools' libc stages: the native bodies compiled over the
+    // prototype and optimized once, then shared by reference by every
+    // program (Safe Sulong's is the prototype itself).
     for (int level : {0, 3}) {
-        auto t0 = Clock::now();
-        libcPrototype(LibcVariant::nativeOptimized).stage(level);
-        std::printf("  native-opt -O%d %11.2f ms\n", level,
+        auto t1 = Clock::now();
+        libcPrototype().stage(LibcVariant::nativeOptimized, level);
+        std::printf("  native-opt -O%d %10.2f ms\n", level,
                     std::chrono::duration<double, std::milli>(
-                        Clock::now() - t0).count());
+                        Clock::now() - t1).count());
     }
     std::printf("\n  warm per-program cost (median):\n");
     std::printf("  %-13s %12s %12s %12s\n", "tool", "prepare(ms)",

@@ -1,6 +1,7 @@
 #include "frontend/compiler.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 
 #include "frontend/codegen.h"
@@ -76,9 +77,10 @@ struct Compilation
 {
     /** A compile whose IR types, and with @p base_ctypes its C types
      *  too, extend those of a library. */
-    explicit Compilation(const TypeContext *base_types = nullptr,
-                         const CTypeContext *base_ctypes = nullptr)
-        : module(std::make_unique<Module>(base_types)),
+    explicit Compilation(
+        std::shared_ptr<const TypeContext> base_types = nullptr,
+        const CTypeContext *base_ctypes = nullptr)
+        : module(std::make_unique<Module>(std::move(base_types))),
           ctypes(std::make_unique<CTypeContext>(module->types(),
                                                 base_ctypes))
     {}
@@ -175,60 +177,132 @@ compileLibrary(Compilation &c, const std::vector<SourceFile> &sources,
     }
 }
 
+/** Whether @p a and @p b initialize a global alike, naming functions
+ *  and globals by name. */
+bool
+sameInit(const Initializer &a, const Initializer &b)
+{
+    auto name = [](const Value *v) -> const std::string * {
+        return v != nullptr ? &v->name() : nullptr;
+    };
+    auto sameName = [&name](const Value *x, const Value *y) {
+        return (x == nullptr) == (y == nullptr) &&
+            (x == nullptr || *name(x) == *name(y));
+    };
+    if (a.kind != b.kind || a.intValue != b.intValue ||
+        std::bit_cast<uint64_t>(a.fpValue) !=
+            std::bit_cast<uint64_t>(b.fpValue) ||
+        a.bytes != b.bytes || a.addend != b.addend ||
+        !sameName(a.global, b.global) || !sameName(a.function, b.function) ||
+        a.elems.size() != b.elems.size())
+        return false;
+    for (size_t i = 0; i < a.elems.size(); i++)
+        if (!sameInit(a.elems[i], b.elems[i]))
+            return false;
+    return true;
+}
+
+/**
+ * Give @p stage, the library compiled from other sources, @p prototype's
+ * function ids, matching functions by name; throws InternalError unless
+ * it has the prototype's functions, with the same types, and the
+ * prototype's globals, at the same places, alike.
+ */
+void
+alignStage(Module &stage, const Module &prototype)
+{
+    auto mismatch = [](const std::string &what) {
+        return InternalError("library stage differs from its prototype: " +
+                             what);
+    };
+    if (stage.functions().size() != prototype.functions().size())
+        throw mismatch("function count");
+    std::vector<Function *> by_id;
+    for (const Function *fn : prototype.functions()) {
+        Function *same = stage.findFunction(fn->name());
+        if (same == nullptr || same->fnType() != fn->fnType() ||
+            same->isDeclaration() != fn->isDeclaration() ||
+            same->isIntrinsic() != fn->isIntrinsic())
+            throw mismatch("function '" + fn->name() + "'");
+        by_id.push_back(same);
+    }
+    stage.renumberFunctions(std::move(by_id));
+    const auto &globals = prototype.globals();
+    if (stage.globals().size() != globals.size())
+        throw mismatch("global count");
+    for (size_t i = 0; i < globals.size(); i++) {
+        const GlobalVariable &g = *stage.globals()[i];
+        if (g.name() != globals[i]->name() ||
+            g.valueType() != globals[i]->valueType() ||
+            g.isConst() != globals[i]->isConst() ||
+            !sameInit(g.init(), globals[i]->init()))
+            throw mismatch("global '" + globals[i]->name() + "'");
+    }
+}
+
 } // namespace
 
 struct LibraryPrototype::State
 {
-    std::vector<SourceFile> sources;
+    /// The sources of each variant, by LibcVariant.
+    std::vector<SourceFile> sources[2];
     /// The prototype's front-end end state: its C types (over the IR
-    /// types of stages[0]'s module), typedefs and enum constants.
+    /// types of the prototype's module), typedefs and enum constants.
     std::unique_ptr<CTypeContext> ctypes;
     TypedefMap typedefs;
     std::map<std::string, int64_t> enumConstants;
     LibraryDecls decls;
-    /// Stages -1 (the prototype itself, built by the constructor), 0
-    /// and 3, by slot.
-    std::unique_ptr<const SharedLibrary> stages[3];
-    std::once_flag built[3];
+    /// By variant, the stages -1, 0 and 3, by slot; the safe variant's
+    /// -1 is the prototype, built by the constructor.
+    std::unique_ptr<const SharedLibrary> stages[2][3];
+    std::once_flag built[2][3];
+
+    const SharedLibrary &prototype() const { return *stages[0][0]; }
 };
 
-LibraryPrototype::LibraryPrototype(const std::vector<SourceFile> &sources)
+LibraryPrototype::LibraryPrototype(const Sources &sources)
     : state_(std::make_unique<State>())
 {
+    for (LibcVariant variant :
+         {LibcVariant::safe, LibcVariant::nativeOptimized})
+        state_->sources[static_cast<size_t>(variant)] = sources(variant);
     Compilation c;
-    compileLibrary(c, sources, &state_->decls);
-    state_->sources = sources;
+    compileLibrary(c, state_->sources[0], &state_->decls);
     state_->ctypes = std::move(c.ctypes);
     state_->typedefs = std::move(c.typedefs);
     state_->enumConstants = std::move(c.unit.enumConstants);
-    state_->stages[0] = std::make_unique<SharedLibrary>(std::move(c.module));
-    state_->decls.library = state_->stages[0].get();
+    state_->stages[0][0] =
+        std::make_unique<SharedLibrary>(std::move(c.module));
+    state_->decls.library = state_->stages[0][0].get();
 }
 
 LibraryPrototype::~LibraryPrototype() = default;
 
 const SharedLibrary &
-LibraryPrototype::stage(int opt_level) const
+LibraryPrototype::stage(LibcVariant variant, int opt_level) const
 {
     State &state = *state_;
+    size_t v = static_cast<size_t>(variant);
     int slot = opt_level >= 3 ? 2 : (opt_level >= 0 ? 1 : 0);
-    if (slot == 0)
-        return *state.stages[0];
-    std::call_once(state.built[slot], [&state, slot]() {
+    std::call_once(state.built[v][slot], [&state, v, slot]() {
+        if (state.stages[v][slot] != nullptr)
+            return; // the prototype
         MS_TRACE_SPAN("frontend.library_stage");
         obs::MetricsRegistry::global().counter("frontend.library_stages").inc();
-        // The same sources again, over the prototype's IR types, so the
+        // The variant's sources, over the prototype's IR types, so the
         // stage's types are the prototype's objects.
-        Compilation c(&state.stages[0]->module().types());
-        compileLibrary(c, state.sources);
+        const Module &prototype = state.prototype().module();
+        Compilation c(prototype.sharedTypes());
+        compileLibrary(c, state.sources[v]);
+        alignStage(*c.module, prototype);
         if (slot == 2)
             runO3Pipeline(*c.module);
-        else
+        else if (slot == 1)
             runO0Pipeline(*c.module);
-        state.stages[slot] =
+        state.stages[v][slot] =
             std::make_unique<SharedLibrary>(std::move(c.module));
     });
-    return *state.stages[slot];
+    return *state.stages[v][slot];
 }
 
 CompileResult
@@ -241,9 +315,10 @@ compileC(const std::vector<SourceFile> &sources,
     const LibraryPrototype::State *library =
         options.library != nullptr ? options.library->state_.get() : nullptr;
     // Against a library, start where its own compile ended.
-    Compilation c(library != nullptr ? &library->stages[0]->module().types()
-                                     : nullptr,
-                  library != nullptr ? library->ctypes.get() : nullptr);
+    Compilation c(
+        library != nullptr ? library->prototype().module().sharedTypes()
+                           : nullptr,
+        library != nullptr ? library->ctypes.get() : nullptr);
     if (library != nullptr) {
         c.typedefs = library->typedefs;
         c.unit.enumConstants = library->enumConstants;

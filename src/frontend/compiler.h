@@ -11,6 +11,7 @@
 #ifndef MS_FRONTEND_COMPILER_H
 #define MS_FRONTEND_COMPILER_H
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,17 @@ struct SourceFile
 {
     std::string name;
     std::string text;
+};
+
+/**
+ * Which bodies of the libc a library stage runs (libc/libc_sources.h
+ * describes the two). A LibraryPrototype is compiled from the safe
+ * variant; the other is one of its stages.
+ */
+enum class LibcVariant : uint8_t
+{
+    safe,
+    nativeOptimized,
 };
 
 class LibraryPrototype;
@@ -75,26 +87,41 @@ CompileResult compileC(const std::vector<SourceFile> &sources,
  * constants, and the C types and names of its functions and globals,
  * which a program compiled against it starts from. Immutable once
  * built, so concurrent compiles share one instance.
+ *
+ * Every variant of the library declares the same functions and globals
+ * and differs only in bodies, so one prototype, compiled from the safe
+ * variant, serves them all: a program is compiled once, against the
+ * prototype, and moved onto the stage its tool runs by linkCopy().
  */
 class LibraryPrototype
 {
   public:
-    /** Compile @p sources; throws InternalError if they do not compile. */
-    explicit LibraryPrototype(const std::vector<SourceFile> &sources);
+    /** The library's sources of one variant. */
+    using Sources = std::function<std::vector<SourceFile>(LibcVariant)>;
+
+    /** Compile the safe variant of @p sources; throws InternalError if it
+     *  does not compile. The other variants compile at their first
+     *  stage(). */
+    explicit LibraryPrototype(const Sources &sources);
     ~LibraryPrototype();
 
     /**
-     * The library as a program at @p opt_level sees it: level -1 (or
-     * below) is the prototype itself; levels 0..2 and 3 (or above) are
-     * its sources compiled again over the prototype's IR types and run
-     * once through runO0Pipeline() or runO3Pipeline(). Built on first
-     * use (counter `frontend.library_stages`); concurrent first callers
-     * share one build. The pipelines change each function alone and
-     * read only the library's own const globals, which a program cannot
-     * redefine, so a program linked against a stage (relinkLibrary())
-     * executes the bodies the whole-program pipeline would give it.
+     * The library as a program of @p variant at @p opt_level sees it.
+     * The safe variant at level -1 (or below) is the prototype itself.
+     * Every other stage is the variant's sources compiled again over the
+     * prototype's IR types, given the prototype's function ids, and, at
+     * levels 0..2 and 3 (or above), run once through runO0Pipeline() or
+     * runO3Pipeline(). Built on first use (counter
+     * `frontend.library_stages`); concurrent first callers share one
+     * build. Throws InternalError if the variant does not declare the
+     * prototype's functions, with the same types, and the prototype's
+     * globals, at the same places with the same initializers. The
+     * pipelines change each function alone and read only the library's
+     * own const globals, which a program cannot redefine, so a program
+     * linked against a stage (linkCopy()) executes the bodies the
+     * whole-program pipeline would give it.
      */
-    const SharedLibrary &stage(int opt_level) const;
+    const SharedLibrary &stage(LibcVariant variant, int opt_level) const;
 
   private:
     friend CompileResult compileC(const std::vector<SourceFile> &,

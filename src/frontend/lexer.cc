@@ -1,6 +1,5 @@
 #include "frontend/lexer.h"
 
-#include <cctype>
 #include <cstdlib>
 
 namespace sulong
@@ -9,33 +8,89 @@ namespace sulong
 namespace
 {
 
-const std::map<std::string, Tok> &
-keywordTable()
+struct Keyword
 {
-    static const std::map<std::string, Tok> table = {
-        {"void", Tok::kwVoid},       {"char", Tok::kwChar},
-        {"short", Tok::kwShort},     {"int", Tok::kwInt},
-        {"long", Tok::kwLong},       {"float", Tok::kwFloat},
-        {"double", Tok::kwDouble},   {"signed", Tok::kwSigned},
-        {"unsigned", Tok::kwUnsigned}, {"const", Tok::kwConst},
-        {"volatile", Tok::kwVolatile}, {"static", Tok::kwStatic},
-        {"extern", Tok::kwExtern},   {"struct", Tok::kwStruct},
-        {"union", Tok::kwUnion},     {"enum", Tok::kwEnum},
-        {"typedef", Tok::kwTypedef}, {"sizeof", Tok::kwSizeof},
-        {"if", Tok::kwIf},           {"else", Tok::kwElse},
-        {"while", Tok::kwWhile},     {"do", Tok::kwDo},
-        {"for", Tok::kwFor},         {"return", Tok::kwReturn},
-        {"break", Tok::kwBreak},     {"continue", Tok::kwContinue},
-        {"switch", Tok::kwSwitch},   {"case", Tok::kwCase},
-        {"default", Tok::kwDefault}, {"goto", Tok::kwGoto},
-        {"inline", Tok::kwInline},   {"restrict", Tok::kwRestrict},
-        {"va_start", Tok::kwVaStart}, {"va_arg", Tok::kwVaArg},
-        {"va_end", Tok::kwVaEnd},    {"va_list", Tok::kwVaList},
-        {"__builtin_va_start", Tok::kwVaStart},
-        {"__builtin_va_arg", Tok::kwVaArg},
-        {"__builtin_va_end", Tok::kwVaEnd},
+    std::string_view spelling;
+    Tok kind;
+};
+
+constexpr Keyword kKeywords[] = {
+    {"void", Tok::kwVoid},         {"char", Tok::kwChar},
+    {"short", Tok::kwShort},       {"int", Tok::kwInt},
+    {"long", Tok::kwLong},         {"float", Tok::kwFloat},
+    {"double", Tok::kwDouble},     {"signed", Tok::kwSigned},
+    {"unsigned", Tok::kwUnsigned}, {"const", Tok::kwConst},
+    {"volatile", Tok::kwVolatile}, {"static", Tok::kwStatic},
+    {"extern", Tok::kwExtern},     {"struct", Tok::kwStruct},
+    {"union", Tok::kwUnion},       {"enum", Tok::kwEnum},
+    {"typedef", Tok::kwTypedef},   {"sizeof", Tok::kwSizeof},
+    {"if", Tok::kwIf},             {"else", Tok::kwElse},
+    {"while", Tok::kwWhile},       {"do", Tok::kwDo},
+    {"for", Tok::kwFor},           {"return", Tok::kwReturn},
+    {"break", Tok::kwBreak},       {"continue", Tok::kwContinue},
+    {"switch", Tok::kwSwitch},     {"case", Tok::kwCase},
+    {"default", Tok::kwDefault},   {"goto", Tok::kwGoto},
+    {"inline", Tok::kwInline},     {"restrict", Tok::kwRestrict},
+    {"va_start", Tok::kwVaStart},  {"va_arg", Tok::kwVaArg},
+    {"va_end", Tok::kwVaEnd},      {"va_list", Tok::kwVaList},
+    {"__builtin_va_start", Tok::kwVaStart},
+    {"__builtin_va_arg", Tok::kwVaArg},
+    {"__builtin_va_end", Tok::kwVaEnd},
+};
+
+/** The keyword @p text spells, else Tok::identifier: a flat table,
+ *  bucketed by first character. */
+Tok
+keywordOrIdentifier(std::string_view text)
+{
+    struct Buckets
+    {
+        std::vector<Keyword> byFirst[128];
+        Buckets()
+        {
+            for (const Keyword &keyword : kKeywords)
+                byFirst[static_cast<unsigned char>(keyword.spelling[0])]
+                    .push_back(keyword);
+        }
     };
-    return table;
+    static const Buckets buckets;
+    for (const Keyword &keyword :
+         buckets.byFirst[static_cast<unsigned char>(text[0]) & 127])
+        if (keyword.spelling == text)
+            return keyword.kind;
+    return Tok::identifier;
+}
+
+// ASCII classes, as <cctype> gives them in the "C" locale, without a
+// library call per character.
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+bool
+isHexDigit(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+bool
+isAlpha(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+bool
+isIdentChar(char c)
+{
+    return isAlpha(c) || isDigit(c) || c == '_';
+}
+
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
 } // namespace
@@ -112,7 +167,7 @@ Lexer::skipWhitespaceAndComments()
 {
     while (pos_ < source_.size()) {
         char c = peek();
-        if (std::isspace(static_cast<unsigned char>(c))) {
+        if (isSpace(c)) {
             advance();
         } else if (c == '/' && peek(1) == '/') {
             while (pos_ < source_.size() && peek() != '\n')
@@ -143,9 +198,7 @@ Lexer::handleDirective()
     SourceLoc start = here();
     advance(); // '#'
     // Read the directive name.
-    std::string name;
-    while (std::isalpha(static_cast<unsigned char>(peek())))
-        name += advance();
+    std::string name(scanWhile(isAlpha));
     if (name == "include") {
         // Ignore the rest of the line: libc headers are implicit.
         while (pos_ < source_.size() && peek() != '\n')
@@ -155,11 +208,7 @@ Lexer::handleDirective()
     if (name == "define") {
         while (peek() == ' ' || peek() == '\t')
             advance();
-        std::string macro;
-        while (std::isalnum(static_cast<unsigned char>(peek())) ||
-               peek() == '_') {
-            macro += advance();
-        }
+        std::string macro(scanWhile(isIdentChar));
         if (macro.empty()) {
             diags_.error(start, "#define without a name");
             return;
@@ -199,15 +248,24 @@ Lexer::makeToken(Tok kind)
     return tok;
 }
 
+std::string_view
+Lexer::scanWhile(bool (*in_class)(char))
+{
+    // No class a caller scans contains '\n': only the column moves.
+    size_t start = pos_;
+    while (pos_ < source_.size() && in_class(source_[pos_]))
+        pos_++;
+    col_ += static_cast<uint32_t>(pos_ - start);
+    return source_.substr(start, pos_ - start);
+}
+
 Token
 Lexer::lexIdentifier()
 {
     Token tok = makeToken(Tok::identifier);
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-        tok.text += advance();
-    auto kw = keywordTable().find(tok.text);
-    if (kw != keywordTable().end())
-        tok.kind = kw->second;
+    std::string_view text = scanWhile(isIdentChar);
+    tok.kind = keywordOrIdentifier(text);
+    tok.text = text;
     return tok;
 }
 
@@ -215,41 +273,38 @@ Token
 Lexer::lexNumber()
 {
     Token tok = makeToken(Tok::intLiteral);
-    std::string text;
+    size_t start = pos_;
     bool is_float = false;
     bool is_hex = false;
     if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
         is_hex = true;
-        text += advance();
-        text += advance();
-        while (std::isxdigit(static_cast<unsigned char>(peek())))
-            text += advance();
+        advance();
+        advance();
+        scanWhile(isHexDigit);
     } else {
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            text += advance();
+        scanWhile(isDigit);
         if (peek() == '.' && peek(1) != '.') {
             // "1.5", "3." and "3.f" are all float literals.
             is_float = true;
-            text += advance();
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                text += advance();
+            advance();
+            scanWhile(isDigit);
         }
         if (peek() == 'e' || peek() == 'E') {
             size_t save = pos_;
-            std::string exp;
-            exp += advance();
+            advance();
             if (peek() == '+' || peek() == '-')
-                exp += advance();
-            if (std::isdigit(static_cast<unsigned char>(peek()))) {
+                advance();
+            if (isDigit(peek())) {
                 is_float = true;
-                while (std::isdigit(static_cast<unsigned char>(peek())))
-                    exp += advance();
-                text += exp;
+                scanWhile(isDigit);
             } else {
-                pos_ = save; // not an exponent after all
+                // Not an exponent after all. The column keeps the
+                // characters looked at, as it always has.
+                pos_ = save;
             }
         }
     }
+    std::string text(source_.substr(start, pos_ - start));
     // Suffixes.
     if (is_float) {
         if (peek() == 'f' || peek() == 'F')
@@ -295,10 +350,9 @@ Lexer::decodeEscape()
       case '"': return '"';
       case 'x': {
         int value = 0;
-        while (std::isxdigit(static_cast<unsigned char>(peek()))) {
+        while (isHexDigit(peek())) {
             char d = advance();
-            int digit = std::isdigit(static_cast<unsigned char>(d))
-                ? d - '0' : (std::tolower(d) - 'a' + 10);
+            int digit = isDigit(d) ? d - '0' : ((d | 0x20) - 'a' + 10);
             value = value * 16 + digit;
         }
         return value & 0xff;
@@ -361,9 +415,9 @@ Lexer::next()
         handleDirective();
         return next();
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
+    if (isAlpha(c) || c == '_')
         return lexIdentifier();
-    if (std::isdigit(static_cast<unsigned char>(c)))
+    if (isDigit(c))
         return lexNumber();
     if (c == '\'')
         return lexCharLiteral();
@@ -440,10 +494,12 @@ Lexer::next()
 std::vector<Token>
 Lexer::lexAll()
 {
+    // Programs run 2-3 source characters per token.
     std::vector<Token> tokens;
+    tokens.reserve(source_.size() / 2 + 1);
     while (true) {
         Token tok = next();
-        if (tok.kind == Tok::identifier) {
+        if (tok.kind == Tok::identifier && !macros_.empty()) {
             auto macro = macros_.find(tok.text);
             if (macro != macros_.end()) {
                 for (const Token &rep : macro->second) {

@@ -14,6 +14,7 @@
 #define MS_FRONTEND_LEXER_H
 
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "frontend/token.h"
@@ -43,6 +44,9 @@ class Lexer
     bool match(char expected);
     void skipWhitespaceAndComments();
     void handleDirective();
+    /** Consume the characters of @p in_class ahead (none a newline)
+     *  and return them. */
+    std::string_view scanWhile(bool (*in_class)(char));
     Token lexIdentifier();
     Token lexNumber();
     Token lexCharLiteral();
@@ -51,7 +55,8 @@ class Lexer
     SourceLoc here() const;
 
     std::string file_;
-    std::string source_;
+    /// Viewed, not copied: the caller's text outlives lexAll().
+    std::string_view source_;
     DiagnosticEngine &diags_;
     size_t pos_ = 0;
     uint32_t line_ = 1;

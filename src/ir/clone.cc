@@ -114,69 +114,133 @@ linkLibrary(Module &program)
     }
 }
 
-void
-relinkLibrary(Module &program, const SharedLibrary &stage)
+std::unique_ptr<Module>
+linkCopy(const Module &program, const SharedLibrary &stage)
 {
     const SharedLibrary &from = *program.library();
     if (from.numFunctions() != stage.numFunctions() ||
         from.module().globals().size() != stage.module().globals().size())
-        throw InternalError("relinkLibrary: stage of another library");
-    // The stage's object for a library function or global; null for the
-    // program's own.
+        throw InternalError("linkCopy: stage of another library");
+    auto copy = std::make_unique<Module>(program.sharedTypes());
+    copy->useLibrary(stage);
+
+    // The program's own functions, at their ids, before anything names
+    // them.
+    for (const auto &fn : program.ownFunctions()) {
+        Function *dup = fn->id() < stage.numFunctions()
+            ? copy->overrideFunction(fn->id(), fn->fnType(), fn->name())
+            : copy->addFunction(fn->fnType(), fn->name());
+        if (dup->id() != fn->id())
+            throw InternalError("linkCopy: function ids out of order");
+        dup->setIntrinsic(fn->isIntrinsic());
+        dup->setSourceFile(fn->sourceFile());
+        for (unsigned i = 0; i < fn->numArgs(); i++)
+            dup->arg(i)->setName(fn->arg(i)->name());
+    }
+    // The copy's object for a function or global of the program.
     auto function = [&](const Function *fn) -> Function * {
-        if (fn->id() >= stage.numFunctions() || program.owns(*fn))
-            return nullptr;
+        if (program.owns(*fn))
+            return copy->functionById(fn->id());
         return from.declaration(fn->id()) == fn
             ? stage.declaration(fn->id())
             : stage.module().functionById(fn->id());
     };
-    auto global = [&](const GlobalVariable *g) -> GlobalVariable * {
+    // Globals in place order; an initializer may name a later one.
+    std::unordered_map<const GlobalVariable *, GlobalVariable *> globals;
+    std::vector<GlobalVariable *> own_globals;
+    for (const GlobalVariable *g : program.globals()) {
         int index = from.globalIndex(g);
-        return index < 0 ? nullptr : stage.module().globals()[index];
-    };
+        GlobalVariable *dup;
+        if (index >= 0) {
+            dup = stage.module().globals()[index];
+            copy->addLibraryGlobal(dup);
+        } else {
+            dup = copy->addGlobal(g->valueType(), g->name(), g->init(),
+                                  g->isConst());
+            own_globals.push_back(dup);
+        }
+        globals.emplace(g, dup);
+    }
     auto relinkInit = [&](Initializer &init, auto &self) -> void {
         if (init.function != nullptr)
-            if (Function *mapped = function(init.function))
-                init.function = mapped;
+            init.function = function(init.function);
         if (init.global != nullptr)
-            if (GlobalVariable *mapped = global(init.global))
-                init.global = mapped;
+            init.global = globals.at(init.global);
         for (Initializer &elem : init.elems)
             self(elem, self);
     };
+    for (GlobalVariable *dup : own_globals) {
+        const Initializer &init = dup->init();
+        if (init.global == nullptr && init.function == nullptr &&
+            init.elems.empty())
+            continue; // names nothing: a scalar or a string's bytes
+        Initializer relinked = init;
+        relinkInit(relinked, relinkInit);
+        dup->setInit(std::move(relinked));
+    }
 
+    // Bodies: each instruction is copied whole, then its operands and
+    // targets are pointed at the copy's values. A value an operand
+    // names is found by its frame slot, which the front end numbered.
     for (const auto &fn : program.ownFunctions()) {
+        Function *dup = copy->functionById(fn->id());
+        for (const auto &bb : fn->blocks())
+            dup->addBlock(bb->name());
+        std::vector<Instruction *> slots(fn->numSlots(), nullptr);
+        std::vector<Instruction *> copied;
         for (const auto &bb : fn->blocks()) {
+            BasicBlock *into = dup->blocks()[bb->index()].get();
             for (const auto &inst : bb->insts()) {
-                for (Value *&operand : inst->mutableOperands()) {
-                    Value *mapped = nullptr;
-                    if (operand->valueKind() == ValueKind::function)
-                        mapped = function(static_cast<Function *>(operand));
-                    else if (operand->valueKind() == ValueKind::global)
-                        mapped = global(
-                            static_cast<GlobalVariable *>(operand));
-                    if (mapped != nullptr)
-                        operand = mapped;
-                }
+                Instruction *twin =
+                    into->append(std::make_unique<Instruction>(*inst));
+                if (inst->slot() >= 0)
+                    slots[inst->slot()] = twin;
+                copied.push_back(twin);
             }
         }
+        auto block = [dup](const BasicBlock *bb) {
+            return bb != nullptr ? dup->blocks()[bb->index()].get()
+                                 : nullptr;
+        };
+        for (Instruction *inst : copied) {
+            for (Value *&operand : inst->mutableOperands()) {
+                switch (operand->valueKind()) {
+                  case ValueKind::argument:
+                    operand =
+                        dup->arg(static_cast<Argument *>(operand)->index());
+                    break;
+                  case ValueKind::instruction:
+                    operand = slots[static_cast<Instruction *>(operand)
+                                        ->slot()];
+                    break;
+                  case ValueKind::constantInt:
+                    operand = copy->constInt(
+                        operand->type(),
+                        static_cast<ConstantInt *>(operand)->value());
+                    break;
+                  case ValueKind::constantFP:
+                    operand = copy->constFP(
+                        operand->type(),
+                        static_cast<ConstantFP *>(operand)->value());
+                    break;
+                  case ValueKind::constantNull:
+                    operand = copy->constNull();
+                    break;
+                  case ValueKind::global:
+                    operand =
+                        globals.at(static_cast<GlobalVariable *>(operand));
+                    break;
+                  case ValueKind::function:
+                    operand = function(static_cast<Function *>(operand));
+                    break;
+                }
+            }
+            inst->setTargets(block(inst->target(0)), block(inst->target(1)));
+        }
     }
-    for (const auto &owned : program.ownGlobals_) {
-        const Initializer &old = owned->init();
-        if (old.global == nullptr && old.function == nullptr &&
-            old.elems.empty())
-            continue; // names nothing: a scalar or a string's bytes
-        Initializer init = old;
-        relinkInit(init, relinkInit);
-        owned->setInit(std::move(init));
-    }
-    for (Function *&fn : program.functions_)
-        if (Function *mapped = function(fn))
-            fn = mapped;
-    for (GlobalVariable *&g : program.globals_)
-        if (GlobalVariable *mapped = global(g))
-            g = mapped;
-    program.library_ = &stage;
+    copy->finalize();
+    linkLibrary(*copy);
+    return copy;
 }
 
 } // namespace sulong

@@ -15,10 +15,11 @@
  * the library is copied. linkLibrary() then shows the body of each
  * library function the program reaches and the twin of every other, so
  * the program sees exactly the functions a whole-program compile that
- * dropped the unreached bodies would have. relinkLibrary() moves a
- * linked program onto another stage of the same library — the same
- * sources run through an optimization pipeline — with the same ids and
- * global places.
+ * dropped the unreached bodies would have. linkCopy() is the one way to
+ * move a program onto another stage of the same library — other bodies
+ * of it, or the same sources run through an optimization pipeline, with
+ * the same ids and global places: it copies the program's own code and
+ * links the copy against the stage, leaving the program as it was.
  */
 
 #ifndef MS_IR_CLONE_H
@@ -80,12 +81,18 @@ class SharedLibrary
 void linkLibrary(Module &program);
 
 /**
- * Point @p program, linked against a library, at @p stage, a stage of
- * the same library: the program's bodies and initializers, and its view
- * of the library's functions and globals, then name @p stage's objects
- * at the same ids and places. The set of reached functions is kept.
+ * A copy of @p program, compiled against a library and linked, that
+ * links @p stage, a stage of the same library, instead. The program's
+ * own functions, globals and constants are copied, at the same ids and
+ * places; every library function and global they name is @p stage's at
+ * the same id or place; and linkLibrary() shows the bodies reached over
+ * @p stage's own reference lists. The copy's types extend @p program's
+ * (and keep them alive); it references nothing else of @p program,
+ * which may be freed first. Throws InternalError if @p stage is not a
+ * stage of @p program's library.
  */
-void relinkLibrary(Module &program, const SharedLibrary &stage);
+std::unique_ptr<Module> linkCopy(const Module &program,
+                                 const SharedLibrary &stage);
 
 } // namespace sulong
 

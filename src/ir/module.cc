@@ -69,7 +69,7 @@ ConstantNull *
 Module::constNull()
 {
     if (!nullConstant_)
-        nullConstant_ = std::make_unique<ConstantNull>(types_.ptr());
+        nullConstant_ = std::make_unique<ConstantNull>(types_->ptr());
     return nullConstant_.get();
 }
 
@@ -80,7 +80,7 @@ Module::addGlobal(const Type *value_type, std::string name, Initializer init,
     if (name.empty())
         name = ".anon" + std::to_string(anonGlobalCount_++);
     auto g = std::make_unique<GlobalVariable>(
-        types_.ptr(), value_type, std::move(name), std::move(init), is_const);
+        types_->ptr(), value_type, std::move(name), std::move(init), is_const);
     GlobalVariable *raw = g.get();
     ownGlobals_.push_back(std::move(g));
     globals_.push_back(raw);
@@ -130,7 +130,7 @@ Module::overrideFunction(unsigned id, const Type *fn_type, std::string name)
 Function *
 Module::createFunction(unsigned id, const Type *fn_type, std::string name)
 {
-    auto f = std::make_unique<Function>(types_.ptr(), fn_type,
+    auto f = std::make_unique<Function>(types_->ptr(), fn_type,
                                         std::move(name));
     Function *raw = f.get();
     raw->setParent(this);
@@ -142,6 +142,23 @@ Module::createFunction(unsigned id, const Type *fn_type, std::string name)
         functions_[id] = raw;
     functionsByName_[raw->name()] = raw;
     return raw;
+}
+
+void
+Module::renumberFunctions(std::vector<Function *> by_id)
+{
+    if (by_id.size() != functions_.size())
+        throw InternalError("renumberFunctions: not a permutation");
+    std::vector<bool> seen(by_id.size(), false);
+    for (Function *fn : by_id) {
+        if (fn->id() >= seen.size() || seen[fn->id()] ||
+            functions_[fn->id()] != fn)
+            throw InternalError("renumberFunctions: not a permutation");
+        seen[fn->id()] = true;
+    }
+    for (unsigned id = 0; id < by_id.size(); id++)
+        by_id[id]->setId(id);
+    functions_ = std::move(by_id);
 }
 
 Function *

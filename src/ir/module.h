@@ -127,14 +127,16 @@ class Module
 {
   public:
     /** A module whose types extend @p base_types (see TypeContext). */
-    explicit Module(const TypeContext *base_types = nullptr)
-        : types_(base_types)
+    explicit Module(std::shared_ptr<const TypeContext> base_types = nullptr)
+        : types_(std::make_shared<TypeContext>(std::move(base_types)))
     {}
     Module(const Module &) = delete;
     Module &operator=(const Module &) = delete;
 
-    TypeContext &types() { return types_; }
-    const TypeContext &types() const { return types_; }
+    TypeContext &types() { return *types_; }
+    const TypeContext &types() const { return *types_; }
+    /** The types, for a context that extends them (kept alive by it). */
+    std::shared_ptr<const TypeContext> sharedTypes() const { return types_; }
 
     // --- Constants (interned, owned by the module) ----------------------
     // Values are kept in the canonical form of ir/semantics.h: an integer
@@ -143,15 +145,15 @@ class Module
     ConstantInt *constInt(const Type *type, int64_t value);
     ConstantInt *constI32(int32_t value)
     {
-        return constInt(types_.i32(), value);
+        return constInt(types_->i32(), value);
     }
     ConstantInt *constI64(int64_t value)
     {
-        return constInt(types_.i64(), value);
+        return constInt(types_->i64(), value);
     }
     ConstantInt *constBool(bool value)
     {
-        return constInt(types_.i1(), value ? 1 : 0);
+        return constInt(types_->i1(), value ? 1 : 0);
     }
     ConstantFP *constFP(const Type *type, double value);
     ConstantNull *constNull();
@@ -177,6 +179,9 @@ class Module
     Function *overrideFunction(unsigned id, const Type *fn_type,
                                std::string name);
     Function *findFunction(const std::string &name) const;
+    /** Give each function the id of its place in @p by_id, a
+     *  permutation of functions() (aligning a library stage). */
+    void renumberFunctions(std::vector<Function *> by_id);
     /** Every function, by id. */
     const std::vector<Function *> &functions() const { return functions_; }
     Function *functionById(unsigned id) const { return functions_[id]; }
@@ -205,13 +210,11 @@ class Module
     void finalize();
 
   private:
-    friend void relinkLibrary(Module &program, const SharedLibrary &stage);
-
     /** An own function at @p id: the next one, or a reserved one. */
     Function *createFunction(unsigned id, const Type *fn_type,
                              std::string name);
 
-    TypeContext types_;
+    std::shared_ptr<TypeContext> types_;
     std::vector<GlobalVariable *> globals_;
     std::vector<Function *> functions_;
     std::vector<std::unique_ptr<GlobalVariable>> ownGlobals_;

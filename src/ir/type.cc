@@ -71,11 +71,11 @@ Type::toString() const
     return "<invalid>";
 }
 
-TypeContext::TypeContext(const TypeContext *base)
-    : base_(base),
-      primitives_(base != nullptr ? base->primitives_ : ownPrimitives_)
+TypeContext::TypeContext(std::shared_ptr<const TypeContext> base)
+    : base_(std::move(base)),
+      primitives_(base_ != nullptr ? base_->primitives_ : ownPrimitives_)
 {
-    if (base != nullptr)
+    if (base_ != nullptr)
         return;
     struct Spec { TypeKind kind; uint64_t size; uint64_t align; };
     static const Spec specs[9] = {

@@ -147,15 +147,16 @@ class Type
 /**
  * Owns and interns all types of one Module.
  *
- * A context may extend a @p base context that is never changed again
- * (a shared library's): every type the base has is the base's object,
- * and only the others are created here, so IR types compare by pointer
- * across a program and the library it links.
+ * A context may extend a @p base context that is never changed again (a
+ * shared library's, or the front-end module a program is copied from):
+ * every type the base has is the base's object, and only the others are
+ * created here, so IR types compare by pointer across a program and the
+ * library it links. The context keeps its base alive.
  */
 class TypeContext
 {
   public:
-    explicit TypeContext(const TypeContext *base = nullptr);
+    explicit TypeContext(std::shared_ptr<const TypeContext> base = nullptr);
     TypeContext(const TypeContext &) = delete;
     TypeContext &operator=(const TypeContext &) = delete;
 
@@ -196,7 +197,7 @@ class TypeContext
     const Type *findArray(const Type *elem, uint64_t count) const;
     const Type *findFunction(const std::string &key) const;
 
-    const TypeContext *base_;
+    std::shared_ptr<const TypeContext> base_;
     /// The base's primitives, or ownPrimitives_.
     const Type *primitives_;
     Type ownPrimitives_[9];

@@ -1268,25 +1268,21 @@ namespace
 {
 
 const LibraryPrototype *
-buildPrototype(LibcVariant variant)
+buildPrototype()
 {
     MS_TRACE_SPAN("frontend.libc_prototype");
     obs::MetricsRegistry::global().counter("frontend.libc_prototypes").inc();
     // Never destroyed: threads still running at exit may use it.
-    return new LibraryPrototype(libcSources(variant));
+    return new LibraryPrototype(libcSources);
 }
 
 } // namespace
 
 const LibraryPrototype &
-libcPrototype(LibcVariant variant)
+libcPrototype()
 {
-    if (variant == LibcVariant::safe) {
-        static const LibraryPrototype *safe = buildPrototype(variant);
-        return *safe;
-    }
-    static const LibraryPrototype *native = buildPrototype(variant);
-    return *native;
+    static const LibraryPrototype *prototype = buildPrototype();
+    return *prototype;
 }
 
 std::vector<std::string>

@@ -2,7 +2,7 @@
  * @file
  * The C standard library shipped with the engines (paper Section 3.1).
  *
- * Two variants exist:
+ * Two variants (LibcVariant) exist:
  *  - `safe`: written in plain standard C, optimized for safety — byte-wise
  *    string loops, no undefined-behaviour tricks. This is what Safe
  *    Sulong interprets, so bugs in arguments to libc functions are found
@@ -22,22 +22,20 @@
 namespace sulong
 {
 
-enum class LibcVariant : uint8_t
-{
-    safe,
-    nativeOptimized,
-};
-
-/** The libc translation units for one compilation. */
+/** The libc translation units of @p variant (LibcVariant is declared in
+ *  frontend/compiler.h). Both variants declare the same functions, in
+ *  different orders, and the same globals; only bodies differ. */
 std::vector<SourceFile> libcSources(LibcVariant variant);
 
 /**
- * The libc variant compiled once per process (built on first use, which
- * concurrent callers share; counted by `frontend.libc_prototypes`). Pass
- * it as CompileOptions::library to compile a program against it; its
- * stage() is the variant as an -O0 or -O3 program links it.
+ * The libc compiled once per process from its safe sources (built on
+ * first use, which concurrent callers share; counted by
+ * `frontend.libc_prototypes`). Pass it as CompileOptions::library to
+ * compile a program against it; stage(variant, level) is a variant as
+ * a program of that pipeline level links it — the native one is a stage
+ * of this same prototype, with its function ids and global places.
  */
-const LibraryPrototype &libcPrototype(LibcVariant variant);
+const LibraryPrototype &libcPrototype();
 
 /** Names of all public libc functions provided (for tests and docs). */
 std::vector<std::string> libcFunctionNames();

@@ -60,22 +60,34 @@ CompileCache::getOrCompile(const std::vector<SourceFile> &user_sources,
     std::call_once(slot->once, [&]() {
         MS_TRACE_SPAN("compile_cache.compile");
         auto entry = std::make_shared<Entry>();
-        const LibraryPrototype &library = libcPrototype(variant);
-        CompileOptions options;
-        options.library = &library;
-        CompileResult compiled = compileC(user_sources, options);
-        if (!compiled.ok()) {
-            entry->errors = compiled.errors;
+        if (variant == LibcVariant::safe && opt_level < 0) {
+            // The front end: the user sources, once, against the libc
+            // prototype.
+            CompileOptions options;
+            options.library = &libcPrototype();
+            CompileResult compiled = compileC(user_sources, options);
+            if (compiled.ok())
+                entry->prototype = std::move(compiled.module);
+            else
+                entry->errors = std::move(compiled.errors);
         } else {
-            // The library's bodies come through the same pipeline, run
-            // once per process; this one runs on the program's own.
-            if (opt_level >= 0)
-                relinkLibrary(*compiled.module, library.stage(opt_level));
-            if (opt_level >= 3)
-                runO3Pipeline(*compiled.module);
-            else if (opt_level >= 0)
-                runO0Pipeline(*compiled.module);
-            entry->prototype = std::move(compiled.module);
+            // Every other stage copies the front end's module onto the
+            // libc stage of its variant and level, whose bodies came
+            // through the same pipeline once per process; this one runs
+            // on the program's own.
+            auto front = getOrCompile(user_sources, LibcVariant::safe, -1);
+            if (!front->ok()) {
+                entry->errors = front->errors;
+            } else {
+                std::unique_ptr<Module> module = linkCopy(
+                    *front->prototype,
+                    libcPrototype().stage(variant, opt_level));
+                if (opt_level >= 3)
+                    runO3Pipeline(*module);
+                else if (opt_level >= 0)
+                    runO0Pipeline(*module);
+                entry->prototype = std::move(module);
+            }
         }
         slot->entry = std::move(entry);
     });

@@ -13,15 +13,18 @@
  * module per stage. It is the only code that compiles a program:
  * prepareProgram() without a cache uses a call-local one.
  *
- * A stage's compile is user TU -> link -> O0/O3: the user sources are
- * compiled alone against the libc variant's process-wide prototype
- * (libcPrototype(), compiled once per process and shared by every
- * cache) and shown the libc bodies they reach; at -O0/-O3 the module is
- * then relinked to the libc stage already run through that pipeline
- * (LibraryPrototype::stage(), built once per process), and the pipeline
- * runs on the program's own functions only. A cached stage owns only
- * the user code: every libc function and global it shows is the
- * process-wide stage's, shared by reference.
+ * The user sources are compiled once, against the process-wide libc
+ * prototype (libcPrototype(), compiled once per process from the safe
+ * libc and shared by every cache): that front-end module, with the
+ * prototype's bodies it reaches, is the (safe, -1) stage. Every other
+ * stage looks that entry up in the same cache and copies the program's
+ * own code onto the libc stage of its variant and level
+ * (LibraryPrototype::stage(), built once per process; linkCopy()), then
+ * runs the O0/O3 pipeline on the program's own functions only. A cached
+ * stage owns only the user code: every libc function and global it
+ * shows is the process-wide stage's, shared by reference, and a copy
+ * shares only the IR types of the front-end module, so evicting that
+ * entry frees its code.
  *
  * No tool rewrites a stage: ASan checks accesses at run time through the
  * native engine's access hook, like Memcheck, so it shares the plain

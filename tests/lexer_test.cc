@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "corpus/corpus.h"
 #include "frontend/lexer.h"
+#include "fuzz/generator.h"
+#include "libc/libc_sources.h"
 
 namespace sulong
 {
@@ -196,6 +201,98 @@ TEST(LexerTest, AlwaysEndsWithEof)
     auto tokens = lex("");
     ASSERT_EQ(tokens.size(), 1u);
     EXPECT_EQ(tokens[0].kind, Tok::eof);
+}
+
+/** FNV-1a over every field of every token, and the rendered
+ *  diagnostics, of lexing each of @p sources alone. */
+uint64_t
+tokenStreamDigest(const std::vector<SourceFile> &sources)
+{
+    uint64_t hash = 14695981039346656037ull;
+    auto mix = [&hash](const void *data, size_t size) {
+        const auto *bytes = static_cast<const unsigned char *>(data);
+        for (size_t i = 0; i < size; i++) {
+            hash ^= bytes[i];
+            hash *= 1099511628211ull;
+        }
+    };
+    auto mixString = [&mix](const std::string &text) {
+        uint64_t size = text.size();
+        mix(&size, sizeof size);
+        mix(text.data(), text.size());
+    };
+    for (const SourceFile &source : sources) {
+        DiagnosticEngine diags;
+        Lexer lexer(source.name, source.text, diags);
+        for (const Token &tok : lexer.lexAll()) {
+            uint8_t kind = static_cast<uint8_t>(tok.kind);
+            mix(&kind, 1);
+            mixString(tok.loc.file);
+            mix(&tok.loc.line, sizeof tok.loc.line);
+            mix(&tok.loc.column, sizeof tok.loc.column);
+            mixString(tok.text);
+            mix(&tok.intValue, sizeof tok.intValue);
+            uint64_t bits;
+            std::memcpy(&bits, &tok.floatValue, sizeof bits);
+            mix(&bits, sizeof bits);
+            mixString(tok.stringValue);
+            uint8_t flags = (tok.isUnsigned ? 1 : 0) | (tok.isLong ? 2 : 0);
+            mix(&flags, 1);
+        }
+        mixString(diags.dump());
+    }
+    return hash;
+}
+
+/** Malformed inputs, one per lexer diagnostic, and literal edge cases. */
+std::vector<SourceFile>
+lexerEdgeCases()
+{
+    const char *texts[] = {
+        "int a; /* unterminated",
+        "char c = '\\q'; char d = 'x",
+        "const char *s = \"open\nint b;",
+        "int x = 3 @ 4; $",
+        "#define\n#define F(x) x\n#define N 42 + N\nint y = N;",
+        "#pragma once\n#include <stdio.h>\nint z;",
+        "double d = 1.5e3 + 2.f + .5 + 3. + 1e + 0x1fUL + 7lu + 1E-2L;",
+        "long q = 0XABCDEFu + 077 + 18446744073709551615ULL; a->b...c",
+        "s = \"\\x41\\x4g\\0\\a\\b\\f\\v\\t\\r\\n\\\\\\\"\\'\";",
+        "x <<= 1; y >>= 2; z ^= 3 | 4 || 5 && 6 & 7 != 8 == 9 <= 10 >= 11;",
+        "__builtin_va_start va_list va_end __builtin_va_arg restrict inline",
+        "a\tb\r\nc\vd\fe // comment\n  #define LATE 1\nLATE",
+    };
+    std::vector<SourceFile> sources;
+    int n = 0;
+    for (const char *text : texts)
+        sources.push_back(
+            SourceFile{"edge" + std::to_string(n++) + ".c", text});
+    return sources;
+}
+
+TEST(LexerTest, TokenStreamsMatchPinnedDigests)
+{
+    // Every token field and diagnostic of the libc (both variants and
+    // the builtin declarations), the bug corpus, fuzz seeds 1..50 and the
+    // edge cases above, pinned when the lexer still built each
+    // identifier one char at a time: a faster lexer must lex alike.
+    std::vector<SourceFile> libc = libcSources(LibcVariant::safe);
+    for (const SourceFile &source :
+         libcSources(LibcVariant::nativeOptimized))
+        libc.push_back(source);
+    libc.push_back(SourceFile{"<builtins>", builtinDeclarations()});
+    std::vector<SourceFile> corpus;
+    for (const CorpusEntry &entry : bugCorpus())
+        corpus.push_back(
+            SourceFile{"<corpus:" + entry.id + ">", entry.source});
+    std::vector<SourceFile> fuzz;
+    for (uint64_t seed = 1; seed <= 50; seed++)
+        fuzz.push_back(SourceFile{
+            "<input>", ProgramGenerator(seed).generate().render()});
+    EXPECT_EQ(tokenStreamDigest(libc), 0xd7ec63273658b4d3ull);
+    EXPECT_EQ(tokenStreamDigest(corpus), 0xc68483033c67957eull);
+    EXPECT_EQ(tokenStreamDigest(fuzz), 0x63d8e05397cd145dull);
+    EXPECT_EQ(tokenStreamDigest(lexerEdgeCases()), 0x47bec9b85a804f74ull);
 }
 
 } // namespace

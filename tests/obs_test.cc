@@ -491,7 +491,7 @@ TEST(DeterminismTest, CounterTotalsMatchAcrossJobCounts)
 
     // A process compiles its libc once; build it before either run so
     // both start from the same process state.
-    libcPrototype(LibcVariant::safe);
+    libcPrototype();
     auto runWithJobs = [&](unsigned workers) {
         reg.reset();
         BatchOptions options;
